@@ -83,8 +83,7 @@ def load_unitary(path) -> np.ndarray:
     n = int(data["n"])
     if n > DENSE_PENTAGON_MAX_DIM:
         raise ValueError(f"{path}: dense unitaries support leg dimension "
-                         f"<= {DENSE_PENTAGON_MAX_DIM} (pentagon check memory "
-                         f"budget), got {n}")
+                         f"<= {DENSE_PENTAGON_MAX_DIM}, got {n}")
     re = np.asarray(data["re"], dtype=float)
     im = np.asarray(data["im"], dtype=float)
     if re.shape != (n * n, n * n) or im.shape != (n * n, n * n):

@@ -2,6 +2,8 @@
 invariance, antipodes, sharp, GNS duality and the double-dual span check,
 exercised on group models (exact) and on generic dense unitaries (derived)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,7 @@ from qgft.linalg import (
     Functional,
     flip,
     kron,
+    leg_embed,
     matrix_unit_functional,
     membership_residual,
     span_basis,
@@ -105,6 +108,39 @@ def test_dense_pentagon_dimension_cap():
     mu = MultiplicativeUnitary.from_dense(np.eye(13 * 13))
     with pytest.raises(ValueError, match="n <= 12"):
         check_pentagon(mu)
+
+
+def random_unitary(rng, dim):
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, _ = np.linalg.qr(z)
+    return q
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_dense_pentagon_deviation_matches_leg_embeddings(n):
+    # a random unitary violates the pentagon by O(1) in scattered entries;
+    # the contraction must report the same worst entry as the embedded product
+    w = random_unitary(np.random.default_rng(100 + n), n * n)
+    brute = np.max(np.abs(leg_embed(w, 12, n) @ leg_embed(w, 13, n) @ leg_embed(w, 23, n)
+                          - leg_embed(w, 23, n) @ leg_embed(w, 12, n)))
+    report = check_pentagon(MultiplicativeUnitary.from_dense(w))
+    assert not report.passed
+    assert report.deviation == pytest.approx(brute, abs=1e-13)
+
+
+def test_dense_pentagon_memory_at_dimension_cap():
+    # the three n^3 x n^3 leg embeddings at n = 12 alone take 143 MB
+    n = 12
+    sigma = flip(n)
+    mu = MultiplicativeUnitary.from_dense(sigma @ model(groups.cyclic(n)).qg.w.conj().T @ sigma)
+    tracemalloc.start()
+    try:
+        report = check_pentagon(mu)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 64 * 2 ** 20
 
 
 def test_unitarity_deviation():
@@ -194,6 +230,23 @@ def test_dual_comultiply_swap():
     qg = z2().qg
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     np.testing.assert_allclose(dual_comultiply(qg.mu, swap), kron(swap, swap), atol=1e-14)
+
+
+def test_comultiplications_match_kron_flip_formulas():
+    rng = np.random.default_rng(7)
+    mdl = model(groups.dihedral(3))
+    n = 6
+    u = random_unitary(rng, n)
+    uu = kron(u, u)
+    mu = MultiplicativeUnitary.from_dense(uu @ mdl.qg.w @ uu.conj().T)
+    w, eye, sigma = mu.dense, np.eye(n), flip(n)
+    for _ in range(3):
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        np.testing.assert_allclose(comultiply(mu, x), w.conj().T @ kron(eye, x) @ w,
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(dual_comultiply(mu, x),
+                                   sigma @ w @ kron(x, eye) @ w.conj().T @ sigma,
+                                   rtol=0, atol=1e-13)
 
 
 def test_dual_comultiply_group_algebra_rule():
