@@ -20,8 +20,7 @@ import numpy as np
 from . import fourier as ft
 from . import models
 from .engine import DENSE_PENTAGON_MAX_DIM
-from .groups import CayleyTableError, FiniteGroup, NonAbelianInput, cyclic, dihedral, \
-    direct_product, load_group, symmetric
+from .groups import FiniteGroup, cyclic, dihedral, direct_product, load_group, symmetric
 from .linalg import as_complex_matrix
 from .verify import DEFAULT_SEED, run_suite
 
@@ -118,25 +117,13 @@ def parse_group_spec(spec: str) -> FiniteGroup:
     return load_group(spec)
 
 
-def _load_model(spec: str) -> models.GroupModel:
-    return models.build(parse_group_spec(spec))
-
-
-def _load_function(path, n: int) -> np.ndarray:
-    return models.load_function(path, n)
-
-
 def cmd_verify(args) -> int:
-    try:
-        if args.group:
-            source = _load_model(args.group)
-            name = source.group.name
-        else:
-            source = load_unitary(args.unitary)
-            name = args.unitary
-    except (ValueError, OSError, CayleyTableError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.group:
+        source = models.build(parse_group_spec(args.group))
+        name = source.group.name
+    else:
+        source = load_unitary(args.unitary)
+        name = args.unitary
     report = run_suite(source, tol_value=args.tol, seed=args.seed, model_name=name)
     write_json(report.to_json_dict(), args.out)
     if report.first_failed is not None:
@@ -147,12 +134,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fourier(args) -> int:
-    try:
-        model = _load_model(args.group)
-        values = _load_function(args.function, model.n)
-    except (ValueError, OSError, CayleyTableError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    model = models.build(parse_group_spec(args.group))
+    values = models.load_function(args.function, model.n)
     if args.inverse:
         out = ft.inverse_fourier(model.qg, models.L(model, values))
         payload = models.function_to_json(np.diagonal(out))
@@ -165,13 +148,9 @@ def cmd_fourier(args) -> int:
 
 
 def cmd_convolve(args) -> int:
-    try:
-        model = _load_model(args.group)
-        fa = _load_function(args.a, model.n)
-        fc = _load_function(args.c, model.n)
-    except (ValueError, OSError, CayleyTableError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    model = models.build(parse_group_spec(args.group))
+    fa = models.load_function(args.a, model.n)
+    fc = models.load_function(args.c, model.n)
     qg = model.qg
     if args.dual:
         first = ft.convolve_dual(qg, models.L(model, fa), models.L(model, fc))
@@ -192,13 +171,9 @@ def cmd_convolve(args) -> int:
 
 
 def cmd_pair(args) -> int:
-    try:
-        model = _load_model(args.group)
-        fa = _load_function(args.a, model.n)
-        fb = _load_function(args.b, model.n)
-    except (ValueError, OSError, CayleyTableError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    model = models.build(parse_group_spec(args.group))
+    fa = models.load_function(args.a, model.n)
+    fb = models.load_function(args.b, model.n)
     value = ft.pairing(model.qg, models.L(model, fb), models.pi(model, fa))
     group_sum = complex(np.sum(fa * fb))
     payload = {
@@ -213,16 +188,8 @@ def cmd_pair(args) -> int:
 
 
 def cmd_dft_compare(args) -> int:
-    try:
-        model = _load_model(args.group)
-        values = _load_function(args.function, model.n)
-        cmp = models.dft_compare(model, values)
-    except NonAbelianInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, CayleyTableError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    model = models.build(parse_group_spec(args.group))
+    cmp = models.dft_compare(model, models.load_function(args.function, model.n))
     payload = {
         "diagonal": complex_pairs(cmp.diagonal),
         "character_sums": complex_pairs(cmp.character_sums),
@@ -288,7 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as exc:  # includes CayleyTableError, NonAbelianInput
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -35,6 +35,9 @@ from .linalg import (
     deviation,
     max_abs,
     membership_residual,
+    random_complex,
+    slice_left,
+    slice_right,
     span_basis,
     span_coords,
     span_reconstruct,
@@ -69,11 +72,14 @@ class WeightDerivationError(ValueError):
 @dataclass
 class CheckReport:
     name: str
-    passed: bool
     deviation: float
     tolerance: float
     elapsed_ms: float = 0.0
     note: str = ""
+
+    @property
+    def passed(self) -> bool:
+        return self.deviation <= self.tolerance
 
 
 class MultiplicativeUnitary:
@@ -182,13 +188,13 @@ def check_pentagon(mu: MultiplicativeUnitary, tol: float | None = None) -> Check
     if mu.is_permutation:
         dev = _pentagon_permutation_deviation(mu)
         tolerance = 0.0 if tol is None else tol
-        return CheckReport("pentagon", dev <= tolerance, dev, tolerance, note="exact")
+        return CheckReport("pentagon", dev, tolerance, note="exact")
     if mu.n > DENSE_PENTAGON_MAX_DIM:
         raise ValueError(
             f"dense pentagon check needs n <= {DENSE_PENTAGON_MAX_DIM}, got n = {mu.n}")
     dev = _pentagon_dense_deviation(mu.dense, mu.n)
     tolerance = DENSE_PENTAGON_TOL if tol is None else tol
-    return CheckReport("pentagon", dev <= tolerance, dev, tolerance)
+    return CheckReport("pentagon", dev, tolerance)
 
 
 def slice_family_leg2(w: np.ndarray, n: int) -> np.ndarray:
@@ -229,23 +235,22 @@ def slice_span_mhat(mu: MultiplicativeUnitary, tol: Tolerance = DEFAULT_TOL) -> 
     return span_basis(slice_family_leg1(mu.dense, mu.n), tol)
 
 
+def _require_closed(basis: np.ndarray, leg: int, tol: Tolerance) -> np.ndarray:
+    dev = algebra_closure_deviation(basis)
+    if dev > tol.bound(1.0):
+        raise ClosureFailure(f"leg-{leg} slice span is not an algebra (deviation {dev:.3e})")
+    return basis
+
+
 def generate_M(mu: MultiplicativeUnitary, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the span of leg-2 slices of W, verified closed
     under multiplication and adjoint.  Raises ClosureFailure otherwise."""
-    basis = slice_span_m(mu, tol)
-    dev = algebra_closure_deviation(basis)
-    if dev > tol.bound(1.0):
-        raise ClosureFailure(f"leg-2 slice span is not an algebra (deviation {dev:.3e})")
-    return basis
+    return _require_closed(slice_span_m(mu, tol), 2, tol)
 
 
 def generate_Mhat(mu: MultiplicativeUnitary, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the span of leg-1 slices of W; see generate_M."""
-    basis = slice_span_mhat(mu, tol)
-    dev = algebra_closure_deviation(basis)
-    if dev > tol.bound(1.0):
-        raise ClosureFailure(f"leg-1 slice span is not an algebra (deviation {dev:.3e})")
-    return basis
+    return _require_closed(slice_span_mhat(mu, tol), 1, tol)
 
 
 def comultiply(mu: MultiplicativeUnitary, x: np.ndarray) -> np.ndarray:
@@ -302,7 +307,7 @@ def check_coassociativity(mu: MultiplicativeUnitary, basis: np.ndarray, comult,
     diff = lhs - rhs
     per_input = np.sqrt(np.sum(np.abs(diff) ** 2, axis=(0, 1, 2)))
     dev = max(float(np.max(per_input)) if per_input.size else 0.0, residual)
-    return CheckReport("coassociativity", dev <= tol.bound(1.0), dev, tol.bound(1.0))
+    return CheckReport("coassociativity", dev, tol.bound(1.0))
 
 
 @dataclass(frozen=True)
@@ -350,7 +355,7 @@ def check_left_invariance(weight: Weight, comult, basis: np.ndarray,
     got = np.einsum("kli,kvu,l->uvi", d, basis, f)
     want = np.einsum("uv,i->uvi", np.eye(weight.dim), f)
     dev = max(deviation(got, want), residual)
-    return CheckReport("left-invariance", dev <= tol.bound(1.0), dev, tol.bound(1.0))
+    return CheckReport("left-invariance", dev, tol.bound(1.0))
 
 
 def check_right_invariance(psi_values: np.ndarray, comult, basis: np.ndarray,
@@ -364,11 +369,11 @@ def check_right_invariance(psi_values: np.ndarray, comult, basis: np.ndarray,
     got = np.einsum("kli,k,lvu->uvi", d, g, basis)
     want = np.einsum("uv,i->uvi", np.eye(n), g)
     dev = max(deviation(got, want), residual)
-    return CheckReport("right-invariance", dev <= tol.bound(1.0), dev, tol.bound(1.0))
+    return CheckReport("right-invariance", dev, tol.bound(1.0))
 
 
 def _fit_slice_map(sources: np.ndarray, targets: np.ndarray, basis: np.ndarray,
-                   tol: Tolerance, error: type, what: str) -> tuple[np.ndarray, float]:
+                   tol: Tolerance, what: str) -> tuple[np.ndarray, float]:
     """Least-squares linear map on span(basis) sending each source slice to
     its target slice, with the worst operator-level residual."""
     coords_src = np.einsum("qab,kab->kq", sources, basis.conj())
@@ -380,7 +385,8 @@ def _fit_slice_map(sources: np.ndarray, targets: np.ndarray, basis: np.ndarray,
     fit = max_abs(s_mat @ coords_src - coords_tgt)
     residual = max(fit, mem)
     if residual > tol.bound(1.0):
-        raise error(f"{what} is not well defined on the span (residual {residual:.3e})")
+        raise InconsistentSlices(
+            f"{what} is not well defined on the span (residual {residual:.3e})")
     return s_mat, residual
 
 
@@ -391,7 +397,7 @@ def antipode_from_slices(mu: MultiplicativeUnitary, basis: np.ndarray,
     n = mu.n
     sources = slice_family_leg2(mu.dense, n)
     targets = slice_family_leg2(mu.dense.conj().T, n)
-    return _fit_slice_map(sources, targets, basis, tol, InconsistentSlices, "antipode")
+    return _fit_slice_map(sources, targets, basis, tol, "antipode")
 
 
 def antipode_hat_from_slices(mu: MultiplicativeUnitary, basis_hat: np.ndarray,
@@ -400,23 +406,19 @@ def antipode_hat_from_slices(mu: MultiplicativeUnitary, basis_hat: np.ndarray,
     n = mu.n
     sources = slice_family_leg1(mu.dense.conj().T, n)
     targets = slice_family_leg1(mu.dense, n)
-    return _fit_slice_map(sources, targets, basis_hat, tol, InconsistentSlices,
-                          "dual antipode")
+    return _fit_slice_map(sources, targets, basis_hat, tol, "dual antipode")
 
 
 def lam(mu: MultiplicativeUnitary, omega: Functional) -> np.ndarray:
     """Canonical embedding of a functional into Mhat: lam(omega) =
     (omega (x) id)(W)."""
-    n = mu.n
-    return np.einsum("ij,jkil->kl", omega.density, mu.dense.reshape(n, n, n, n))
+    return slice_left(omega, mu.dense)
 
 
 def lam_hat(mu: MultiplicativeUnitary, theta: Functional) -> np.ndarray:
     """Canonical embedding of a functional into M: lam_hat(theta) =
     (id (x) theta)(W^*)."""
-    n = mu.n
-    wadj4 = mu.dense.conj().T.reshape(n, n, n, n)
-    return np.einsum("kl,iljk->ij", theta.density, wadj4)
+    return slice_right(theta, mu.dense.conj().T)
 
 
 def sharp(omega: Functional, s_mat: np.ndarray, basis: np.ndarray) -> Functional:
@@ -444,13 +446,6 @@ class SharpFunctional:
 
     def adjoint_deviation(self, mu: MultiplicativeUnitary) -> float:
         return deviation(lam(mu, self.omega).conj().T, lam(mu, self.omega_sharp))
-
-
-def tensor_functional(omega1: Functional, omega2: Functional, x: np.ndarray) -> complex:
-    """(omega1 (x) omega2)(x) for an operator on the tensor square."""
-    n = omega1.dim
-    x4 = np.asarray(x, dtype=complex).reshape(n, n, n, n)
-    return complex(np.einsum("ij,kl,jlik->", omega1.density, omega2.density, x4))
 
 
 def fixed_leg_vectors(mu: MultiplicativeUnitary, leg: int,
@@ -537,8 +532,12 @@ class QuantumGroupPair:
         return self.w.reshape(self.n, self.n, self.n, self.n)
 
     @cached_property
+    def w_adj(self) -> np.ndarray:
+        return self.w.conj().T  # Fortran-ordered; einsum sums in layout order
+
+    @cached_property
     def w_adj4(self) -> np.ndarray:
-        return self.w.conj().T.reshape(self.n, self.n, self.n, self.n)
+        return self.w_adj.reshape(self.n, self.n, self.n, self.n)
 
     def delta(self, x: np.ndarray) -> np.ndarray:
         return comultiply(self.mu, x)
@@ -569,39 +568,24 @@ class QuantumGroupPair:
         return span_coords(y, self.mhat_basis)
 
     def require_in_m(self, x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-        res = membership_residual(x, self.m_basis)
-        if res > tol.bound(max_abs(x)):
-            raise NotInAlgebra(f"operand lies outside M (residual {res:.3e})")
-        return self.coords_m(x)
+        return _require_in_span(x, self.m_basis, "M", tol)
 
     def require_in_mhat(self, y: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-        res = membership_residual(y, self.mhat_basis)
-        if res > tol.bound(max_abs(y)):
-            raise NotInAlgebra(f"operand lies outside Mhat (residual {res:.3e})")
-        return self.coords_mhat(y)
+        return _require_in_span(y, self.mhat_basis, "Mhat", tol)
 
     @cached_property
     def s_inv_mat(self) -> np.ndarray:
-        svals = np.linalg.svd(self.s_mat, compute_uv=False)
-        if svals.size == 0 or svals[-1] <= 1e-10 * svals[0]:
-            raise SingularAntipode("antipode matrix is singular within tolerance")
-        return np.linalg.inv(self.s_mat)
+        return _checked_inverse(self.s_mat, "antipode")
 
     @cached_property
     def shat_inv_mat(self) -> np.ndarray:
-        svals = np.linalg.svd(self.shat_mat, compute_uv=False)
-        if svals.size == 0 or svals[-1] <= 1e-10 * svals[0]:
-            raise SingularAntipode("dual antipode matrix is singular within tolerance")
-        return np.linalg.inv(self.shat_mat)
+        return _checked_inverse(self.shat_mat, "dual antipode")
 
     def apply_s(self, x: np.ndarray) -> np.ndarray:
         return span_reconstruct(self.s_mat @ self.coords_m(x), self.m_basis)
 
     def apply_s_inv(self, x: np.ndarray) -> np.ndarray:
         return span_reconstruct(self.s_inv_mat @ self.coords_m(x), self.m_basis)
-
-    def apply_shat(self, y: np.ndarray) -> np.ndarray:
-        return span_reconstruct(self.shat_mat @ self.coords_mhat(y), self.mhat_basis)
 
     def apply_shat_inv(self, y: np.ndarray) -> np.ndarray:
         return span_reconstruct(self.shat_inv_mat @ self.coords_mhat(y), self.mhat_basis)
@@ -614,6 +598,23 @@ class QuantumGroupPair:
                            optimize=True)
         recon = np.einsum("kl,kac,lbd->abcd", coeffs, ma, mb, optimize=True)
         return max_abs(self.w4 - recon)
+
+
+def _require_in_span(x: np.ndarray, basis: np.ndarray, name: str,
+                     tol: Tolerance) -> np.ndarray:
+    """Coordinates of x in the orthonormal basis; NotInAlgebra if x is off
+    the span."""
+    res = membership_residual(x, basis)
+    if res > tol.bound(max_abs(x)):
+        raise NotInAlgebra(f"operand lies outside {name} (residual {res:.3e})")
+    return span_coords(x, basis)
+
+
+def _checked_inverse(mat: np.ndarray, what: str) -> np.ndarray:
+    svals = np.linalg.svd(mat, compute_uv=False)
+    if svals.size == 0 or svals[-1] <= 1e-10 * svals[0]:
+        raise SingularAntipode(f"{what} matrix is singular within tolerance")
+    return np.linalg.inv(mat)
 
 
 def pair_from_unitary(w, tol: Tolerance = DEFAULT_TOL) -> QuantumGroupPair:
@@ -652,28 +653,31 @@ def check_gns_consistency(qg: QuantumGroupPair, tol: Tolerance = DEFAULT_TOL) ->
         dev = max(dev, deviation(gram, phivals))
         if weight.gns_rank(basis) < m:
             dev = max(dev, 1.0)
-    return CheckReport("gns-consistency", dev <= tol.bound(1.0), dev, tol.bound(1.0))
+    return CheckReport("gns-consistency", dev, tol.bound(1.0))
+
+
+def _gns_duality(name: str, family: np.ndarray, family_weight: Weight,
+                 basis: np.ndarray, basis_weight: Weight, tol: Tolerance) -> CheckReport:
+    """<Lambda_1(slice(omega)), Lambda_2(x)> = omega(x^*) over the matrix-unit
+    slice family and the basis, for the GNS maps of the two weights."""
+    lhs = (family @ family_weight.xi) @ (basis @ basis_weight.xi).conj().T
+    rhs = basis.conj().reshape(basis.shape[0], -1).T
+    return CheckReport(name, deviation(lhs, rhs), tol.bound(1.0))
 
 
 def check_gns_duality_phihat(qg: QuantumGroupPair, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """<Lambda_hat((omega (x) id)(W)), Lambda(x)> = omega(x^*), over all
     matrix-unit omega and M-basis x."""
-    lam_family = slice_family_leg1(qg.w, qg.n)
-    lhs = (lam_family @ qg.phihat.xi) @ (qg.m_basis @ qg.phi.xi).conj().T
-    rhs = qg.m_basis.conj().reshape(qg.m_basis.shape[0], -1).T
-    dev = deviation(lhs, rhs)
-    return CheckReport("gns-duality-phihat", dev <= tol.bound(1.0), dev, tol.bound(1.0))
+    return _gns_duality("gns-duality-phihat", slice_family_leg1(qg.w, qg.n), qg.phihat,
+                        qg.m_basis, qg.phi, tol)
 
 
 def check_gns_duality_phihatdual(qg: QuantumGroupPair,
                                  tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """<Lambda((id (x) omega)(W^*)), Lambda_hat(y)> = omega(y^*), over all
     matrix-unit omega and Mhat-basis y."""
-    lamhat_family = slice_family_leg2(qg.w.conj().T, qg.n)
-    lhs = (lamhat_family @ qg.phi.xi) @ (qg.mhat_basis @ qg.phihat.xi).conj().T
-    rhs = qg.mhat_basis.conj().reshape(qg.mhat_basis.shape[0], -1).T
-    dev = deviation(lhs, rhs)
-    return CheckReport("gns-duality-phihatdual", dev <= tol.bound(1.0), dev, tol.bound(1.0))
+    return _gns_duality("gns-duality-phihatdual", slice_family_leg2(qg.w_adj, qg.n),
+                        qg.phi, qg.mhat_basis, qg.phihat, tol)
 
 
 def check_antipode(qg: QuantumGroupPair, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
@@ -684,7 +688,7 @@ def check_antipode(qg: QuantumGroupPair, tol: Tolerance = DEFAULT_TOL) -> CheckR
         s_fit, s_res = antipode_from_slices(qg.mu, qg.m_basis, tol)
         shat_fit, shat_res = antipode_hat_from_slices(qg.mu, qg.mhat_basis, tol)
     except InconsistentSlices:
-        return CheckReport("antipode-slices", False, 1.0, tol.bound(1.0),
+        return CheckReport("antipode-slices", 1.0, tol.bound(1.0),
                            note="slice relation inconsistent")
     dev = max(s_res, shat_res, deviation(s_fit, qg.s_mat), deviation(shat_fit, qg.shat_mat))
 
@@ -702,7 +706,7 @@ def check_antipode(qg: QuantumGroupPair, tol: Tolerance = DEFAULT_TOL) -> CheckR
         for i in range(m):
             twisted = qg.apply_s(basis[i].conj().T).conj().T
             dev = max(dev, deviation(twisted, qg.apply_s_inv(basis[i])))
-    return CheckReport("antipode-slices", dev <= tol.bound(1.0), dev, tol.bound(1.0),
+    return CheckReport("antipode-slices", dev, tol.bound(1.0),
                        note=f"S^2 deviation from id: {s2dev:.3e}")
 
 
@@ -710,28 +714,16 @@ def check_sharp_involution(qg: QuantumGroupPair, rng: np.random.Generator,
                            samples: int = 20, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """((omega (x) id)(W))^* = (omega_sharp (x) id)(W) for random omega, and
     involutivity of sharp on the algebra."""
-    n = qg.n
     dev = 0.0
     for _ in range(samples):
-        density = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        omega = Functional(density)
-        omega_sharp = sharp(omega, qg.s_mat, qg.m_basis)
-        lhs = _slice_leg1(omega.density, qg.w4).conj().T
-        rhs = _slice_leg1(omega_sharp.density, qg.w4)
-        dev = max(dev, deviation(lhs, rhs))
-        twice = sharp(omega_sharp, qg.s_mat, qg.m_basis)
-        vals = np.einsum("ij,kji->k", omega.density, qg.m_basis)
+        pair = SharpFunctional.of(Functional(random_complex(rng, (qg.n, qg.n))),
+                                  qg.s_mat, qg.m_basis)
+        dev = max(dev, pair.adjoint_deviation(qg.mu))
+        twice = sharp(pair.omega_sharp, qg.s_mat, qg.m_basis)
+        vals = np.einsum("ij,kji->k", pair.omega.density, qg.m_basis)
         vals_twice = np.einsum("ij,kji->k", twice.density, qg.m_basis)
         dev = max(dev, deviation(vals, vals_twice))
-    return CheckReport("sharp-involution", dev <= tol.bound(1.0), dev, tol.bound(1.0))
-
-
-def _slice_leg1(density: np.ndarray, x4: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,jkil->kl", density, x4)
-
-
-def _slice_leg2(density: np.ndarray, x4: np.ndarray) -> np.ndarray:
-    return np.einsum("kl,iljk->ij", density, x4)
+    return CheckReport("sharp-involution", dev, tol.bound(1.0))
 
 
 def check_slice_product_laws(qg: QuantumGroupPair, rng: np.random.Generator,
@@ -744,37 +736,34 @@ def check_slice_product_laws(qg: QuantumGroupPair, rng: np.random.Generator,
     operators on the tensor square per unit.
     """
     n = qg.n
-    w4 = qg.w4
-    wadj4 = qg.w_adj4
+    w, w4, w_adj = qg.w, qg.w4, qg.w_adj
     dev = 0.0
 
-    def random_density():
-        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
     for _ in range(samples):
-        r1, r2 = random_density(), random_density()
+        r1, r2 = random_complex(rng, (n, n)), random_complex(rng, (n, n))
+        f1, f2 = Functional(r1), Functional(r2)
 
         # (omega1 (x) id)(W)(omega2 (x) id)(W) = (mu (x) id)(W),
         # mu = (omega1 (x) omega2) o delta.  mu(E_ab) tabulated directly.
         mu_vals = np.einsum("ij,kl,pajl,pbik->ab", r1, r2, w4.conj(), w4,
                             optimize=True)
-        lhs = _slice_leg1(r1, w4) @ _slice_leg1(r2, w4)
-        dev = max(dev, deviation(lhs, _slice_leg1(mu_vals.T, w4)))
+        lhs = slice_left(f1, w) @ slice_left(f2, w)
+        dev = max(dev, deviation(lhs, slice_left(Functional(mu_vals.T), w)))
 
         # (id (x) theta1)(W)(id (x) theta2)(W) = (id (x) nu)(W),
         # nu = (theta1 (x) theta2) o delta_hat_cop with delta_hat_cop(y) = W(y (x) 1)W^*.
         nu_vals = np.einsum("ij,kl,jlaq,ikbq->ab", r1, r2, w4, w4.conj(),
                             optimize=True)
-        lhs = _slice_leg2(r1, w4) @ _slice_leg2(r2, w4)
-        dev = max(dev, deviation(lhs, _slice_leg2(nu_vals.T, w4)))
+        lhs = slice_right(f1, w) @ slice_right(f2, w)
+        dev = max(dev, deviation(lhs, slice_right(Functional(nu_vals.T), w)))
 
         # Same law for W^*, now with the unflipped delta_hat.
         nu_prime_vals = np.einsum("ij,kl,ljaq,kibq->ab", r1, r2, w4, w4.conj(),
                                   optimize=True)
-        lhs = _slice_leg2(r1, wadj4) @ _slice_leg2(r2, wadj4)
-        dev = max(dev, deviation(lhs, _slice_leg2(nu_prime_vals.T, wadj4)))
+        lhs = slice_right(f1, w_adj) @ slice_right(f2, w_adj)
+        dev = max(dev, deviation(lhs, slice_right(Functional(nu_prime_vals.T), w_adj)))
 
-    return CheckReport("slice-product-laws", dev <= tol.bound(1.0), dev, tol.bound(1.0))
+    return CheckReport("slice-product-laws", dev, tol.bound(1.0))
 
 
 def pontryagin_check(mu: MultiplicativeUnitary, m_basis: np.ndarray,
@@ -788,4 +777,4 @@ def pontryagin_check(mu: MultiplicativeUnitary, m_basis: np.ndarray,
     cmp1 = subspace_equal(hat_mhat, m_basis, tol)
     cmp2 = subspace_equal(hat_m, mhat_basis, tol)
     dev = max(cmp1.deviation, cmp2.deviation)
-    return CheckReport("pontryagin", cmp1.equal and cmp2.equal, dev, tol.bound(1.0))
+    return CheckReport("pontryagin", dev, tol.bound(1.0))

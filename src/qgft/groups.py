@@ -6,8 +6,8 @@ identity index carry the whole structure.  Built-in constructors are capped at
 order 24 so that dense n^2 x n^2 operators stay small; tables loaded from
 files may have any order at the caller's risk.
 
-Finite groups are unimodular: the modular function is identically 1, which
-the group models consume when forming involutions and antipodes.
+Finite groups are unimodular: the modular function is identically 1, so the
+involutions and antipodes of the group models carry no modular factor.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Dense complex tensor kernel: Kronecker products, leg embeddings, the flip,
-functional slices, and numerically robust span/membership tests.
+the one single-functional slice kernel (slice_left/slice_right), seeded
+complex Gaussian draws, and numerically robust span/membership tests.
 
 Index convention (normative for the whole package): an operator ``X`` on the
 two-fold tensor square of an n-dimensional space is an n^2 x n^2 matrix whose
@@ -66,11 +67,6 @@ def as_complex_matrix(entries, rows: int | None = None, cols: int | None = None)
 def inner(u: np.ndarray, v: np.ndarray) -> complex:
     """Hilbert space inner product, linear in the first slot."""
     return complex(np.vdot(v, u))
-
-
-def trace_inner(x: np.ndarray, y: np.ndarray) -> complex:
-    """Trace inner product <x, y> = trace(y^* x), linear in the first slot."""
-    return complex(np.vdot(y, x))
 
 
 def max_abs(x) -> float:
@@ -169,6 +165,17 @@ def slice_right(theta: Functional, x: np.ndarray) -> np.ndarray:
         raise ValueError(f"operator shape {x.shape} incompatible with leg dimension {n}")
     x4 = x.reshape(n, n, n, n)
     return np.einsum("kl,iljk->ij", theta.density, x4)
+
+
+def random_complex(rng: np.random.Generator, shape) -> np.ndarray:
+    """Complex standard Gaussian array: the real part is drawn first, then the
+    imaginary part, so reports seeded with rng reproduce bit for bit."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def random_element(rng: np.random.Generator, basis: np.ndarray) -> np.ndarray:
+    """Random element of span(basis) with complex Gaussian coefficients."""
+    return span_reconstruct(random_complex(rng, basis.shape[0]), basis)
 
 
 def span_basis(mats, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -28,7 +28,6 @@ from .linalg import DEFAULT_TOL, Tolerance, deviation, max_abs
 class GroupModel:
     group: FiniteGroup
     qg: QuantumGroupPair
-    delta: np.ndarray  # modular function on G; identically 1
 
     @property
     def n(self) -> int:
@@ -60,7 +59,7 @@ def build(group: FiniteGroup) -> GroupModel:
 
     qg = QuantumGroupPair(mu, m_basis, mhat_basis, Weight(xi_phi), Weight(xi_phihat),
                           s_mat, shat_mat)
-    return GroupModel(group, qg, np.ones(n, dtype=float))
+    return GroupModel(group, qg)
 
 
 def as_function(values, n: int) -> np.ndarray:

@@ -23,12 +23,9 @@ import numpy as np
 from . import engine, models
 from .engine import (
     CheckReport,
-    ClosureFailure,
-    InconsistentSlices,
     MultiplicativeUnitary,
     QuantumGroupPair,
     Weight,
-    WeightDerivationError,
     check_pentagon,
 )
 from .fourier import (
@@ -42,7 +39,7 @@ from .fourier import (
     convolve_dual,
     pairing,
 )
-from .linalg import Tolerance, deviation, subspace_equal
+from .linalg import Tolerance, deviation, random_complex, random_element, subspace_equal
 
 SUITE_VERSION = "qgft-suite/1"
 DEFAULT_SEED = 20201
@@ -101,9 +98,8 @@ class _Runner:
         try:
             check = fn()
             check.name = name
-        except (ClosureFailure, InconsistentSlices, WeightDerivationError,
-                engine.SingularAntipode) as exc:
-            check = CheckReport(name, False, 1.0, 0.0, note=str(exc))
+        except Exception as exc:
+            check = CheckReport(name, 1.0, 0.0, note=f"{type(exc).__name__}: {exc}")
         check.elapsed_ms = (time.perf_counter() - start) * 1e3
         self.report.checks.append(check)
         if not check.passed and self.report.first_failed is None:
@@ -111,16 +107,6 @@ class _Runner:
         if not check.passed and abort_on_fail:
             raise _Abort
         return check
-
-
-def _random_element(rng: np.random.Generator, basis: np.ndarray) -> np.ndarray:
-    m = basis.shape[0]
-    coeffs = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    return np.einsum("k,kab->ab", coeffs, basis)
-
-
-def _random_function(rng: np.random.Generator, n: int) -> np.ndarray:
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
 def run_suite(source, tol_value: float = 1e-10, seed: int = DEFAULT_SEED,
@@ -167,7 +153,7 @@ def _run_stages(runner: _Runner, mu: MultiplicativeUnitary,
     def unitarity():
         dev = mu.unitarity_deviation()
         bound = 0.0 if mu.is_permutation else DENSE_CHECK_TOL
-        return CheckReport("", dev <= bound, dev, bound)
+        return CheckReport("", dev, bound)
 
     runner.run("unitarity", unitarity, abort_on_fail=True)
     runner.run("pentagon", lambda: check_pentagon(mu), abort_on_fail=True)
@@ -189,16 +175,16 @@ def _run_stages(runner: _Runner, mu: MultiplicativeUnitary,
                       subspace_equal(m_span, qg.m_basis, tol).deviation,
                       subspace_equal(mhat_span, qg.mhat_basis, tol).deviation)
         state["m_span"], state["mhat_span"] = m_span, mhat_span
-        return CheckReport("", dev <= tol.bound(1.0), dev, tol.bound(1.0))
+        return CheckReport("", dev, tol.bound(1.0))
 
     runner.run("algebra-generation", generation, abort_on_fail=True)
 
     def weights():
         if model is not None:
-            return CheckReport("", True, 0.0, 0.0, note="exact model weights")
+            return CheckReport("", 0.0, 0.0, note="exact model weights")
         xi_phi, xi_phihat = engine.derive_haar_vectors(mu, state["m_span"], tol)
         state["weights"] = (Weight(xi_phi), Weight(xi_phihat))
-        return CheckReport("", True, 0.0, tol.bound(1.0))
+        return CheckReport("", 0.0, tol.bound(1.0))
 
     runner.run("haar-weights", weights, abort_on_fail=True)
 
@@ -208,7 +194,7 @@ def _run_stages(runner: _Runner, mu: MultiplicativeUnitary,
             shat_mat, sh_res = engine.antipode_hat_from_slices(mu, state["mhat_span"], tol)
             state["antipodes"] = (s_mat, shat_mat)
             dev = max(s_res, sh_res)
-            return CheckReport("", dev <= tol.bound(1.0), dev, tol.bound(1.0))
+            return CheckReport("", dev, tol.bound(1.0))
 
         runner.run("antipode-assembly", antipodes, abort_on_fail=True)
         phi, phihat = state["weights"]
@@ -220,7 +206,7 @@ def _run_stages(runner: _Runner, mu: MultiplicativeUnitary,
 
     def w_membership():
         dev = pair.w_membership_residual
-        return CheckReport("", dev <= tol.bound(1.0), dev, tol.bound(1.0))
+        return CheckReport("", dev, tol.bound(1.0))
 
     runner.run("w-membership", w_membership)
 
@@ -265,11 +251,11 @@ def _run_stages(runner: _Runner, mu: MultiplicativeUnitary,
     def plancherel():
         dev = 0.0
         for _ in range(PLANCHEREL_SAMPLES):
-            a = _random_element(rng, pair.m_basis)
+            a = random_element(rng, pair.m_basis)
             result = check_plancherel(pair, a)
             dev = max(dev, result.deviation,
                       abs(result.lhs.imag), abs(result.rhs.imag))
-        return CheckReport("", dev <= tol.bound(1.0), dev, tol.bound(1.0))
+        return CheckReport("", dev, tol.bound(1.0))
 
     runner.run("plancherel", plancherel)
 
@@ -278,34 +264,34 @@ def _run_stages(runner: _Runner, mu: MultiplicativeUnitary,
         dev = check.deviation
         if model is not None:
             for _ in range(CONVOLUTION_SAMPLES):
-                fa = _random_function(rng, n)
-                fc = _random_function(rng, n)
+                fa = random_complex(rng, n)
+                fc = random_complex(rng, n)
                 out = convolve(pair, models.pi(model, fa), models.pi(model, fc))
                 dev = max(dev, deviation(models.pi_function(model, out),
                                          models.classical_convolution(model.group, fa, fc)))
-                fb = _random_function(rng, n)
-                fd = _random_function(rng, n)
+                fb = random_complex(rng, n)
+                fd = random_complex(rng, n)
                 out = convolve_dual(pair, models.L(model, fb), models.L(model, fd))
                 dev = max(dev, deviation(models.L_function(model, out), fb * fd))
-        return CheckReport("", dev <= tol.bound(1.0), dev, tol.bound(1.0))
+        return CheckReport("", dev, tol.bound(1.0))
 
     runner.run("convolution-agreement", convolution)
 
     def pairing_spread():
         dev = 0.0
         for _ in range(PAIRING_SAMPLES):
-            a = _random_element(rng, pair.m_basis)
-            b = _random_element(rng, pair.mhat_basis)
+            a = random_element(rng, pair.m_basis)
+            b = random_element(rng, pair.mhat_basis)
             value = pairing(pair, b, a)
             dev = max(dev, value.spread)
         if model is not None:
             for _ in range(PAIRING_SAMPLES):
-                fa = _random_function(rng, n)
-                fb = _random_function(rng, n)
+                fa = random_complex(rng, n)
+                fb = random_complex(rng, n)
                 value = pairing(pair, models.L(model, fb), models.pi(model, fa))
                 dev = max(dev, value.spread,
                           abs(value.via_inverse - complex(np.sum(fa * fb))))
-        return CheckReport("", dev <= tol.bound(1.0), dev, tol.bound(1.0))
+        return CheckReport("", dev, tol.bound(1.0))
 
     runner.run("pairing", pairing_spread)
     runner.run("pairing-axioms",
@@ -314,10 +300,10 @@ def _run_stages(runner: _Runner, mu: MultiplicativeUnitary,
     def ft_pairing():
         dev = 0.0
         for _ in range(FT_PAIRING_SAMPLES):
-            a = _random_element(rng, pair.m_basis)
-            b = _random_element(rng, pair.mhat_basis)
+            a = random_element(rng, pair.m_basis)
+            b = random_element(rng, pair.mhat_basis)
             dev = max(dev, check_ft_pairing(pair, a, b, tol).deviation)
-        return CheckReport("", dev <= tol.bound(1.0), dev, tol.bound(1.0))
+        return CheckReport("", dev, tol.bound(1.0))
 
     runner.run("ft-pairing", ft_pairing)
     runner.run("pontryagin",

@@ -4,6 +4,7 @@ import json
 import re
 
 import numpy as np
+import pytest
 
 from qgft import groups, models
 from qgft.cli import main, matrix_to_json, parse_group_spec
@@ -112,6 +113,31 @@ def test_verify_oversized_dense_unitary_exits_2(tmp_path, capsys):
     path = write_unitary(tmp_path, "big.json", eye, n)
     assert main(["verify", "--unitary", path]) == 2
     assert "leg dimension" in capsys.readouterr().err
+
+
+LOAD_FAILURES = [
+    ["verify", "--unitary", "{missing}"],
+    ["verify", "--group", "cyclic:0"],
+    ["fourier", "--group", "cyclic:2", "--function", "{missing}"],
+    ["fourier", "--group", "cyclic:0", "--function", "{good}"],
+    ["convolve", "--group", "cyclic:2", "--a", "{good}", "--c", "{missing}"],
+    ["convolve", "--group", "cyclic:0", "--a", "{good}", "--c", "{good}"],
+    ["pair", "--group", "cyclic:2", "--a", "{good}", "--b", "{missing}"],
+    ["pair", "--group", "cyclic:0", "--a", "{good}", "--b", "{good}"],
+    ["dft-compare", "--group", "cyclic:2", "--function", "{missing}"],
+    ["dft-compare", "--group", "cyclic:0", "--function", "{good}"],
+]
+
+
+@pytest.mark.parametrize("argv", LOAD_FAILURES, ids=lambda argv: "-".join(
+    [argv[0], "bad-group" if "cyclic:0" in argv else "missing-file"]))
+def test_load_failure_exits_2_with_empty_stdout(tmp_path, capsys, argv):
+    good = write_function(tmp_path, "f.json", [1.0, 2.0])
+    missing = str(tmp_path / "missing.json")
+    assert main([a.format(good=good, missing=missing) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
 
 
 def test_verify_deterministic_modulo_elapsed(tmp_path):

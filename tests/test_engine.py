@@ -39,6 +39,8 @@ from qgft.engine import (
     pair_from_unitary,
     pontryagin_check,
     sharp,
+    slice_family_leg1,
+    slice_family_leg2,
     slice_span_m,
     slice_span_mhat,
 )
@@ -49,6 +51,8 @@ from qgft.linalg import (
     leg_embed,
     matrix_unit_functional,
     membership_residual,
+    slice_left,
+    slice_right,
     span_basis,
     subspace_equal,
 )
@@ -150,6 +154,20 @@ def test_unitarity_deviation():
 
 
 # ----------------------------------------------------- algebra generation
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_slice_families_match_single_slice_kernel(n):
+    # the batched families are gathers of W; entry i*n + j must be the slice
+    # by the matrix unit E_ij through the one single-functional kernel
+    rng = np.random.default_rng(40 + n)
+    w = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
+    leg1, leg2 = slice_family_leg1(w, n), slice_family_leg2(w, n)
+    for i in range(n):
+        for j in range(n):
+            unit = matrix_unit_functional(n, i, j)
+            np.testing.assert_array_equal(leg1[i * n + j], slice_left(unit, w))
+            np.testing.assert_array_equal(leg2[i * n + j], slice_right(unit, w))
+
 
 def test_generate_z2_spans():
     qg = z2().qg

@@ -13,6 +13,8 @@ from qgft.linalg import (
     leg_embed,
     matrix_unit_functional,
     membership_residual,
+    random_complex,
+    random_element,
     slice_left,
     slice_right,
     span_basis,
@@ -292,3 +294,16 @@ def test_functional_evaluation():
     density = random_matrix(3)
     x = random_matrix(3)
     assert Functional(density)(x) == pytest.approx(np.trace(density @ x))
+
+
+def test_random_draws_take_the_real_part_first():
+    # suite reports are reproducible only if every draw keeps this order
+    fresh = np.random.default_rng(5)
+    real, imag = fresh.standard_normal((3, 2)), fresh.standard_normal((3, 2))
+    np.testing.assert_array_equal(random_complex(np.random.default_rng(5), (3, 2)),
+                                  real + 1j * imag)
+    basis = span_basis([random_matrix(2) for _ in range(3)])
+    fresh = np.random.default_rng(6)
+    coeffs = fresh.standard_normal(3) + 1j * fresh.standard_normal(3)
+    np.testing.assert_array_equal(random_element(np.random.default_rng(6), basis),
+                                  np.einsum("k,kab->ab", coeffs, basis))

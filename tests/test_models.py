@@ -73,11 +73,6 @@ def test_phihat_equals_corner_entry_and_normalized_trace():
     assert val == pytest.approx(np.trace(y) / g.order)
 
 
-def test_modular_function_is_one():
-    mdl = models.build(groups.symmetric(3))
-    np.testing.assert_array_equal(mdl.delta, np.ones(6))
-
-
 def test_antipodes_squared_identity_exactly():
     for g in [groups.cyclic(8), groups.dihedral(4), groups.symmetric(4)]:
         qg = models.build(g).qg

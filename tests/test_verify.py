@@ -89,6 +89,15 @@ def test_suite_aborts_on_pentagon_failure():
     assert [c.name for c in report.checks] == ["unitarity", "pentagon"]
 
 
+def test_suite_reports_an_engine_error_as_a_failed_stage():
+    # the dense pentagon refuses n = 13; the suite names the stage and the
+    # exception instead of raising it
+    report = run_suite(np.asarray(models.build(groups.cyclic(13)).qg.w))
+    assert report.first_failed == "pentagon"
+    assert [c.name for c in report.checks] == ["unitarity", "pentagon"]
+    assert report.checks[-1].note.startswith("ValueError: dense pentagon check needs n <= 12")
+
+
 def test_suite_aborts_on_non_unitary():
     report = run_suite(np.diag([2.0, 1.0, 1.0, 1.0]))
     assert report.first_failed == "unitarity"
