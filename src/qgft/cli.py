@@ -127,7 +127,9 @@ def cmd_verify(args) -> int:
     report = run_suite(source, tol_value=args.tol, seed=args.seed, model_name=name)
     write_json(report.to_json_dict(), args.out)
     if report.first_failed is not None:
-        print(f"first failing check: {report.first_failed}", file=sys.stderr)
+        note = next(c.note for c in report.checks if c.name == report.first_failed)
+        print(f"first failing check: {report.first_failed}" + (f" ({note})" if note else ""),
+              file=sys.stderr)
         return 1
     print(f"all {len(report.checks)} checks passed for {report.model}", file=sys.stderr)
     return 0

@@ -12,6 +12,10 @@ Comultiplications act by conjugation with W:
     delta(x)     = W^* (1 (x) x) W
     delta_hat(y) = Sigma W (y (x) 1) W^* Sigma
 
+The Mhat side is the M side of the dual unitary What = Sigma W^* Sigma
+(`MultiplicativeUnitary.dual`, `QuantumGroupPair.dual`), so each hat-side
+function here is the M-side function applied to the dual.
+
 Heavy identities on the generated algebras (coassociativity, invariance) are
 checked in coefficient space: with orthonormal algebra bases the coefficient
 tensor of delta reproduces the operator-level Frobenius deviations exactly, up
@@ -127,6 +131,11 @@ class MultiplicativeUnitary:
             w[sig[s, t] * n + tau[s, t], s * n + t] = 1.0
             self._dense = w
         return self._dense
+
+    @cached_property
+    def dual(self) -> "MultiplicativeUnitary":
+        """What = Sigma W^* Sigma, dense; it holds no reference back to W."""
+        return MultiplicativeUnitary(self.n, dense=_swap_legs(self.dense.conj().T, self.n))
 
     def unitarity_deviation(self) -> float:
         if self.is_permutation:
@@ -262,12 +271,8 @@ def comultiply(mu: MultiplicativeUnitary, x: np.ndarray) -> np.ndarray:
 
 
 def dual_comultiply(mu: MultiplicativeUnitary, y: np.ndarray) -> np.ndarray:
-    """delta_hat(y) = Sigma W (y (x) 1) W^* Sigma, with y (x) 1 applied as a
-    leg-1 contraction and the flips as a swap of the two legs."""
-    w, n = mu.dense, mu.n
-    y = as_complex_matrix(y, n, n)
-    y_on_leg1 = (y @ w.conj().T.reshape(n, n ** 3)).reshape(n * n, n * n)
-    return _swap_legs(w @ y_on_leg1, n)
+    """delta_hat(y) = Sigma W (y (x) 1) W^* Sigma, the comultiplication of What."""
+    return comultiply(mu.dual, y)
 
 
 def _swap_legs(x: np.ndarray, n: int) -> np.ndarray:
@@ -292,8 +297,7 @@ def comult_coeff_tensor(comult, basis: np.ndarray) -> tuple[np.ndarray, float]:
     return coeffs, residual
 
 
-def check_coassociativity(mu: MultiplicativeUnitary, basis: np.ndarray, comult,
-                          tol: Tolerance = DEFAULT_TOL,
+def check_coassociativity(basis: np.ndarray, comult, tol: Tolerance = DEFAULT_TOL,
                           coeffs: tuple[np.ndarray, float] | None = None) -> CheckReport:
     """Deviation of (delta (x) id) delta from (id (x) delta) delta on the basis.
 
@@ -402,11 +406,9 @@ def antipode_from_slices(mu: MultiplicativeUnitary, basis: np.ndarray,
 
 def antipode_hat_from_slices(mu: MultiplicativeUnitary, basis_hat: np.ndarray,
                              tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, float]:
-    """Dual antipode on Mhat: Shat((omega (x) id)(W^*)) = (omega (x) id)(W)."""
-    n = mu.n
-    sources = slice_family_leg1(mu.dense.conj().T, n)
-    targets = slice_family_leg1(mu.dense, n)
-    return _fit_slice_map(sources, targets, basis_hat, tol, "dual antipode")
+    """Dual antipode on Mhat: Shat((omega (x) id)(W^*)) = (omega (x) id)(W),
+    the antipode of What."""
+    return antipode_from_slices(mu.dual, basis_hat, tol)
 
 
 def lam(mu: MultiplicativeUnitary, omega: Functional) -> np.ndarray:
@@ -417,8 +419,8 @@ def lam(mu: MultiplicativeUnitary, omega: Functional) -> np.ndarray:
 
 def lam_hat(mu: MultiplicativeUnitary, theta: Functional) -> np.ndarray:
     """Canonical embedding of a functional into M: lam_hat(theta) =
-    (id (x) theta)(W^*)."""
-    return slice_right(theta, mu.dense.conj().T)
+    (id (x) theta)(W^*) = (theta (x) id)(What)."""
+    return lam(mu.dual, theta)
 
 
 def sharp(omega: Functional, s_mat: np.ndarray, basis: np.ndarray) -> Functional:
@@ -508,7 +510,9 @@ class QuantumGroupPair:
     carrier space; the object all Fourier and pairing operations consume.
 
     Instances are immutable after construction; cached derived data (dense W,
-    comultiplication coefficient tensors) is computed once on first use.
+    comultiplication coefficient tensors, the dual pair) is computed once on
+    first use.  `dual` is the pair of What with the roles of M and Mhat
+    exchanged; it holds no reference back to this pair.
     """
 
     def __init__(self, mu: MultiplicativeUnitary, m_basis: np.ndarray,
@@ -539,56 +543,52 @@ class QuantumGroupPair:
     def w_adj4(self) -> np.ndarray:
         return self.w_adj.reshape(self.n, self.n, self.n, self.n)
 
+    @cached_property
+    def dual(self) -> "QuantumGroupPair":
+        return QuantumGroupPair(self.mu.dual, self.mhat_basis, self.m_basis,
+                                self.phihat, self.phi, self.shat_mat, self.s_mat)
+
     def delta(self, x: np.ndarray) -> np.ndarray:
         return comultiply(self.mu, x)
-
-    def delta_hat(self, y: np.ndarray) -> np.ndarray:
-        return dual_comultiply(self.mu, y)
 
     @cached_property
     def delta_coeffs(self) -> tuple[np.ndarray, float]:
         return comult_coeff_tensor(self.delta, self.m_basis)
 
-    @cached_property
+    @property
     def delta_hat_coeffs(self) -> tuple[np.ndarray, float]:
-        return comult_coeff_tensor(self.delta_hat, self.mhat_basis)
+        return self.dual.delta_coeffs
 
     @cached_property
     def phi_values(self) -> np.ndarray:
         return self.phi.values_on(self.m_basis)
 
-    @cached_property
-    def phihat_values(self) -> np.ndarray:
-        return self.phihat.values_on(self.mhat_basis)
-
     def coords_m(self, x: np.ndarray) -> np.ndarray:
         return span_coords(x, self.m_basis)
 
-    def coords_mhat(self, y: np.ndarray) -> np.ndarray:
-        return span_coords(y, self.mhat_basis)
-
     def require_in_m(self, x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-        return _require_in_span(x, self.m_basis, "M", tol)
-
-    def require_in_mhat(self, y: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-        return _require_in_span(y, self.mhat_basis, "Mhat", tol)
+        """Coordinates of x in the M basis; NotInAlgebra if x is off the span."""
+        res = membership_residual(x, self.m_basis)
+        if res > tol.bound(max_abs(x)):
+            raise NotInAlgebra(f"operand lies outside the algebra (residual {res:.3e})")
+        return self.coords_m(x)
 
     @cached_property
     def s_inv_mat(self) -> np.ndarray:
-        return _checked_inverse(self.s_mat, "antipode")
+        svals = np.linalg.svd(self.s_mat, compute_uv=False)
+        if svals.size == 0 or svals[-1] <= 1e-10 * svals[0]:
+            raise SingularAntipode("antipode matrix is singular within tolerance")
+        return np.linalg.inv(self.s_mat)
 
-    @cached_property
+    @property
     def shat_inv_mat(self) -> np.ndarray:
-        return _checked_inverse(self.shat_mat, "dual antipode")
+        return self.dual.s_inv_mat
 
     def apply_s(self, x: np.ndarray) -> np.ndarray:
         return span_reconstruct(self.s_mat @ self.coords_m(x), self.m_basis)
 
     def apply_s_inv(self, x: np.ndarray) -> np.ndarray:
         return span_reconstruct(self.s_inv_mat @ self.coords_m(x), self.m_basis)
-
-    def apply_shat_inv(self, y: np.ndarray) -> np.ndarray:
-        return span_reconstruct(self.shat_inv_mat @ self.coords_mhat(y), self.mhat_basis)
 
     @cached_property
     def w_membership_residual(self) -> float:
@@ -598,23 +598,6 @@ class QuantumGroupPair:
                            optimize=True)
         recon = np.einsum("kl,kac,lbd->abcd", coeffs, ma, mb, optimize=True)
         return max_abs(self.w4 - recon)
-
-
-def _require_in_span(x: np.ndarray, basis: np.ndarray, name: str,
-                     tol: Tolerance) -> np.ndarray:
-    """Coordinates of x in the orthonormal basis; NotInAlgebra if x is off
-    the span."""
-    res = membership_residual(x, basis)
-    if res > tol.bound(max_abs(x)):
-        raise NotInAlgebra(f"operand lies outside {name} (residual {res:.3e})")
-    return span_coords(x, basis)
-
-
-def _checked_inverse(mat: np.ndarray, what: str) -> np.ndarray:
-    svals = np.linalg.svd(mat, compute_uv=False)
-    if svals.size == 0 or svals[-1] <= 1e-10 * svals[0]:
-        raise SingularAntipode(f"{what} matrix is singular within tolerance")
-    return np.linalg.inv(mat)
 
 
 def pair_from_unitary(w, tol: Tolerance = DEFAULT_TOL) -> QuantumGroupPair:
@@ -656,34 +639,30 @@ def check_gns_consistency(qg: QuantumGroupPair, tol: Tolerance = DEFAULT_TOL) ->
     return CheckReport("gns-consistency", dev, tol.bound(1.0))
 
 
-def _gns_duality(name: str, family: np.ndarray, family_weight: Weight,
-                 basis: np.ndarray, basis_weight: Weight, tol: Tolerance) -> CheckReport:
-    """<Lambda_1(slice(omega)), Lambda_2(x)> = omega(x^*) over the matrix-unit
-    slice family and the basis, for the GNS maps of the two weights."""
-    lhs = (family @ family_weight.xi) @ (basis @ basis_weight.xi).conj().T
+def _gns_duality(name: str, qg: QuantumGroupPair, tol: Tolerance) -> CheckReport:
+    """<Lambda_hat((omega (x) id)(W)), Lambda(x)> = omega(x^*), over all
+    matrix-unit omega and M-basis x."""
+    family = slice_family_leg1(qg.w, qg.n)
+    basis = qg.m_basis
+    lhs = (family @ qg.phihat.xi) @ (basis @ qg.phi.xi).conj().T
     rhs = basis.conj().reshape(basis.shape[0], -1).T
     return CheckReport(name, deviation(lhs, rhs), tol.bound(1.0))
 
 
 def check_gns_duality_phihat(qg: QuantumGroupPair, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    """<Lambda_hat((omega (x) id)(W)), Lambda(x)> = omega(x^*), over all
-    matrix-unit omega and M-basis x."""
-    return _gns_duality("gns-duality-phihat", slice_family_leg1(qg.w, qg.n), qg.phihat,
-                        qg.m_basis, qg.phi, tol)
+    return _gns_duality("gns-duality-phihat", qg, tol)
 
 
 def check_gns_duality_phihatdual(qg: QuantumGroupPair,
                                  tol: Tolerance = DEFAULT_TOL) -> CheckReport:
-    """<Lambda((id (x) omega)(W^*)), Lambda_hat(y)> = omega(y^*), over all
-    matrix-unit omega and Mhat-basis y."""
-    return _gns_duality("gns-duality-phihatdual", slice_family_leg2(qg.w_adj, qg.n),
-                        qg.phi, qg.mhat_basis, qg.phihat, tol)
+    """<Lambda((id (x) omega)(W^*)), Lambda_hat(y)> = omega(y^*): the phihat
+    relation of the dual pair."""
+    return _gns_duality("gns-duality-phihatdual", qg.dual, tol)
 
 
 def check_antipode(qg: QuantumGroupPair, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Slice consistency of both antipodes against the stored matrices,
     anti-multiplicativity of S, and the Kac property S(x^*)^* = S^{-1}(x)."""
-    dev = 0.0
     try:
         s_fit, s_res = antipode_from_slices(qg.mu, qg.m_basis, tol)
         shat_fit, shat_res = antipode_hat_from_slices(qg.mu, qg.mhat_basis, tol)
@@ -770,10 +749,8 @@ def pontryagin_check(mu: MultiplicativeUnitary, m_basis: np.ndarray,
                      mhat_basis: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Double duality: with What = Sigma W^* Sigma, the leg-1 slices of What
     span M and its leg-2 slices span Mhat."""
-    n = mu.n
-    what = _swap_legs(mu.dense.conj().T, n)
-    hat_m = span_basis(slice_family_leg2(what, n))     # the dual's "M": should be Mhat
-    hat_mhat = span_basis(slice_family_leg1(what, n))  # the dual's "Mhat": should be M
+    hat_m = slice_span_m(mu.dual)        # the dual's "M": should be Mhat
+    hat_mhat = slice_span_mhat(mu.dual)  # the dual's "Mhat": should be M
     cmp1 = subspace_equal(hat_mhat, m_basis, tol)
     cmp2 = subspace_equal(hat_m, mhat_basis, tol)
     dev = max(cmp1.deviation, cmp2.deviation)

@@ -10,6 +10,9 @@ computed by contracting the sliced leg with the weight's implementing vector
 on both sides.  This is exact because the sliced leg always lies in the
 algebra on which the vector state agrees with the weight, which the span
 membership preconditions guarantee.
+
+F^{-1} is the transform of the dual pair (What = Sigma W^* Sigma), and every
+Mhat-side function here is its M-side twin applied to `qg.dual`.
 """
 
 from __future__ import annotations
@@ -33,20 +36,22 @@ from .linalg import (
 )
 
 
-def fourier(qg: QuantumGroupPair, a) -> np.ndarray:
-    """Fourier transform of an element of M; lands in Mhat."""
+def _transform(qg: QuantumGroupPair, a) -> np.ndarray:
     a = as_complex_matrix(a, qg.n, qg.n)
     qg.require_in_m(a)
     return np.einsum("i,ikpl,pj,j->kl", qg.phi.xi.conj(), qg.w4, a, qg.phi.xi,
                      optimize=True)
 
 
+def fourier(qg: QuantumGroupPair, a) -> np.ndarray:
+    """Fourier transform of an element of M; lands in Mhat."""
+    return _transform(qg, a)
+
+
 def inverse_fourier(qg: QuantumGroupPair, b) -> np.ndarray:
-    """Inverse Fourier transform of an element of Mhat; lands in M."""
-    b = as_complex_matrix(b, qg.n, qg.n)
-    qg.require_in_mhat(b)
-    return np.einsum("k,ikjp,pl,l->ij", qg.phihat.xi.conj(), qg.w_adj4, b,
-                     qg.phihat.xi, optimize=True)
+    """Inverse Fourier transform of an element of Mhat; lands in M.  It is the
+    transform of the dual pair."""
+    return _transform(qg.dual, b)
 
 
 @dataclass(frozen=True)
@@ -71,9 +76,7 @@ def fourier_report(qg: QuantumGroupPair, a) -> FourierReport:
 
 
 def inverse_fourier_report(qg: QuantumGroupPair, b) -> FourierReport:
-    out = inverse_fourier(qg, b)
-    return FourierReport(np.asarray(b, dtype=complex), out,
-                         qg.phihat.gns(np.asarray(b, dtype=complex)), qg.phi.gns(out))
+    return fourier_report(qg.dual, b)
 
 
 def check_inversion(qg: QuantumGroupPair, tol: Tolerance = DEFAULT_TOL,
@@ -99,10 +102,9 @@ def check_gns_transport(qg: QuantumGroupPair, tol: Tolerance = DEFAULT_TOL) -> C
     """Lambda_hat(F(a)) = Lambda(a) and Lambda(F^{-1}(b)) = Lambda_hat(b) on
     full bases."""
     dev = 0.0
-    for a in qg.m_basis:
-        dev = max(dev, fourier_report(qg, a).deviation)
-    for b in qg.mhat_basis:
-        dev = max(dev, inverse_fourier_report(qg, b).deviation)
+    for side in (qg, qg.dual):
+        for a in side.m_basis:
+            dev = max(dev, fourier_report(side, a).deviation)
     return CheckReport("gns-transport", dev, tol.bound(1.0))
 
 
@@ -128,28 +130,19 @@ def convolve(qg: QuantumGroupPair, a, c) -> np.ndarray:
     return inverse_fourier(qg, fourier(qg, a) @ fourier(qg, c))
 
 
-def _convolve_coeffs(a: np.ndarray, c_coords: np.ndarray, basis: np.ndarray,
-                     comult_coeffs: np.ndarray, s_inv: np.ndarray,
-                     xi: np.ndarray) -> np.ndarray:
-    """(phi (x) id)([(S^{-1} (x) id)(delta c)](a (x) 1)) in coefficient space:
-    delta c from the comultiplication coefficient tensor, phi as the vector
-    state of its implementing vector xi."""
-    pair_coeffs = np.einsum("kli,i->kl", comult_coeffs, c_coords)
-    sinv_on_basis = np.einsum("pk,pab->kab", s_inv, basis)
-    z = a @ xi
-    vals = np.einsum("kuv,v,u->k", sinv_on_basis, z, xi.conj())
-    return np.einsum("kl,k,lab->ab", pair_coeffs, vals, basis)
-
-
 def convolve_direct(qg: QuantumGroupPair, a, c) -> np.ndarray:
     """Convolution on M without the transform:
     a * c = (phi (x) id)([(S^{-1} (x) id)(delta c)](a (x) 1)),
-    evaluated through the comultiplication coefficient tensor."""
+    evaluated in coefficient space: delta c from the comultiplication
+    coefficient tensor, phi as the vector state of its implementing vector."""
     a = as_complex_matrix(a, qg.n, qg.n)
     qg.require_in_m(a)
     c_coords = qg.require_in_m(as_complex_matrix(c, qg.n, qg.n))
-    return _convolve_coeffs(a, c_coords, qg.m_basis, qg.delta_coeffs[0], qg.s_inv_mat,
-                            qg.phi.xi)
+    basis, xi = qg.m_basis, qg.phi.xi
+    pair_coeffs = np.einsum("kli,i->kl", qg.delta_coeffs[0], c_coords)
+    sinv_on_basis = np.einsum("pk,pab->kab", qg.s_inv_mat, basis)
+    vals = np.einsum("kuv,v,u->k", sinv_on_basis, a @ xi, xi.conj())
+    return np.einsum("kl,k,lab->ab", pair_coeffs, vals, basis)
 
 
 def convolve_dual(qg: QuantumGroupPair, b, d) -> np.ndarray:
@@ -158,12 +151,9 @@ def convolve_dual(qg: QuantumGroupPair, b, d) -> np.ndarray:
 
 
 def convolve_dual_direct(qg: QuantumGroupPair, b, d) -> np.ndarray:
-    """Dual-side convolution through delta_hat and the dual antipode."""
-    b = as_complex_matrix(b, qg.n, qg.n)
-    qg.require_in_mhat(b)
-    d_coords = qg.require_in_mhat(as_complex_matrix(d, qg.n, qg.n))
-    return _convolve_coeffs(b, d_coords, qg.mhat_basis, qg.delta_hat_coeffs[0],
-                            qg.shat_inv_mat, qg.phihat.xi)
+    """Dual-side convolution through delta_hat and the dual antipode: the
+    direct convolution of the dual pair."""
+    return convolve_direct(qg.dual, b, d)
 
 
 def check_convolution(qg: QuantumGroupPair, rng: np.random.Generator,
@@ -202,7 +192,7 @@ def pairing(qg: QuantumGroupPair, b, a) -> PairingValue:
     a = as_complex_matrix(a, qg.n, qg.n)
     b = as_complex_matrix(b, qg.n, qg.n)
     qg.require_in_m(a)
-    qg.require_in_mhat(b)
+    qg.dual.require_in_m(b)
     via_inverse = qg.phi.value(a @ inverse_fourier(qg, b))
     via_forward = qg.phihat.value(fourier(qg, a.conj().T).conj().T @ b)
     via_w = complex(np.einsum("i,k,ip,pkjq,ql,j,l->", qg.phi.xi.conj(),
@@ -223,7 +213,7 @@ def check_pairing_axioms(qg: QuantumGroupPair, rng: np.random.Generator,
     """
     n = qg.n
     d, _ = qg.delta_coeffs
-    dh, _ = qg.delta_hat_coeffs
+    dh, _ = qg.dual.delta_coeffs
     w = qg.w
     dev = 0.0
 
@@ -246,7 +236,7 @@ def check_pairing_axioms(qg: QuantumGroupPair, rng: np.random.Generator,
         b = slice_left(w1, w)
         a1, a2 = slice_right(t1, w), slice_right(t2, w)
         lhs = w1(a1 @ a2)
-        b_coords = qg.coords_mhat(b)
+        b_coords = qg.dual.coords_m(b)
         rhs = complex(np.einsum("i,kli,l,k->", b_coords, dh,
                                 vals_on(t1, qg.mhat_basis), vals_on(t2, qg.mhat_basis)))
         dev = max(dev, abs(lhs - rhs))
@@ -256,7 +246,7 @@ def check_pairing_axioms(qg: QuantumGroupPair, rng: np.random.Generator,
         b = slice_left(omega, w)
         a = slice_right(t2, w)
         lhs = omega(qg.apply_s(a))
-        rhs = t2(qg.apply_shat_inv(b))
+        rhs = t2(qg.dual.apply_s_inv(b))
         dev = max(dev, abs(lhs - rhs))
 
     return CheckReport("pairing-axioms", dev, tol.bound(1.0))

@@ -210,28 +210,20 @@ def _run_stages(runner: _Runner, mu: MultiplicativeUnitary,
 
     runner.run("w-membership", w_membership)
 
-    runner.run("coassociativity",
-               lambda: engine.check_coassociativity(mu, pair.m_basis, pair.delta, tol,
-                                                    coeffs=pair.delta_coeffs))
-    runner.run("coassociativity-dual",
-               lambda: engine.check_coassociativity(mu, pair.mhat_basis, pair.delta_hat,
-                                                    tol, coeffs=pair.delta_hat_coeffs))
-
-    runner.run("left-invariance",
-               lambda: engine.check_left_invariance(pair.phi, pair.delta, pair.m_basis,
-                                                    tol, coeffs=pair.delta_coeffs))
-    runner.run("right-invariance",
-               lambda: engine.check_right_invariance(pair.s_mat.T @ pair.phi_values,
-                                                     pair.delta, pair.m_basis, tol,
-                                                     coeffs=pair.delta_coeffs))
-    runner.run("left-invariance-dual",
-               lambda: engine.check_left_invariance(pair.phihat, pair.delta_hat,
-                                                    pair.mhat_basis, tol,
-                                                    coeffs=pair.delta_hat_coeffs))
-    runner.run("right-invariance-dual",
-               lambda: engine.check_right_invariance(pair.shat_mat.T @ pair.phihat_values,
-                                                     pair.delta_hat, pair.mhat_basis, tol,
-                                                     coeffs=pair.delta_hat_coeffs))
+    # Mhat-side stages are M-side stages of the dual; runner.run calls fn at once.
+    sides = ((pair, ""), (pair.dual, "-dual"))
+    for side, suffix in sides:
+        runner.run("coassociativity" + suffix,
+                   lambda: engine.check_coassociativity(side.m_basis, side.delta, tol,
+                                                        coeffs=side.delta_coeffs))
+    for side, suffix in sides:
+        runner.run("left-invariance" + suffix,
+                   lambda: engine.check_left_invariance(side.phi, side.delta, side.m_basis,
+                                                        tol, coeffs=side.delta_coeffs))
+        runner.run("right-invariance" + suffix,
+                   lambda: engine.check_right_invariance(side.s_mat.T @ side.phi_values,
+                                                         side.delta, side.m_basis, tol,
+                                                         coeffs=side.delta_coeffs))
 
     runner.run("gns-consistency", lambda: engine.check_gns_consistency(pair, tol))
     runner.run("gns-duality-phihat", lambda: engine.check_gns_duality_phihat(pair, tol))

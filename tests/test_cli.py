@@ -87,6 +87,20 @@ def test_verify_broken_w_names_pentagon(tmp_path, capsys):
     assert by_name["unitarity"]["pass"] is True
 
 
+def test_verify_names_the_reason_for_a_failure(tmp_path, capsys):
+    # the identity is a multiplicative unitary with no Haar vector; stderr
+    # carries the stage's note, the report stays as it was
+    path = write_unitary(tmp_path, "eye.json", np.eye(9), 3)
+    out = tmp_path / "report.json"
+    assert main(["verify", "--unitary", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("first failing check: haar-weights (WeightDerivationError: "
+                          "leg-2 fixed space has dimension 3, expected 1")
+    assert err.rstrip().endswith(")")
+    for check in read_json(out)["checks"]:
+        assert set(check.keys()) == CHECK_KEYS
+
+
 def test_verify_valid_dense_unitary(tmp_path):
     mdl = models.build(groups.cyclic(3))
     path = write_unitary(tmp_path, "w.json", mdl.qg.w, 3)

@@ -2,7 +2,9 @@
 invariance, antipodes, sharp, GNS duality and the double-dual span check,
 exercised on group models (exact) and on generic dense unitaries (derived)."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -44,6 +46,7 @@ from qgft.engine import (
     slice_span_m,
     slice_span_mhat,
 )
+from qgft.fourier import inverse_fourier
 from qgft.linalg import (
     Functional,
     flip,
@@ -283,8 +286,8 @@ def test_dual_comultiply_group_algebra_rule():
 def test_coassociativity_on_models():
     for g in [groups.cyclic(2), groups.cyclic(6), groups.symmetric(3)]:
         qg = model(g).qg
-        primal = check_coassociativity(qg.mu, qg.m_basis, qg.delta)
-        dual = check_coassociativity(qg.mu, qg.mhat_basis, qg.delta_hat)
+        primal = check_coassociativity(qg.m_basis, qg.delta)
+        dual = check_coassociativity(qg.mhat_basis, qg.dual.delta)
         assert primal.passed and primal.deviation <= 1e-12
         assert dual.passed and dual.deviation <= 1e-12
 
@@ -310,7 +313,7 @@ def test_left_invariance_models():
     for g in [groups.cyclic(1), groups.cyclic(3), groups.dihedral(3)]:
         qg = model(g).qg
         assert check_left_invariance(qg.phi, qg.delta, qg.m_basis).passed
-        assert check_left_invariance(qg.phihat, qg.delta_hat, qg.mhat_basis).passed
+        assert check_left_invariance(qg.phihat, qg.dual.delta, qg.mhat_basis).passed
 
 
 def test_right_invariance_models():
@@ -362,7 +365,7 @@ def test_antipode_hat_z4_generator():
     delta1 = np.zeros(4); delta1[1] = 1.0
     delta3 = np.zeros(4); delta3[3] = 1.0
     l1 = models.L(mdl, delta1)
-    coords = qg.coords_mhat(l1)
+    coords = qg.dual.coords_m(l1)
     out = shat_mat @ coords
     recon = np.einsum("k,kab->ab", out, qg.mhat_basis)
     np.testing.assert_allclose(recon, models.L(mdl, delta3), atol=1e-12)
@@ -567,6 +570,38 @@ def test_pair_from_dual_unitary_noncommutative_side():
     assert np.max(np.abs(products[0] - products[1])) > 1e-6
     assert check_gns_consistency(qg).passed
     assert check_left_invariance(qg.phi, qg.delta, qg.m_basis).passed
+
+
+def transported_dihedral3():
+    """(u (x) u) W (u (x) u)^* for dihedral:3 and a seeded random unitary u."""
+    u = random_unitary(np.random.default_rng(5), 6)
+    uu = kron(u, u)
+    return uu @ model(groups.dihedral(3)).qg.w @ uu.conj().T
+
+
+def test_dual_unitary_is_flipped_adjoint():
+    w = transported_dihedral3()
+    qg = pair_from_unitary(w)
+    np.testing.assert_array_equal(qg.dual.mu.dense, flip(6) @ w.conj().T @ flip(6))
+    assert qg.dual.mu is qg.mu.dual
+    assert qg.dual.m_basis is qg.mhat_basis and qg.dual.mhat_basis is qg.m_basis
+    assert qg.dual.phi is qg.phihat and qg.dual.phihat is qg.phi
+    assert qg.dual.s_mat is qg.shat_mat and qg.dual.shat_mat is qg.s_mat
+
+
+def test_dual_pair_holds_no_reference_back():
+    # a back-pointer from the dual would make a cycle, and every discarded
+    # pair would then live until a full garbage-collection pass
+    qg = pair_from_unitary(transported_dihedral3())
+    qg.delta_hat_coeffs, qg.shat_inv_mat
+    inverse_fourier(qg, qg.mhat_basis[0])
+    refs = [weakref.ref(obj) for obj in (qg, qg.mu, qg.dual)]
+    gc.disable()
+    try:
+        del qg
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 def test_w_membership_in_m_tensor_mhat():

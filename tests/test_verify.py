@@ -4,8 +4,8 @@ invariants, and the generic dense-unitary path."""
 import numpy as np
 import pytest
 
-from qgft import groups, models
-from qgft.linalg import flip
+from qgft import engine, groups, models
+from qgft.linalg import flip, random_complex
 from qgft.verify import SUITE_VERSION, run_suite
 
 EXPECTED_MODEL_CHECKS = {
@@ -80,6 +80,20 @@ def test_suite_on_dual_unitary():
     sigma = flip(6)
     report = run_suite(sigma @ w.conj().T @ sigma, model_name="dual-s3")
     assert report.first_failed is None
+
+
+@pytest.mark.parametrize("label", ["s3", "transported-dihedral3"])
+def test_suite_passes_on_the_dual_pair(label):
+    if label == "s3":
+        qg = models.build(groups.symmetric(3)).qg
+    else:
+        q, _ = np.linalg.qr(random_complex(np.random.default_rng(5), (6, 6)))
+        uu = np.kron(q, q)
+        qg = engine.pair_from_unitary(uu @ models.build(groups.dihedral(3)).qg.w
+                                      @ uu.conj().T)
+    report = run_suite(qg.dual)
+    assert report.first_failed is None
+    assert EXPECTED_MODEL_CHECKS <= {c.name for c in report.checks}
 
 
 def test_suite_aborts_on_pentagon_failure():
