@@ -89,8 +89,10 @@ class CheckReport:
 class MultiplicativeUnitary:
     """A unitary on the tensor square, dense or in structured permutation form.
 
-    The permutation form stores index maps (s, t) -> (sig[s, t], tau[s, t]);
-    pentagon and unitarity checks on it are exact integer computations.
+    The permutation form stores index maps (s, t) -> (sig[s, t], tau[s, t]),
+    W e_(s,t) = e_(sig, tau).  The kernels that use it are exact index
+    computations: unitarity and the pentagon compare index tables, `dual`
+    returns the permutation form of What, and `comultiply` is a gather.
     """
 
     def __init__(self, n: int, dense: np.ndarray | None = None,
@@ -115,7 +117,10 @@ class MultiplicativeUnitary:
         tau = np.asarray(tau, dtype=np.intp)
         if sig.shape != tau.shape or sig.ndim != 2 or sig.shape[0] != sig.shape[1]:
             raise ValueError("permutation maps must be square index tables of equal shape")
-        return cls(sig.shape[0], perm=(sig, tau))
+        n = sig.shape[0]
+        if np.any((sig < 0) | (sig >= n) | (tau < 0) | (tau >= n)):
+            raise ValueError(f"permutation map entries must lie in [0, {n})")
+        return cls(n, perm=(sig, tau))
 
     @property
     def is_permutation(self) -> bool:
@@ -134,8 +139,33 @@ class MultiplicativeUnitary:
 
     @cached_property
     def dual(self) -> "MultiplicativeUnitary":
-        """What = Sigma W^* Sigma, dense; it holds no reference back to W."""
-        return MultiplicativeUnitary(self.n, dense=_swap_legs(self.dense.conj().T, self.n))
+        """What = Sigma W^* Sigma; it holds no reference back to W.
+
+        For a permutation W, What e_(tau, sig) = e_(t, s), so What is the
+        permutation with sig_hat[tau, sig] = t and tau_hat[tau, sig] = s.
+        """
+        if not self.is_permutation:
+            return MultiplicativeUnitary(self.n, dense=_swap_legs(self.dense.conj().T, self.n))
+        if self.unitarity_deviation() != 0.0:
+            raise ValueError("permutation maps are not a bijection of basis pairs")
+        sig, tau = self.perm
+        s, t = np.indices(sig.shape)
+        sig_hat, tau_hat = np.empty_like(sig), np.empty_like(tau)
+        sig_hat[tau, sig] = t
+        tau_hat[tau, sig] = s
+        return MultiplicativeUnitary.from_permutation(sig_hat, tau_hat)
+
+    @cached_property
+    def comult_gather(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat index pairs (dst, src) with delta(x).ravel()[dst] =
+        x.ravel()[src] for a permutation W; every other entry of delta(x) is 0.
+
+        delta(x)[p, q] = [sig_p = sig_q] x[tau_p, tau_q] for flattened
+        p = s n + t, so only pairs with equal sig carry an entry.
+        """
+        sig, tau = (a.ravel() for a in self.perm)
+        p, q = np.nonzero(sig[:, None] == sig[None, :])
+        return p * sig.size + q, tau[p] * self.n + tau[q]
 
     def unitarity_deviation(self) -> float:
         if self.is_permutation:
@@ -263,9 +293,17 @@ def generate_Mhat(mu: MultiplicativeUnitary, tol: Tolerance = DEFAULT_TOL) -> np
 
 
 def comultiply(mu: MultiplicativeUnitary, x: np.ndarray) -> np.ndarray:
-    """delta(x) = W^* (1 (x) x) W, with 1 (x) x applied as a leg-2 contraction."""
-    w, n = mu.dense, mu.n
+    """delta(x) = W^* (1 (x) x) W.  For a permutation W it is an O(n^4)
+    gather; for a dense W, 1 (x) x is applied as a leg-2 contraction (n^5)
+    and W^* as an n^2 x n^2 product (n^6)."""
+    n = mu.n
     x = as_complex_matrix(x, n, n)
+    if mu.is_permutation:
+        dst, src = mu.comult_gather
+        out = np.zeros(n ** 4, dtype=complex)
+        out[dst] = x.ravel()[src]
+        return out.reshape(n * n, n * n)
+    w = mu.dense
     x_on_leg2 = (x @ w.reshape(n, n, n * n)).reshape(n * n, n * n)
     return w.conj().T @ x_on_leg2
 
