@@ -5,7 +5,6 @@ exercised on group models (exact) and on generic dense unitaries (derived)."""
 import gc
 import tracemalloc
 import weakref
-from functools import partial
 
 import numpy as np
 import pytest
@@ -265,28 +264,36 @@ def test_dual_comultiply_swap():
     np.testing.assert_allclose(dual_comultiply(qg.mu, swap), kron(swap, swap), atol=1e-14)
 
 
-@pytest.mark.parametrize("source", ["transported-dihedral3", "dihedral:3",
-                                    "product:cyclic:2xcyclic:3"])
-def test_comultiplications_match_kron_flip_formulas(source):
+def test_comultiplications_match_kron_flip_formulas():
     rng = np.random.default_rng(7)
-    if source == "transported-dihedral3":
-        u = random_unitary(rng, 6)
-        uu = kron(u, u)
-        mu = MultiplicativeUnitary.from_dense(uu @ model(groups.dihedral(3)).qg.w
-                                              @ uu.conj().T)
-        assert_matches = partial(np.testing.assert_allclose, rtol=0, atol=1e-13)
-    else:
-        # the gather on a permutation W is exact: one nonzero term per entry
-        mu = model(parse_group_spec(source)).qg.mu
-        assert mu.is_permutation
-        assert_matches = np.testing.assert_array_equal
+    mdl = model(groups.dihedral(3))
+    n = 6
+    u = random_unitary(rng, n)
+    uu = kron(u, u)
+    mu = MultiplicativeUnitary.from_dense(uu @ mdl.qg.w @ uu.conj().T)
+    w, eye, sigma = mu.dense, np.eye(n), flip(n)
+    for _ in range(3):
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        np.testing.assert_allclose(comultiply(mu, x), w.conj().T @ kron(eye, x) @ w,
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(dual_comultiply(mu, x),
+                                   sigma @ w @ kron(x, eye) @ w.conj().T @ sigma,
+                                   rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("spec", ["dihedral:3", "product:cyclic:2xcyclic:3"])
+def test_permutation_comultiplications_match_kron_flip_formulas_exactly(spec):
+    # the gather on a permutation W is exact: one nonzero term per entry
+    rng = np.random.default_rng(7)
+    mu = model(parse_group_spec(spec)).qg.mu
+    assert mu.is_permutation
     n = mu.n
     w, eye, sigma = mu.dense, np.eye(n), flip(n)
     for _ in range(3):
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        assert_matches(comultiply(mu, x), w.conj().T @ kron(eye, x) @ w)
-        assert_matches(dual_comultiply(mu, x),
-                       sigma @ w @ kron(x, eye) @ w.conj().T @ sigma)
+        np.testing.assert_array_equal(comultiply(mu, x), w.conj().T @ kron(eye, x) @ w)
+        np.testing.assert_array_equal(dual_comultiply(mu, x),
+                                      sigma @ w @ kron(x, eye) @ w.conj().T @ sigma)
 
 
 def test_dual_comultiply_group_algebra_rule():
