@@ -250,12 +250,6 @@ def slice_family_leg1(w: np.ndarray, n: int) -> np.ndarray:
     return np.ascontiguousarray(np.transpose(w4, (2, 0, 1, 3)).reshape(n * n, n, n))
 
 
-def _family_membership(mats: np.ndarray, basis: np.ndarray) -> float:
-    coeffs = np.einsum("qab,kab->qk", mats, basis.conj())
-    recon = np.einsum("qk,kab->qab", coeffs, basis)
-    return max_abs(mats - recon)
-
-
 def algebra_closure_deviation(basis: np.ndarray) -> float:
     """How far products and adjoints of basis elements leave the span."""
     if basis.shape[0] == 0:
@@ -263,7 +257,7 @@ def algebra_closure_deviation(basis: np.ndarray) -> float:
     m = basis.shape[0]
     products = np.einsum("iab,jbc->ijac", basis, basis).reshape(m * m, *basis.shape[1:])
     adjoints = basis.conj().transpose(0, 2, 1)
-    return max(_family_membership(products, basis), _family_membership(adjoints, basis))
+    return max(membership_residual(products, basis), membership_residual(adjoints, basis))
 
 
 def slice_span_m(mu: MultiplicativeUnitary, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -420,7 +414,7 @@ def _fit_slice_map(sources: np.ndarray, targets: np.ndarray, basis: np.ndarray,
     its target slice, with the worst operator-level residual."""
     coords_src = np.einsum("qab,kab->kq", sources, basis.conj())
     coords_tgt = np.einsum("qab,kab->kq", targets, basis.conj())
-    mem = max(_family_membership(sources, basis), _family_membership(targets, basis))
+    mem = max(membership_residual(sources, basis), membership_residual(targets, basis))
     # Solve S @ coords_src = coords_tgt in the least-squares sense.
     s_mat, *_ = np.linalg.lstsq(coords_src.T, coords_tgt.T, rcond=None)
     s_mat = s_mat.T
@@ -548,8 +542,9 @@ class QuantumGroupPair:
     carrier space; the object all Fourier and pairing operations consume.
 
     Instances are immutable after construction; cached derived data (dense W,
-    comultiplication coefficient tensors, the dual pair) is computed once on
-    first use.  `dual` is the pair of What with the roles of M and Mhat
+    comultiplication coefficient tensors, the dual pair, and the tables of the
+    Fourier transform, convolution and pairing on the bases) is computed once
+    on first use.  `dual` is the pair of What with the roles of M and Mhat
     exchanged; it holds no reference back to this pair.
     """
 
@@ -578,10 +573,6 @@ class QuantumGroupPair:
         return self.w.conj().T  # Fortran-ordered; einsum sums in layout order
 
     @cached_property
-    def w_adj4(self) -> np.ndarray:
-        return self.w_adj.reshape(self.n, self.n, self.n, self.n)
-
-    @cached_property
     def dual(self) -> "QuantumGroupPair":
         return QuantumGroupPair(self.mu.dual, self.mhat_basis, self.m_basis,
                                 self.phihat, self.phi, self.shat_mat, self.s_mat)
@@ -606,10 +597,11 @@ class QuantumGroupPair:
 
     def require_in_m(self, x: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         """Coordinates of x in the M basis; NotInAlgebra if x is off the span."""
-        res = membership_residual(x, self.m_basis)
+        coords = self.coords_m(x)
+        res = max_abs(x - span_reconstruct(coords, self.m_basis))
         if res > tol.bound(max_abs(x)):
             raise NotInAlgebra(f"operand lies outside the algebra (residual {res:.3e})")
-        return self.coords_m(x)
+        return coords
 
     @cached_property
     def s_inv_mat(self) -> np.ndarray:
@@ -622,11 +614,36 @@ class QuantumGroupPair:
     def shat_inv_mat(self) -> np.ndarray:
         return self.dual.s_inv_mat
 
+    def _map_m(self, mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """A map on M, in basis coordinates, applied to x or to each of a stack x."""
+        return span_reconstruct((mat @ self.coords_m(x)[..., None])[..., 0], self.m_basis)
+
     def apply_s(self, x: np.ndarray) -> np.ndarray:
-        return span_reconstruct(self.s_mat @ self.coords_m(x), self.m_basis)
+        return self._map_m(self.s_mat, x)
 
     def apply_s_inv(self, x: np.ndarray) -> np.ndarray:
-        return span_reconstruct(self.s_inv_mat @ self.coords_m(x), self.m_basis)
+        return self._map_m(self.s_inv_mat, x)
+
+    @cached_property
+    def fourier_table(self) -> np.ndarray:
+        """Rows F(x_k) on the M basis, flattened, so F(a) = coords(a) @ table:
+        xi_phi-bar contracted with W (n^4), then with each x_k xi_phi (m n^3)."""
+        half = np.tensordot(self.phi.xi.conj(), self.w4, axes=(0, 0))   # [k, p, l]
+        return np.tensordot(self.m_basis @ self.phi.xi, half, axes=(1, 1)).reshape(-1, self.n ** 2)
+
+    @cached_property
+    def convolution_table(self) -> np.ndarray:
+        """G[k, j] = phi(S^{-1}(x_k) x_j) on the M basis."""
+        xi, basis = self.phi.xi, self.m_basis
+        return self.s_inv_mat.T @ ((xi.conj() @ basis) @ (basis @ xi).T)
+
+    @cached_property
+    def pairing_table(self) -> np.ndarray:
+        """P[j, l] = (phi (x) phihat)[(x_j (x) 1) W^* (1 (x) y_l)] on the bases, from
+        one n^4 contraction of W^*[(p, k), (j, q)] = conj W[(j, q), (p, k)]."""
+        xi, xihat = self.phi.xi, self.phihat.xi
+        w_star_mid = (np.tensordot(xi.conj(), self.w4, axes=(0, 0)) @ xihat).T.conj()
+        return (xi.conj() @ self.m_basis) @ w_star_mid @ (self.mhat_basis @ xihat).T
 
     @cached_property
     def w_membership_residual(self) -> float:
@@ -709,20 +726,16 @@ def check_antipode(qg: QuantumGroupPair, tol: Tolerance = DEFAULT_TOL) -> CheckR
                            note="slice relation inconsistent")
     dev = max(s_res, shat_res, deviation(s_fit, qg.s_mat), deviation(shat_fit, qg.shat_mat))
 
+    # Both laws on the whole basis at once: [i, j] stacks hold x_i x_j and S(x_j) S(x_i).
     basis = qg.m_basis
-    m = basis.shape[0]
     s_on_basis = np.einsum("pk,pab->kab", qg.s_mat, basis)
-    for i in range(m):
-        for j in range(m):
-            anti = deviation(qg.apply_s(basis[i] @ basis[j]),
-                             s_on_basis[j] @ s_on_basis[i])
-            dev = max(dev, anti)
+    dev = max(dev, deviation(qg.apply_s(basis[:, None] @ basis[None, :]),
+                             s_on_basis[None, :] @ s_on_basis[:, None]))
 
-    s2dev = deviation(qg.s_mat @ qg.s_mat, np.eye(m))
+    s2dev = deviation(qg.s_mat @ qg.s_mat, np.eye(basis.shape[0]))
     if s2dev <= tol.bound(1.0):  # Kac case: S(x^*)^* = S^{-1}(x)
-        for i in range(m):
-            twisted = qg.apply_s(basis[i].conj().T).conj().T
-            dev = max(dev, deviation(twisted, qg.apply_s_inv(basis[i])))
+        twisted = qg.apply_s(basis.conj().transpose(0, 2, 1)).conj().transpose(0, 2, 1)
+        dev = max(dev, deviation(twisted, qg.apply_s_inv(basis)))
     return CheckReport("antipode-slices", dev, tol.bound(1.0),
                        note=f"S^2 deviation from id: {s2dev:.3e}")
 

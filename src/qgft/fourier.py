@@ -6,10 +6,13 @@ The transform and its inverse are weighted slices of W,
     F(a)      = (phi (x) id)(W (a (x) 1))
     F^{-1}(b) = (id (x) phihat)(W^* (1 (x) b)),
 
-computed by contracting the sliced leg with the weight's implementing vector
-on both sides.  This is exact because the sliced leg always lies in the
-algebra on which the vector state agrees with the weight, which the span
-membership preconditions guarantee.
+with the sliced leg contracted against the weight's implementing vector.
+F, the direct convolution and the pairing are (bi)linear maps between the
+algebras, so each is tabulated once per pair on the orthonormal bases
+(`QuantumGroupPair.fourier_table`, `convolution_table`, `pairing_table`), and
+a call is a projection onto the basis plus an O(m n^2) product.  This is
+exact because every operand must pass the span membership precondition
+(`require_in_m`, NotInAlgebra otherwise), so it equals its projection.
 
 F^{-1} is the transform of the dual pair (What = Sigma W^* Sigma), and every
 Mhat-side function here is its M-side twin applied to `qg.dual`.
@@ -33,14 +36,16 @@ from .linalg import (
     random_element,
     slice_left,
     slice_right,
+    span_reconstruct,
 )
 
 
+def _from_table(qg: QuantumGroupPair, coords: np.ndarray) -> np.ndarray:
+    return (coords @ qg.fourier_table).reshape(qg.n, qg.n)
+
+
 def _transform(qg: QuantumGroupPair, a) -> np.ndarray:
-    a = as_complex_matrix(a, qg.n, qg.n)
-    qg.require_in_m(a)
-    return np.einsum("i,ikpl,pj,j->kl", qg.phi.xi.conj(), qg.w4, a, qg.phi.xi,
-                     optimize=True)
+    return _from_table(qg, qg.require_in_m(as_complex_matrix(a, qg.n, qg.n)))
 
 
 def fourier(qg: QuantumGroupPair, a) -> np.ndarray:
@@ -133,16 +138,14 @@ def convolve(qg: QuantumGroupPair, a, c) -> np.ndarray:
 def convolve_direct(qg: QuantumGroupPair, a, c) -> np.ndarray:
     """Convolution on M without the transform:
     a * c = (phi (x) id)([(S^{-1} (x) id)(delta c)](a (x) 1)),
-    evaluated in coefficient space: delta c from the comultiplication
-    coefficient tensor, phi as the vector state of its implementing vector."""
-    a = as_complex_matrix(a, qg.n, qg.n)
-    qg.require_in_m(a)
-    c_coords = qg.require_in_m(as_complex_matrix(c, qg.n, qg.n))
-    basis, xi = qg.m_basis, qg.phi.xi
-    pair_coeffs = np.einsum("kli,i->kl", qg.delta_coeffs[0], c_coords)
-    sinv_on_basis = np.einsum("pk,pab->kab", qg.s_inv_mat, basis)
-    vals = np.einsum("kuv,v,u->k", sinv_on_basis, a @ xi, xi.conj())
-    return np.einsum("kl,k,lab->ab", pair_coeffs, vals, basis)
+    tabulated on the basis: with alpha, gamma the operands' coordinates, D the
+    comultiplication coefficient tensor and G[k, j] = phi(S^{-1}(x_k) x_j),
+    a * c has coordinates (G @ alpha) @ (D @ gamma).  Exact because both
+    operands must lie in M."""
+    alpha = qg.require_in_m(as_complex_matrix(a, qg.n, qg.n))
+    gamma = qg.require_in_m(as_complex_matrix(c, qg.n, qg.n))
+    coeffs = (qg.convolution_table @ alpha) @ (qg.delta_coeffs[0] @ gamma)
+    return span_reconstruct(coeffs, qg.m_basis)
 
 
 def convolve_dual(qg: QuantumGroupPair, b, d) -> np.ndarray:
@@ -188,16 +191,16 @@ class PairingValue:
 
 def pairing(qg: QuantumGroupPair, b, a) -> PairingValue:
     """Evaluate <b|a> for b in Mhat, a in M, independently along all three
-    Haar-weight descriptions."""
+    Haar-weight descriptions, each tabulated on the bases: via_inverse from
+    the F^{-1} table, via_forward from the F table and via_w = alpha @ P @ beta
+    from the W^* `pairing_table`.  Exact because a must lie in M and b in Mhat."""
     a = as_complex_matrix(a, qg.n, qg.n)
     b = as_complex_matrix(b, qg.n, qg.n)
-    qg.require_in_m(a)
-    qg.dual.require_in_m(b)
-    via_inverse = qg.phi.value(a @ inverse_fourier(qg, b))
-    via_forward = qg.phihat.value(fourier(qg, a.conj().T).conj().T @ b)
-    via_w = complex(np.einsum("i,k,ip,pkjq,ql,j,l->", qg.phi.xi.conj(),
-                              qg.phihat.xi.conj(), a, qg.w_adj4, b,
-                              qg.phi.xi, qg.phihat.xi, optimize=True))
+    alpha = qg.require_in_m(a)
+    beta = qg.dual.require_in_m(b)
+    via_inverse = qg.phi.value(a @ _from_table(qg.dual, beta))
+    via_forward = qg.phihat.value(_from_table(qg, qg.coords_m(a.conj().T)).conj().T @ b)
+    via_w = complex(alpha @ qg.pairing_table @ beta)
     return PairingValue(via_inverse, via_forward, via_w)
 
 

@@ -202,22 +202,20 @@ def span_basis(mats, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 
 def membership_residual(x: np.ndarray, basis: np.ndarray) -> float:
-    """Largest entry of x minus its orthogonal projection onto span(basis)."""
+    """Largest entry of x, or of any operator of a stack x, minus its
+    orthogonal projection onto span(basis)."""
     x = np.asarray(x, dtype=complex)
-    if basis.shape[0] == 0:
-        return max_abs(x)
-    coeffs = np.einsum("kab,ab->k", basis.conj(), x)
-    recon = np.einsum("k,kab->ab", coeffs, basis)
-    return max_abs(x - recon)
+    return max_abs(x - span_reconstruct(span_coords(x, basis), basis))
 
 
 def span_coords(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Coefficients of x in an orthonormal basis (projection coordinates)."""
-    return np.einsum("kab,ab->k", basis.conj(), np.asarray(x, dtype=complex))
+    """Coefficients of x, or of each operator of a stack x, in an orthonormal
+    basis (projection coordinates)."""
+    return np.einsum("kab,...ab->...k", basis.conj(), np.asarray(x, dtype=complex))
 
 
 def span_reconstruct(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    return np.einsum("k,kab->ab", np.asarray(coeffs, dtype=complex), basis)
+    return np.einsum("...k,kab->...ab", np.asarray(coeffs, dtype=complex), basis)
 
 
 @dataclass(frozen=True)

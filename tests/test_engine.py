@@ -419,6 +419,35 @@ def test_antipode_check_group_models():
         np.testing.assert_array_equal(qg.s_mat @ qg.s_mat, np.eye(g.order))
 
 
+def loop_antipode_deviation(qg):
+    """check_antipode's deviation with anti-multiplicativity and the Kac
+    property checked one basis element, or pair, at a time."""
+    s_fit, s_res = antipode_from_slices(qg.mu, qg.m_basis)
+    shat_fit, shat_res = antipode_hat_from_slices(qg.mu, qg.mhat_basis)
+    dev = max(s_res, shat_res, np.max(np.abs(s_fit - qg.s_mat)),
+              np.max(np.abs(shat_fit - qg.shat_mat)))
+    basis = qg.m_basis
+    m = basis.shape[0]
+    s_on_basis = np.einsum("pk,pab->kab", qg.s_mat, basis)
+    for i in range(m):
+        for j in range(m):
+            diff = qg.apply_s(basis[i] @ basis[j]) - s_on_basis[j] @ s_on_basis[i]
+            dev = max(dev, np.max(np.abs(diff)))
+    if np.max(np.abs(qg.s_mat @ qg.s_mat - np.eye(m))) <= 1e-10:
+        for x in basis:
+            diff = qg.apply_s(x.conj().T).conj().T - qg.apply_s_inv(x)
+            dev = max(dev, np.max(np.abs(diff)))
+    return float(dev)
+
+
+@pytest.mark.parametrize("label", ["s3", "transported-dihedral3"])
+def test_batched_antipode_check_equals_the_loop(label):
+    # the batched contractions sum each entry in the loop's order
+    qg = model(groups.symmetric(3)).qg if label == "s3" else \
+        pair_from_unitary(transported_dihedral3())
+    assert check_antipode(qg).deviation == loop_antipode_deviation(qg)
+
+
 def test_singular_antipode_raises():
     qg = z2().qg
     broken = QuantumGroupPair(qg.mu, qg.m_basis, qg.mhat_basis, qg.phi, qg.phihat,

@@ -2,11 +2,14 @@
 pairing, checked against the classical finite-group formulas computed by
 independent brute-force oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from qgft import fourier as ft
 from qgft import groups, models
-from qgft.engine import NotInAlgebra
+from qgft.engine import NotInAlgebra, pair_from_unitary
 from qgft.fourier import (
     check_ft_pairing,
     check_gns_transport,
@@ -23,6 +26,7 @@ from qgft.fourier import (
     inverse_fourier_report,
     pairing,
 )
+from qgft.linalg import kron, random_element
 
 RNG = np.random.default_rng(23)
 
@@ -372,3 +376,124 @@ def test_ft_pairing_zero():
     mdl = model(groups.cyclic(2))
     report = check_ft_pairing(mdl.qg, models.pi(mdl, [1.0, 1.0]), np.zeros((2, 2)))
     assert report.passed and report.deviation < 1e-14
+
+
+# ------------------------------------------- tables against the contractions
+#
+# fourier, the direct convolutions and pairing.via_w read per-pair tables on
+# the algebra bases.  The references below are the per-call contractions of W
+# they replace, written out in full.
+
+def reference_transform(qg, a):
+    """F(a) = (phi (x) id)(W (a (x) 1)), contracted on the whole W."""
+    return np.einsum("i,ikpl,pj,j->kl", qg.phi.xi.conj(), qg.w4, a, qg.phi.xi,
+                     optimize=True)
+
+
+def reference_convolve_direct(qg, a, c):
+    """(phi (x) id)([(S^{-1} (x) id)(delta c)](a (x) 1)), with S^{-1} applied
+    to the whole basis and phi evaluated on the operator S^{-1}(x_k) a."""
+    basis, xi = qg.m_basis, qg.phi.xi
+    pair_coeffs = np.einsum("kli,i->kl", qg.delta_coeffs[0], qg.coords_m(c))
+    sinv_on_basis = np.einsum("pk,pab->kab", qg.s_inv_mat, basis)
+    vals = np.einsum("kuv,v,u->k", sinv_on_basis, a @ xi, xi.conj())
+    return np.einsum("kl,k,lab->ab", pair_coeffs, vals, basis)
+
+
+def reference_via_w(qg, b, a):
+    """(phi (x) phihat)[(a (x) 1) W^* (1 (x) b)], contracted on the whole W^*."""
+    n = qg.n
+    return complex(np.einsum("i,k,ip,pkjq,ql,j,l->", qg.phi.xi.conj(),
+                             qg.phihat.xi.conj(), a, qg.w_adj.reshape(n, n, n, n), b,
+                             qg.phi.xi, qg.phihat.xi, optimize=True))
+
+
+def transported_dihedral3_pair():
+    """The pair derived from (u (x) u) W (u (x) u)^* for dihedral:3, with u
+    the seeded random unitary of the engine tests."""
+    rng = np.random.default_rng(5)
+    u, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    uu = kron(u, u)
+    return pair_from_unitary(uu @ model(groups.dihedral(3)).qg.w @ uu.conj().T)
+
+
+TABLE_PAIRS = {
+    "transported-dihedral3": transported_dihedral3_pair,
+    "s3": lambda: model(groups.symmetric(3)).qg,
+    "dihedral3": lambda: model(groups.dihedral(3)).qg,
+}
+
+
+@pytest.mark.parametrize("label", sorted(TABLE_PAIRS))
+def test_tables_agree_with_contractions(label):
+    qg = TABLE_PAIRS[label]()
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        a, c = (random_element(rng, qg.m_basis) for _ in range(2))
+        b, d = (random_element(rng, qg.mhat_basis) for _ in range(2))
+        np.testing.assert_allclose(fourier(qg, a), reference_transform(qg, a),
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(inverse_fourier(qg, b), reference_transform(qg.dual, b),
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(convolve_direct(qg, a, c),
+                                   reference_convolve_direct(qg, a, c), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(convolve_dual_direct(qg, b, d),
+                                   reference_convolve_direct(qg.dual, b, d),
+                                   rtol=0, atol=1e-13)
+        value = pairing(qg, b, a)
+        assert abs(value.via_w - reference_via_w(qg, b, a)) <= 1e-13
+        assert abs(value.via_inverse
+                   - qg.phi.value(a @ reference_transform(qg.dual, b))) <= 1e-13
+        forward = reference_transform(qg, a.conj().T).conj().T
+        assert abs(value.via_forward - qg.phihat.value(forward @ b)) <= 1e-13
+
+
+def test_convolve_direct_rejects_off_algebra_operands():
+    mdl = model(groups.cyclic(2))
+    good = models.pi(mdl, [1.0, 2.0])
+    off_diagonal = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(NotInAlgebra):
+        convolve_direct(mdl.qg, off_diagonal, good)
+    with pytest.raises(NotInAlgebra):
+        convolve_direct(mdl.qg, good, off_diagonal)
+
+
+def test_pairing_rejects_off_algebra_operands():
+    mdl = model(groups.cyclic(2))
+    a, b = models.pi(mdl, [1.0, 2.0]), models.L(mdl, [3.0, 4.0])
+    with pytest.raises(NotInAlgebra):
+        pairing(mdl.qg, np.diag([1.0, 2.0]), a)     # M element in the Mhat slot
+    with pytest.raises(NotInAlgebra):
+        pairing(mdl.qg, b, np.array([[0.0, 1.0], [1.0, 0.0]]))  # Mhat element in the M slot
+
+
+def test_pairing_allocates_no_operator_on_the_tensor_square():
+    # a per-call contraction of the s4 W^* holds an n^4 intermediate (5.3 MiB)
+    mdl = model(groups.symmetric(4))
+    rng = np.random.default_rng(3)
+    a, b = models.pi(mdl, rng.standard_normal(24)), models.L(mdl, rng.standard_normal(24))
+    pairing(mdl.qg, b, a)
+    tracemalloc.start()
+    try:
+        pairing(mdl.qg, b, a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_transform_and_inverse_do_not_call_each_other(monkeypatch):
+    # the benchmark's per-layer call counts of fourier and inverse_fourier
+    # count only direct calls
+    mdl = model(groups.symmetric(3))
+    a, b = models.pi(mdl, random_function(6)), models.L(mdl, random_function(6))
+
+    def forbidden(*args):
+        raise AssertionError("unexpected call")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ft, "fourier", forbidden)
+        inverse_fourier(mdl.qg, b)
+    with monkeypatch.context() as patch:
+        patch.setattr(ft, "inverse_fourier", forbidden)
+        fourier(mdl.qg, a)
