@@ -197,22 +197,29 @@ def _pentagon_permutation_deviation(mu: MultiplicativeUnitary) -> float:
 
 
 def _pentagon_dense_deviation(w: np.ndarray, n: int) -> float:
-    """Largest entry of W12 W13 W23 - W23 W12 on the tensor cube, contracted
-    leg by leg one first-output-leg block [:, :, :, x, :, :] at a time.
-
-    In cube indices [a, b, c; x, y, z]:
-        (W13 W23)[a,b,c; x,y,z] = sum_e W[a,c; x,e] W[b,e; y,z]
-        (W23 W12)[a,b,c; x,y,z] = sum_e W[b,c; e,z] W[a,e; x,y]
-    and W12 acts on the first two row legs as one n^2 x n^2 product.
-    """
-    w4 = w.reshape(n, n, n, n)
+    """Largest entry of W12 W13 W23 - W23 W12 on the tensor cube [a,b,c; x,y,z],
+    as matrix products on blocks of fixed x and c, with W[a,b; x,y] = w[(a b), (x y)]:
+      (W12 W13) W23 = (A3 @ B[x,c]).reshape(n^2, n^2) @ W   in [(a b), (y z)],
+        A3[(a b y'), a'] = W[a,b; a',y'],  B[x,c][a', z'] = W[a',c; x,z'];
+      W23 W12 = F[x] @ G[c]                                 in [(a y), (b z)],
+        F[x][(a y), e] = W[a,e; x,y],      G[c][e, (b z)] = W[b,c; e,z].
+    The work is n^8; every operand and buffer holds n^4 entries."""
+    w4, n2 = w.reshape(n, n, n, n), n * n
+    a3 = w4.transpose(0, 1, 3, 2).reshape(n2 * n, n)
+    b = np.ascontiguousarray(w4.transpose(2, 1, 0, 3))
+    f = w4.transpose(2, 0, 3, 1).reshape(n, n2, n)
+    g = w4.transpose(1, 2, 0, 3).reshape(n, n, n2)
+    t, mag = np.empty((n2 * n, n), dtype=complex), np.empty((n2, n2))
+    lhs, rhs = np.empty((2, n2, n2), dtype=complex)
+    lhs4, rhs4 = lhs.reshape(n, n, n, n), rhs.reshape(n, n, n, n).transpose(0, 2, 1, 3)
     dev = 0.0
     for x in range(n):
-        wx = w4[:, :, x, :]
-        w13w23 = np.tensordot(wx, w4, axes=([2], [1])).transpose(0, 2, 1, 3, 4)
-        lhs = (w @ w13w23.reshape(n * n, n ** 3)).reshape(n, n, n, n, n)
-        rhs = np.tensordot(wx, w4, axes=([1], [2])).transpose(0, 2, 3, 1, 4)
-        dev = max(dev, max_abs(lhs - rhs))
+        for c in range(n):
+            np.matmul(a3, b[x, c], out=t)
+            np.matmul(t.reshape(n2, n2), w, out=lhs)
+            np.matmul(f[x], g[c], out=rhs)
+            np.subtract(lhs4, rhs4, out=lhs4)
+            dev = max(dev, float(np.abs(lhs, out=mag).max()))
     return dev
 
 
@@ -220,8 +227,8 @@ def check_pentagon(mu: MultiplicativeUnitary, tol: float | None = None) -> Check
     """Verify W12 W13 W23 = W23 W12.
 
     Permutation forms are checked exactly on basis triples.  Dense forms are
-    checked on every entry of the tensor cube as leg contractions of W, an
-    n^8 computation that holds only n^5-sized blocks at a time; they are
+    checked on every entry of the tensor cube as products of W, an n^8
+    computation that holds only n^4-sized blocks at a time; they are
     accepted up to n <= DENSE_PENTAGON_MAX_DIM.
     """
     if mu.is_permutation:
@@ -315,17 +322,27 @@ def _swap_legs(x: np.ndarray, n: int) -> np.ndarray:
 def comult_coeff_tensor(comult, basis: np.ndarray) -> tuple[np.ndarray, float]:
     """Coefficient tensor D of a comultiplication over an orthonormal basis:
     comult(x_i) = sum_{k,l} D[k, l, i] x_k (x) x_l, plus the largest
-    membership residual of any comult(x_i) in span (x) span."""
-    m = basis.shape[0]
-    n = basis.shape[1]
-    coeffs = np.zeros((m, m, m), dtype=complex)
+    membership residual of any comult(x_i) in span (x) span.
+
+    With the flat basis B[k, (a c)] = x_k[a, c] and T[(a c), (b d)] =
+    comult(x_i)[(a b), (c d)], D[:, :, i] = (conj(B) @ T) @ conj(B)^T, and the
+    residual compares T with B^T @ (D[:, :, i] @ B), n rows at a time."""
+    m, n = basis.shape[:2]
+    n2 = n * n
+    flat = basis.reshape(m, n2)
+    flat_conj = flat.conj()
+    coeffs = np.empty((m, m, m), dtype=complex)
+    t4 = np.empty((n, n, n, n), dtype=complex)
+    t = t4.reshape(n2, n2)
+    recon, mag = np.empty((n, n2), dtype=complex), np.empty((n, n2))
     residual = 0.0
     for i in range(m):
-        t4 = comult(basis[i]).reshape(n, n, n, n)
-        c = np.einsum("kac,lbd,abcd->kl", basis.conj(), basis.conj(), t4, optimize=True)
-        recon = np.einsum("kl,kac,lbd->abcd", c, basis, basis, optimize=True)
-        residual = max(residual, max_abs(t4 - recon))
-        coeffs[:, :, i] = c
+        np.copyto(t4, comult(basis[i]).reshape(n, n, n, n).transpose(0, 2, 1, 3))
+        c = coeffs[:, :, i] = (flat_conj @ t) @ flat_conj.T
+        cb = c @ flat
+        for r in range(0, n2, n):
+            np.subtract(np.matmul(flat.T[r:r + n], cb, out=recon), t[r:r + n], out=recon)
+            residual = max(residual, float(np.abs(recon, out=mag).max()))
     return coeffs, residual
 
 
@@ -715,12 +732,16 @@ def check_gns_duality_phihatdual(qg: QuantumGroupPair,
     return _gns_duality("gns-duality-phihatdual", qg.dual, tol)
 
 
-def check_antipode(qg: QuantumGroupPair, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+def check_antipode(qg: QuantumGroupPair, tol: Tolerance = DEFAULT_TOL,
+                   fits: tuple | None = None) -> CheckReport:
     """Slice consistency of both antipodes against the stored matrices,
-    anti-multiplicativity of S, and the Kac property S(x^*)^* = S^{-1}(x)."""
+    anti-multiplicativity of S, and the Kac property S(x^*)^* = S^{-1}(x).
+    `fits` reuses ((S, residual), (Shat, residual)) already fitted from this
+    pair's W and bases; without it both antipodes are fitted here."""
     try:
-        s_fit, s_res = antipode_from_slices(qg.mu, qg.m_basis, tol)
-        shat_fit, shat_res = antipode_hat_from_slices(qg.mu, qg.mhat_basis, tol)
+        (s_fit, s_res), (shat_fit, shat_res) = fits or (
+            antipode_from_slices(qg.mu, qg.m_basis, tol),
+            antipode_hat_from_slices(qg.mu, qg.mhat_basis, tol))
     except InconsistentSlices:
         return CheckReport("antipode-slices", 1.0, tol.bound(1.0),
                            note="slice relation inconsistent")

@@ -32,6 +32,7 @@ from qgft.engine import (
     check_right_invariance,
     check_sharp_involution,
     check_slice_product_laws,
+    comult_coeff_tensor,
     comultiply,
     derive_haar_vectors,
     dual_comultiply,
@@ -149,6 +150,54 @@ def test_dense_pentagon_memory_at_dimension_cap():
         tracemalloc.stop()
     assert report.passed
     assert peak < 64 * 2 ** 20
+
+
+def transported_dihedral6():
+    """(u (x) u) W (u (x) u)^* for dihedral:6 (n = 12) and a seeded random u."""
+    u = random_unitary(np.random.default_rng(6), 12)
+    uu = kron(u, u)
+    return uu @ model(groups.dihedral(6)).qg.w @ uu.conj().T
+
+
+@pytest.mark.parametrize("label", ["transported-dihedral6", "dual-cyclic12"])
+def test_dense_pentagon_memory_stays_at_n4_blocks(label):
+    # the n^4 operands and buffers take 2.5 MiB at n = 12; one n^5 block alone is 3.8 MiB
+    sigma = flip(12)
+    w = transported_dihedral6() if label == "transported-dihedral6" else \
+        sigma @ model(groups.cyclic(12)).qg.w.conj().T @ sigma
+    mu = MultiplicativeUnitary.from_dense(w)
+    tracemalloc.start()
+    try:
+        report = check_pentagon(mu)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 6 * 2 ** 20
+
+
+def chunked_pentagon_deviation(w, n):
+    """W12 W13 W23 - W23 W12 contracted leg by leg, one n^5 block
+    [:, :, :, x, :, :] per first output leg x."""
+    w4 = w.reshape(n, n, n, n)
+    dev = 0.0
+    for x in range(n):
+        wx = w4[:, :, x, :]
+        w13w23 = np.tensordot(wx, w4, axes=([2], [1])).transpose(0, 2, 1, 3, 4)
+        lhs = (w @ w13w23.reshape(n * n, n ** 3)).reshape(n, n, n, n, n)
+        rhs = np.tensordot(wx, w4, axes=([1], [2])).transpose(0, 2, 3, 1, 4)
+        dev = max(dev, np.max(np.abs(lhs - rhs)))
+    return float(dev)
+
+
+def test_dense_pentagon_matches_chunked_contraction_at_dimension_cap():
+    # a phased column breaks the pentagon by about 0.05 at n = 12, beyond the
+    # reach of the brute-force leg embeddings
+    w = transported_dihedral6()
+    w[:, 5] *= np.exp(0.3j)
+    report = check_pentagon(MultiplicativeUnitary.from_dense(w))
+    assert not report.passed and report.deviation > 1e-2
+    assert report.deviation == pytest.approx(chunked_pentagon_deviation(w, 12), abs=1e-13)
 
 
 @pytest.mark.parametrize("sig, tau", [
@@ -331,6 +380,35 @@ def test_coassociativity_coefficient_route_matches_dense():
         embed13 = swap23 @ kron(dx, np.eye(n)) @ swap23
         rhs = w23.conj().T @ embed13 @ w23
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+
+def einsum_coeff_tensor(comult, basis):
+    """comult_coeff_tensor written as two einsum contractions per element."""
+    m, n = basis.shape[0], basis.shape[1]
+    coeffs = np.zeros((m, m, m), dtype=complex)
+    residual = 0.0
+    for i in range(m):
+        t4 = comult(basis[i]).reshape(n, n, n, n)
+        c = np.einsum("kac,lbd,abcd->kl", basis.conj(), basis.conj(), t4, optimize=True)
+        recon = np.einsum("kl,kac,lbd->abcd", c, basis, basis, optimize=True)
+        residual = max(residual, np.max(np.abs(t4 - recon)))
+        coeffs[:, :, i] = c
+    return coeffs, float(residual)
+
+
+@pytest.mark.parametrize("side", ["pair", "dual", "dropped"])
+@pytest.mark.parametrize("label", ["s3", "dihedral:3", "transported-dihedral3"])
+def test_coeff_tensor_matches_einsum_formulas(label, side):
+    # "dropped" leaves one M-basis element out, so comult leaves span (x) span
+    qg = pair_from_unitary(transported_dihedral3()) if label.startswith("transported") \
+        else model(parse_group_spec(label)).qg
+    qg = qg.dual if side == "dual" else qg
+    basis = qg.m_basis[:-1] if side == "dropped" else qg.m_basis
+    coeffs, residual = comult_coeff_tensor(qg.delta, basis)
+    want_coeffs, want_residual = einsum_coeff_tensor(qg.delta, basis)
+    assert np.max(np.abs(coeffs - want_coeffs)) <= 1e-13
+    assert residual == pytest.approx(want_residual, abs=1e-13)
+    assert (residual > 0.1) == (side == "dropped")
 
 
 # ------------------------------------------------------------- invariance

@@ -63,6 +63,28 @@ def test_suite_on_generic_dense_unitary():
     assert "antipode-assembly" in {c.name for c in report.checks}
 
 
+@pytest.mark.parametrize("source", ["dense", "model"])
+def test_suite_fits_each_antipode_once(source, monkeypatch):
+    # a dense source reuses the antipode-assembly fits in antipode-slices;
+    # a given pair has no assembly stage and is fitted there
+    mdl = models.build(groups.dihedral(3))
+    fit, calls = engine.antipode_from_slices, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "antipode_from_slices", counted)
+    report = run_suite(np.asarray(mdl.qg.w) if source == "dense" else mdl)
+    assert report.first_failed is None
+    assert len(calls) == 2
+    monkeypatch.undo()
+    if source == "dense":
+        refit = engine.check_antipode(engine.pair_from_unitary(np.asarray(mdl.qg.w)))
+        slices = next(c for c in report.checks if c.name == "antipode-slices")
+        assert slices.deviation == refit.deviation
+
+
 def test_suite_on_transported_unitary():
     # same quantum group conjugated by u (x) u: dense complex W, nothing
     # diagonal, all structure derived
