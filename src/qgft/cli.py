@@ -77,9 +77,11 @@ def load_unitary(path) -> np.ndarray:
     with open(path) as fh:
         data = json.load(fh)
     for key in ("n", "re", "im"):
-        if key not in data:
+        if not isinstance(data, dict) or key not in data:
             raise ValueError(f"{path}: missing field '{key}'")
-    n = int(data["n"])
+    n = data["n"]
+    if type(n) is not int or n < 1:  # bool is an int subclass; JSON true is not a dimension
+        raise ValueError(f"{path}: field 'n' must be a positive integer, got {n!r}")
     if n > DENSE_PENTAGON_MAX_DIM:
         raise ValueError(f"{path}: dense unitaries support leg dimension "
                          f"<= {DENSE_PENTAGON_MAX_DIM}, got {n}")
@@ -258,6 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        tol = getattr(args, "tol", 0.0)
+        if not 0.0 <= tol < float("inf"):  # also rejects NaN
+            raise ValueError(f"--tol must be finite and non-negative, got {tol}")
         return args.fn(args)
     except (ValueError, OSError) as exc:  # includes CayleyTableError, NonAbelianInput
         print(f"error: {exc}", file=sys.stderr)

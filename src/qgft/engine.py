@@ -17,10 +17,12 @@ The Mhat side is the M side of the dual unitary What = Sigma W^* Sigma
 function here is the M-side function applied to the dual.
 
 Heavy identities on the generated algebras (coassociativity, invariance) are
-checked in coefficient space: with orthonormal algebra bases the coefficient
-tensor of delta reproduces the operator-level Frobenius deviations exactly, up
-to the separately reported span-membership residual, and never materializes
-operators on the tensor cube.
+checked in coefficient space, on the pair's cached tensor `qg.delta_coeffs`:
+with orthonormal algebra bases it reproduces the operator-level Frobenius
+deviations exactly, up to the separately reported span-membership residual,
+and never materializes operators on the tensor cube.  The checks of a built
+pair take `(qg, tol)`, e.g. `check_coassociativity(qg, tol)` or
+`pontryagin_check(qg, tol)`; the pair caches no dense W (`qg.w` is `mu.dense`).
 """
 
 from __future__ import annotations
@@ -319,13 +321,13 @@ def _swap_legs(x: np.ndarray, n: int) -> np.ndarray:
     return x.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
 
 
-def comult_coeff_tensor(comult, basis: np.ndarray) -> tuple[np.ndarray, float]:
-    """Coefficient tensor D of a comultiplication over an orthonormal basis:
-    comult(x_i) = sum_{k,l} D[k, l, i] x_k (x) x_l, plus the largest
-    membership residual of any comult(x_i) in span (x) span.
+def comult_coeff_tensor(mu: MultiplicativeUnitary, basis: np.ndarray) -> tuple[np.ndarray, float]:
+    """Coefficient tensor D of delta = comultiply(mu, .) over an orthonormal
+    basis: delta(x_i) = sum_{k,l} D[k, l, i] x_k (x) x_l, plus the largest
+    membership residual of any delta(x_i) in span (x) span.
 
     With the flat basis B[k, (a c)] = x_k[a, c] and T[(a c), (b d)] =
-    comult(x_i)[(a b), (c d)], D[:, :, i] = (conj(B) @ T) @ conj(B)^T, and the
+    delta(x_i)[(a b), (c d)], D[:, :, i] = (conj(B) @ T) @ conj(B)^T, and the
     residual compares T with B^T @ (D[:, :, i] @ B), n rows at a time."""
     m, n = basis.shape[:2]
     n2 = n * n
@@ -337,7 +339,7 @@ def comult_coeff_tensor(comult, basis: np.ndarray) -> tuple[np.ndarray, float]:
     recon, mag = np.empty((n, n2), dtype=complex), np.empty((n, n2))
     residual = 0.0
     for i in range(m):
-        np.copyto(t4, comult(basis[i]).reshape(n, n, n, n).transpose(0, 2, 1, 3))
+        np.copyto(t4, comultiply(mu, basis[i]).reshape(n, n, n, n).transpose(0, 2, 1, 3))
         c = coeffs[:, :, i] = (flat_conj @ t) @ flat_conj.T
         cb = c @ flat
         for r in range(0, n2, n):
@@ -346,15 +348,14 @@ def comult_coeff_tensor(comult, basis: np.ndarray) -> tuple[np.ndarray, float]:
     return coeffs, residual
 
 
-def check_coassociativity(basis: np.ndarray, comult, tol: Tolerance = DEFAULT_TOL,
-                          coeffs: tuple[np.ndarray, float] | None = None) -> CheckReport:
-    """Deviation of (delta (x) id) delta from (id (x) delta) delta on the basis.
+def check_coassociativity(qg: QuantumGroupPair, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+    """Deviation of (delta (x) id) delta from (id (x) delta) delta on the M basis.
 
-    Evaluated in coefficient space, where the orthonormal basis makes the
-    coefficient norm equal the operator Frobenius norm; the reported deviation
-    includes the span-membership residual of delta itself.
+    Evaluated in coefficient space (`qg.delta_coeffs`), where the orthonormal
+    basis makes the coefficient norm equal the operator Frobenius norm; the
+    reported deviation includes the span-membership residual of delta itself.
     """
-    d, residual = comult_coeff_tensor(comult, basis) if coeffs is None else coeffs
+    d, residual = qg.delta_coeffs
     lhs = np.einsum("kla,abi->klbi", d, d)
     rhs = np.einsum("lmb,abi->almi", d, d)
     diff = lhs - rhs
@@ -376,10 +377,6 @@ class Weight:
             raise ValueError("implementing vector must be finite")
         object.__setattr__(self, "xi", xi)
 
-    @property
-    def dim(self) -> int:
-        return self.xi.shape[0]
-
     def value(self, x: np.ndarray) -> complex:
         return complex(np.vdot(self.xi, x @ self.xi))
 
@@ -398,29 +395,24 @@ class Weight:
         return int(np.sum(svals > rtol * svals[0])) if svals[0] > 0 else 0
 
 
-def check_left_invariance(weight: Weight, comult, basis: np.ndarray,
-                          tol: Tolerance = DEFAULT_TOL,
-                          coeffs: tuple[np.ndarray, float] | None = None) -> CheckReport:
+def check_left_invariance(qg: QuantumGroupPair, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """phi((omega (x) id)(delta x)) = phi(x) omega(1) over all matrix-unit
-    functionals omega and basis elements x."""
-    d, residual = comult_coeff_tensor(comult, basis) if coeffs is None else coeffs
-    f = weight.values_on(basis)
-    got = np.einsum("kli,kvu,l->uvi", d, basis, f)
-    want = np.einsum("uv,i->uvi", np.eye(weight.dim), f)
+    functionals omega and M-basis elements x."""
+    d, residual = qg.delta_coeffs
+    f = qg.phi_values
+    got = np.einsum("kli,kvu,l->uvi", d, qg.m_basis, f)
+    want = np.einsum("uv,i->uvi", np.eye(qg.n), f)
     dev = max(deviation(got, want), residual)
     return CheckReport("left-invariance", dev, tol.bound(1.0))
 
 
-def check_right_invariance(psi_values: np.ndarray, comult, basis: np.ndarray,
-                           tol: Tolerance = DEFAULT_TOL,
-                           coeffs: tuple[np.ndarray, float] | None = None) -> CheckReport:
-    """psi((id (x) omega)(delta x)) = psi(x) omega(1), for a right-invariant
-    functional given by its values on the basis."""
-    d, residual = comult_coeff_tensor(comult, basis) if coeffs is None else coeffs
-    g = np.asarray(psi_values, dtype=complex)
-    n = basis.shape[1]
-    got = np.einsum("kli,k,lvu->uvi", d, g, basis)
-    want = np.einsum("uv,i->uvi", np.eye(n), g)
+def check_right_invariance(qg: QuantumGroupPair, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+    """psi((id (x) omega)(delta x)) = psi(x) omega(1) for psi = phi o S, the
+    right-invariant weight, with values s_mat^T phi on the M basis."""
+    d, residual = qg.delta_coeffs
+    g = qg.s_mat.T @ qg.phi_values
+    got = np.einsum("kli,k,lvu->uvi", d, g, qg.m_basis)
+    want = np.einsum("uv,i->uvi", np.eye(qg.n), g)
     dev = max(deviation(got, want), residual)
     return CheckReport("right-invariance", dev, tol.bound(1.0))
 
@@ -558,11 +550,11 @@ class QuantumGroupPair:
     """The bundle (M basis, Mhat basis, W, weights, antipodes) on a common
     carrier space; the object all Fourier and pairing operations consume.
 
-    Instances are immutable after construction; cached derived data (dense W,
-    comultiplication coefficient tensors, the dual pair, and the tables of the
-    Fourier transform, convolution and pairing on the bases) is computed once
-    on first use.  `dual` is the pair of What with the roles of M and Mhat
-    exchanged; it holds no reference back to this pair.
+    Instances are immutable after construction; cached derived data
+    (comultiplication coefficient tensors, the dual pair, and the tables of the
+    Fourier transform, convolution and pairing on the bases) is computed once on
+    first use.  No dense W is cached here: `w` and `w4` read `mu.dense`.  `dual`
+    is the pair of What with M and Mhat exchanged; it holds no reference back.
     """
 
     def __init__(self, mu: MultiplicativeUnitary, m_basis: np.ndarray,
@@ -577,29 +569,22 @@ class QuantumGroupPair:
         self.s_mat = np.asarray(s_mat, dtype=complex)
         self.shat_mat = np.asarray(shat_mat, dtype=complex)
 
-    @cached_property
+    @property
     def w(self) -> np.ndarray:
         return self.mu.dense
 
-    @cached_property
+    @property
     def w4(self) -> np.ndarray:
         return self.w.reshape(self.n, self.n, self.n, self.n)
-
-    @cached_property
-    def w_adj(self) -> np.ndarray:
-        return self.w.conj().T  # Fortran-ordered; einsum sums in layout order
 
     @cached_property
     def dual(self) -> "QuantumGroupPair":
         return QuantumGroupPair(self.mu.dual, self.mhat_basis, self.m_basis,
                                 self.phihat, self.phi, self.shat_mat, self.s_mat)
 
-    def delta(self, x: np.ndarray) -> np.ndarray:
-        return comultiply(self.mu, x)
-
     @cached_property
     def delta_coeffs(self) -> tuple[np.ndarray, float]:
-        return comult_coeff_tensor(self.delta, self.m_basis)
+        return comult_coeff_tensor(self.mu, self.m_basis)
 
     @property
     def delta_hat_coeffs(self) -> tuple[np.ndarray, float]:
@@ -787,7 +772,9 @@ def check_slice_product_laws(qg: QuantumGroupPair, rng: np.random.Generator,
     operators on the tensor square per unit.
     """
     n = qg.n
-    w, w4, w_adj = qg.w, qg.w4, qg.w_adj
+    # W^* is the transpose of conj(W), so it is Fortran-ordered. np.einsum sums in
+    # layout order: a C-ordered copy would change the deviation in its last digits.
+    w, w4, w_adj = qg.w, qg.w4, qg.w.conj().T
     dev = 0.0
 
     for _ in range(samples):
@@ -817,13 +804,12 @@ def check_slice_product_laws(qg: QuantumGroupPair, rng: np.random.Generator,
     return CheckReport("slice-product-laws", dev, tol.bound(1.0))
 
 
-def pontryagin_check(mu: MultiplicativeUnitary, m_basis: np.ndarray,
-                     mhat_basis: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+def pontryagin_check(qg: QuantumGroupPair, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
     """Double duality: with What = Sigma W^* Sigma, the leg-1 slices of What
     span M and its leg-2 slices span Mhat."""
-    hat_m = slice_span_m(mu.dual)        # the dual's "M": should be Mhat
-    hat_mhat = slice_span_mhat(mu.dual)  # the dual's "Mhat": should be M
-    cmp1 = subspace_equal(hat_mhat, m_basis, tol)
-    cmp2 = subspace_equal(hat_m, mhat_basis, tol)
+    hat_m = slice_span_m(qg.mu.dual)        # the dual's "M": should be Mhat
+    hat_mhat = slice_span_mhat(qg.mu.dual)  # the dual's "Mhat": should be M
+    cmp1 = subspace_equal(hat_mhat, qg.m_basis, tol)
+    cmp2 = subspace_equal(hat_m, qg.mhat_basis, tol)
     dev = max(cmp1.deviation, cmp2.deviation)
     return CheckReport("pontryagin", dev, tol.bound(1.0))

@@ -180,6 +180,8 @@ def load_function(path, n: int) -> np.ndarray:
     if not isinstance(data, dict) or "values" not in data:
         raise ValueError(f"{path}: expected a JSON object with a 'values' field")
     pairs = data["values"]
+    if not isinstance(pairs, list):
+        raise ValueError(f"{path}: 'values' must be a list of [re, im] pairs")
     if len(pairs) != n:
         raise ValueError(f"{path}: function length {len(pairs)} does not match "
                          f"group order {n}")

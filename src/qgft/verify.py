@@ -127,11 +127,9 @@ def run_suite(source, tol_value: float = 1e-10, seed: int = DEFAULT_SEED,
         qg = source
         mu = qg.mu
         name = model_name or f"pair:{qg.n}"
-    elif isinstance(source, MultiplicativeUnitary):
-        mu = source
-        name = model_name or f"unitary:{mu.n}"
     else:
-        mu = MultiplicativeUnitary.from_dense(source)
+        mu = (source if isinstance(source, MultiplicativeUnitary)
+              else MultiplicativeUnitary.from_dense(source))
         name = model_name or f"unitary:{mu.n}"
 
     report = VerificationReport(model=name, seed=seed)
@@ -212,17 +210,10 @@ def _run_stages(runner: _Runner, mu: MultiplicativeUnitary,
     # Mhat-side stages are M-side stages of the dual; runner.run calls fn at once.
     sides = ((pair, ""), (pair.dual, "-dual"))
     for side, suffix in sides:
-        runner.run("coassociativity" + suffix,
-                   lambda: engine.check_coassociativity(side.m_basis, side.delta, tol,
-                                                        coeffs=side.delta_coeffs))
+        runner.run("coassociativity" + suffix, lambda: engine.check_coassociativity(side, tol))
     for side, suffix in sides:
-        runner.run("left-invariance" + suffix,
-                   lambda: engine.check_left_invariance(side.phi, side.delta, side.m_basis,
-                                                        tol, coeffs=side.delta_coeffs))
-        runner.run("right-invariance" + suffix,
-                   lambda: engine.check_right_invariance(side.s_mat.T @ side.phi_values,
-                                                         side.delta, side.m_basis, tol,
-                                                         coeffs=side.delta_coeffs))
+        runner.run("left-invariance" + suffix, lambda: engine.check_left_invariance(side, tol))
+        runner.run("right-invariance" + suffix, lambda: engine.check_right_invariance(side, tol))
 
     runner.run("gns-consistency", lambda: engine.check_gns_consistency(pair, tol))
     runner.run("gns-duality-phihat", lambda: engine.check_gns_duality_phihat(pair, tol))
@@ -299,5 +290,4 @@ def _run_stages(runner: _Runner, mu: MultiplicativeUnitary,
 
     runner.run("ft-pairing", ft_pairing)
     runner.run("pontryagin",
-               lambda: engine.pontryagin_check(mu, pair.m_basis, pair.mhat_basis,
-                                               Tolerance(absolute=1e-8, relative=0.0)))
+               lambda: engine.pontryagin_check(pair, Tolerance(absolute=1e-8, relative=0.0)))

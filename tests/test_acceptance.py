@@ -192,7 +192,7 @@ def test_criterion_09_pontryagin(built):
     worst = 0.0
     for mdl in built:
         qg = mdl.qg
-        report = pontryagin_check(qg.mu, qg.m_basis, qg.mhat_basis)
+        report = pontryagin_check(qg)
         assert report.passed
         worst = max(worst, report.deviation)
     report_line(9, "pontryagin", worst <= 1e-8, f"max dev {worst:.2e}")

@@ -129,6 +129,9 @@ def test_verify_oversized_dense_unitary_exits_2(tmp_path, capsys):
     assert "leg dimension" in capsys.readouterr().err
 
 
+# One-by-one unitaries whose leg dimension field is not a positive JSON integer.
+BAD_N = {"null": None, "negative": -1, "fraction": 1.9, "true": True}
+
 LOAD_FAILURES = [
     ["verify", "--unitary", "{missing}"],
     ["verify", "--group", "cyclic:0"],
@@ -140,17 +143,44 @@ LOAD_FAILURES = [
     ["pair", "--group", "cyclic:0", "--a", "{good}", "--b", "{good}"],
     ["dft-compare", "--group", "cyclic:2", "--function", "{missing}"],
     ["dft-compare", "--group", "cyclic:0", "--function", "{good}"],
+    pytest.param(["fourier", "--group", "cyclic:2", "--function", "{values_5}"],
+                 id="fourier-values-not-a-list"),
+    pytest.param(["pair", "--group", "cyclic:2", "--a", "{good}", "--b", "{values_5}"],
+                 id="pair-values-not-a-list"),
+    *(pytest.param(["verify", "--unitary", f"{{n_{label}}}"], id=f"verify-n-{label}")
+      for label in BAD_N),
+    pytest.param(["verify", "--unitary", "{number}"], id="verify-unitary-not-an-object"),
 ]
 
 
 @pytest.mark.parametrize("argv", LOAD_FAILURES, ids=lambda argv: "-".join(
     [argv[0], "bad-group" if "cyclic:0" in argv else "missing-file"]))
 def test_load_failure_exits_2_with_empty_stdout(tmp_path, capsys, argv):
-    good = write_function(tmp_path, "f.json", [1.0, 2.0])
-    missing = str(tmp_path / "missing.json")
-    assert main([a.format(good=good, missing=missing) for a in argv]) == 2
+    contents = {"values_5": {"values": 5}, "number": 5,
+                **{f"n_{label}": {"n": n, "re": [[1.0]], "im": [[0.0]]}
+                   for label, n in BAD_N.items()}}
+    files = {"good": write_function(tmp_path, "f.json", [1.0, 2.0]),
+             "missing": str(tmp_path / "missing.json")}
+    for key, data in contents.items():
+        (tmp_path / f"{key}.json").write_text(json.dumps(data))
+        files[key] = str(tmp_path / f"{key}.json")
+    assert main([a.format(**files) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--group", "cyclic:2"],
+    ["convolve", "--group", "cyclic:2", "--a", "{f}", "--c", "{f}"],
+    ["dft-compare", "--group", "cyclic:2", "--function", "{f}"],
+], ids=lambda argv: argv[0])
+def test_bad_tolerance_exits_2_with_empty_stdout(tmp_path, capsys, argv, tol):
+    f = write_function(tmp_path, "f.json", [1.0, 2.0])
+    assert main([a.format(f=f) for a in argv] + [f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --tol")
     assert captured.out == ""
 
 

@@ -361,8 +361,8 @@ def test_dual_comultiply_group_algebra_rule():
 def test_coassociativity_on_models():
     for g in [groups.cyclic(2), groups.cyclic(6), groups.symmetric(3)]:
         qg = model(g).qg
-        primal = check_coassociativity(qg.m_basis, qg.delta)
-        dual = check_coassociativity(qg.mhat_basis, qg.dual.delta)
+        primal = check_coassociativity(qg)
+        dual = check_coassociativity(qg.dual)
         assert primal.passed and primal.deviation <= 1e-12
         assert dual.passed and dual.deviation <= 1e-12
 
@@ -372,7 +372,7 @@ def test_coassociativity_coefficient_route_matches_dense():
     qg = model(groups.cyclic(3)).qg
     n = 3
     for x in qg.m_basis:
-        dx = qg.delta(x)
+        dx = comultiply(qg.mu, x)
         w12 = kron(qg.w, np.eye(n))
         lhs = w12.conj().T @ kron(np.eye(n), dx) @ w12
         w23 = kron(np.eye(n), qg.w)
@@ -382,13 +382,13 @@ def test_coassociativity_coefficient_route_matches_dense():
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
-def einsum_coeff_tensor(comult, basis):
+def einsum_coeff_tensor(mu, basis):
     """comult_coeff_tensor written as two einsum contractions per element."""
     m, n = basis.shape[0], basis.shape[1]
     coeffs = np.zeros((m, m, m), dtype=complex)
     residual = 0.0
     for i in range(m):
-        t4 = comult(basis[i]).reshape(n, n, n, n)
+        t4 = comultiply(mu, basis[i]).reshape(n, n, n, n)
         c = np.einsum("kac,lbd,abcd->kl", basis.conj(), basis.conj(), t4, optimize=True)
         recon = np.einsum("kl,kac,lbd->abcd", c, basis, basis, optimize=True)
         residual = max(residual, np.max(np.abs(t4 - recon)))
@@ -404,8 +404,8 @@ def test_coeff_tensor_matches_einsum_formulas(label, side):
         else model(parse_group_spec(label)).qg
     qg = qg.dual if side == "dual" else qg
     basis = qg.m_basis[:-1] if side == "dropped" else qg.m_basis
-    coeffs, residual = comult_coeff_tensor(qg.delta, basis)
-    want_coeffs, want_residual = einsum_coeff_tensor(qg.delta, basis)
+    coeffs, residual = comult_coeff_tensor(qg.mu, basis)
+    want_coeffs, want_residual = einsum_coeff_tensor(qg.mu, basis)
     assert np.max(np.abs(coeffs - want_coeffs)) <= 1e-13
     assert residual == pytest.approx(want_residual, abs=1e-13)
     assert (residual > 0.1) == (side == "dropped")
@@ -416,22 +416,52 @@ def test_coeff_tensor_matches_einsum_formulas(label, side):
 def test_left_invariance_models():
     for g in [groups.cyclic(1), groups.cyclic(3), groups.dihedral(3)]:
         qg = model(g).qg
-        assert check_left_invariance(qg.phi, qg.delta, qg.m_basis).passed
-        assert check_left_invariance(qg.phihat, qg.dual.delta, qg.mhat_basis).passed
+        assert check_left_invariance(qg).passed
+        assert check_left_invariance(qg.dual).passed
 
 
 def test_right_invariance_models():
     for g in [groups.cyclic(4), groups.symmetric(3)]:
         qg = model(g).qg
-        psi = qg.s_mat.T @ qg.phi.values_on(qg.m_basis)
-        assert check_right_invariance(psi, qg.delta, qg.m_basis).passed
+        assert check_right_invariance(qg).passed
 
 
 def test_left_invariance_fails_for_wrong_vector():
     qg = z2().qg
     wrong = Weight(np.array([1.0, 0.0]))  # evaluation at one point is not Haar
-    report = check_left_invariance(wrong, qg.delta, qg.m_basis)
+    report = check_left_invariance(QuantumGroupPair(qg.mu, qg.m_basis, qg.mhat_basis, wrong,
+                                                    qg.phihat, qg.s_mat, qg.shat_mat))
     assert not report.passed
+
+
+S3 = model(groups.symmetric(3)).qg
+
+
+def corrupted_s3(**fields):
+    """The s3 model's pair with the named constructor arguments replaced."""
+    parts = dict(mu=S3.mu, m_basis=S3.m_basis, mhat_basis=S3.mhat_basis, phi=S3.phi,
+                 phihat=S3.phihat, s_mat=S3.s_mat, shat_mat=S3.shat_mat)
+    return QuantumGroupPair(**{**parts, **fields})
+
+
+def zero_column(mat, j):
+    out = mat.copy()
+    out[:, j] = 0
+    return out
+
+
+# Swapping two columns of s_mat leaves right invariance at 0, because psi = phi o S
+# is constant on the s3 basis; that corruption belongs to antipode-slices.
+@pytest.mark.parametrize("check, fields, want", [
+    (check_coassociativity, dict(m_basis=S3.m_basis[:-1]), 2.45),
+    (check_right_invariance, dict(s_mat=zero_column(S3.s_mat, 0)), 1.0),
+    (pontryagin_check, dict(mhat_basis=S3.m_basis), 1.0),
+], ids=["coassociativity-dropped-basis-element", "right-invariance-zeroed-s-column",
+        "pontryagin-mhat-replaced-by-m"])
+def test_pair_check_fails_on_a_corrupted_field(check, fields, want):
+    report = check(corrupted_s3(**fields))
+    assert not report.passed
+    assert report.deviation == pytest.approx(want, abs=0.01)
 
 
 # --------------------------------------------------------------- antipodes
@@ -621,7 +651,7 @@ def test_slice_product_laws():
 def test_pontryagin_models():
     for g in [groups.cyclic(1), groups.cyclic(2), groups.symmetric(3)]:
         qg = model(g).qg
-        report = pontryagin_check(qg.mu, qg.m_basis, qg.mhat_basis)
+        report = pontryagin_check(qg)
         assert report.passed and report.deviation <= 1e-10
 
 
@@ -658,7 +688,7 @@ def test_pair_from_unitary_matches_model(group):
     assert check_gns_consistency(qg).passed
     assert check_gns_duality_phihat(qg).passed
     assert check_gns_duality_phihatdual(qg).passed
-    assert check_left_invariance(qg.phi, qg.delta, qg.m_basis).passed
+    assert check_left_invariance(qg).passed
     assert check_antipode(qg).passed
 
 
@@ -702,7 +732,7 @@ def test_pair_from_dual_unitary_noncommutative_side():
     products = [qg.m_basis[1] @ qg.m_basis[2], qg.m_basis[2] @ qg.m_basis[1]]
     assert np.max(np.abs(products[0] - products[1])) > 1e-6
     assert check_gns_consistency(qg).passed
-    assert check_left_invariance(qg.phi, qg.delta, qg.m_basis).passed
+    assert check_left_invariance(qg).passed
 
 
 def transported_dihedral3():
@@ -739,16 +769,6 @@ def test_dual_of_a_non_bijective_permutation_raises():
     mu = MultiplicativeUnitary.from_permutation([[0, 0], [1, 1]], [[0, 0], [1, 1]])
     with pytest.raises(ValueError, match="bijection"):
         mu.dual
-
-
-@pytest.mark.parametrize("side", ["pair", "dual"])
-def test_w_adj_is_fortran_ordered(side):
-    # np.einsum sums in layout order: a C-ordered W^* moved the s4
-    # slice-product-laws deviation from 6.03e-14 to 7.25e-14, so the
-    # reproducible suite reports depend on this layout
-    qg = model(groups.symmetric(3)).qg
-    qg = qg if side == "pair" else qg.dual
-    assert qg.w_adj.flags.f_contiguous and not qg.w_adj.flags.c_contiguous
 
 
 def test_dual_pair_holds_no_reference_back():

@@ -404,7 +404,7 @@ def reference_via_w(qg, b, a):
     """(phi (x) phihat)[(a (x) 1) W^* (1 (x) b)], contracted on the whole W^*."""
     n = qg.n
     return complex(np.einsum("i,k,ip,pkjq,ql,j,l->", qg.phi.xi.conj(),
-                             qg.phihat.xi.conj(), a, qg.w_adj.reshape(n, n, n, n), b,
+                             qg.phihat.xi.conj(), a, qg.w.conj().T.reshape(n, n, n, n), b,
                              qg.phi.xi, qg.phihat.xi, optimize=True))
 
 
