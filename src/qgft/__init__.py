@@ -59,7 +59,6 @@ from .groups import (
 )
 from .linalg import (
     Functional,
-    Tolerance,
     flip,
     kron,
     leg_embed,
@@ -83,7 +82,7 @@ __all__ = [
     "CayleyTableError", "FiniteGroup", "MissingInverse", "NoIdentity",
     "NonAbelianInput", "NotAssociative", "NotLatinSquare", "characters", "cyclic",
     "dihedral", "direct_product", "from_cayley_table", "is_abelian", "symmetric",
-    "Functional", "Tolerance", "flip", "kron", "leg_embed", "slice_left",
+    "Functional", "flip", "kron", "leg_embed", "slice_left",
     "slice_right", "span_basis", "subspace_equal",
     "GroupModel", "build", "dft_compare",
     "VerificationReport", "run_suite",

@@ -21,7 +21,7 @@ from . import fourier as ft
 from . import models
 from .engine import DENSE_PENTAGON_MAX_DIM
 from .groups import FiniteGroup, cyclic, dihedral, direct_product, load_group, symmetric
-from .linalg import as_complex_matrix
+from .linalg import DEFAULT_TOL, as_complex_matrix
 from .verify import DEFAULT_SEED, run_suite
 
 
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--group", help="group spec (cyclic:<n>, dihedral:<m>, s3, s4, "
                                      "product:<spec>x<spec>, or a Cayley-table file)")
     src.add_argument("--unitary", help="dense multiplicative unitary JSON file")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", help="report file (default: stdout)")
     p.set_defaults(fn=cmd_verify)
@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True)
     p.add_argument("--c", required=True)
     p.add_argument("--dual", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_convolve)
 
@@ -250,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dft-compare", help="character-basis diagonal vs the DFT")
     p.add_argument("--group", required=True)
     p.add_argument("--function", required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_dft_compare)
 

@@ -27,7 +27,6 @@ import numpy as np
 from .engine import CheckReport, Functional, QuantumGroupPair, sharp
 from .linalg import (
     DEFAULT_TOL,
-    Tolerance,
     as_complex_matrix,
     deviation,
     inner,
@@ -84,7 +83,7 @@ def inverse_fourier_report(qg: QuantumGroupPair, b) -> FourierReport:
     return fourier_report(qg.dual, b)
 
 
-def check_inversion(qg: QuantumGroupPair, tol: Tolerance = DEFAULT_TOL,
+def check_inversion(qg: QuantumGroupPair, tol: float = DEFAULT_TOL,
                     rng: np.random.Generator | None = None,
                     samples: int = 0) -> CheckReport:
     """Both composites of F and F^{-1} deviate from the identity by at most
@@ -100,17 +99,17 @@ def check_inversion(qg: QuantumGroupPair, tol: Tolerance = DEFAULT_TOL,
         dev = max(dev, deviation(inverse_fourier(qg, fourier(qg, a)), a))
     for b in elements_mhat:
         dev = max(dev, deviation(fourier(qg, inverse_fourier(qg, b)), b))
-    return CheckReport("fourier-inversion", dev, tol.bound(1.0))
+    return CheckReport("fourier-inversion", dev, tol)
 
 
-def check_gns_transport(qg: QuantumGroupPair, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+def check_gns_transport(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckReport:
     """Lambda_hat(F(a)) = Lambda(a) and Lambda(F^{-1}(b)) = Lambda_hat(b) on
     full bases."""
     dev = 0.0
     for side in (qg, qg.dual):
         for a in side.m_basis:
             dev = max(dev, fourier_report(side, a).deviation)
-    return CheckReport("gns-transport", dev, tol.bound(1.0))
+    return CheckReport("gns-transport", dev, tol)
 
 
 @dataclass(frozen=True)
@@ -160,7 +159,7 @@ def convolve_dual_direct(qg: QuantumGroupPair, b, d) -> np.ndarray:
 
 
 def check_convolution(qg: QuantumGroupPair, rng: np.random.Generator,
-                      samples: int = 20, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+                      samples: int = 20, tol: float = DEFAULT_TOL) -> CheckReport:
     """Both convolution routes agree, on both sides, for random pairs."""
     dev = 0.0
     for _ in range(samples):
@@ -168,7 +167,7 @@ def check_convolution(qg: QuantumGroupPair, rng: np.random.Generator,
         dev = max(dev, deviation(convolve(qg, a, c), convolve_direct(qg, a, c)))
         b, e = random_element(rng, qg.mhat_basis), random_element(rng, qg.mhat_basis)
         dev = max(dev, deviation(convolve_dual(qg, b, e), convolve_dual_direct(qg, b, e)))
-    return CheckReport("convolution-agreement", dev, tol.bound(1.0))
+    return CheckReport("convolution-agreement", dev, tol)
 
 
 @dataclass(frozen=True)
@@ -205,7 +204,7 @@ def pairing(qg: QuantumGroupPair, b, a) -> PairingValue:
 
 
 def check_pairing_axioms(qg: QuantumGroupPair, rng: np.random.Generator,
-                         samples: int = 20, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+                         samples: int = 20, tol: float = DEFAULT_TOL) -> CheckReport:
     """The defining properties of the dual pairing, for elements presented as
     explicit slices b = (omega (x) id)(W), a = (id (x) theta)(W) so that
     <b|a> = omega(a) = theta(b):
@@ -252,10 +251,10 @@ def check_pairing_axioms(qg: QuantumGroupPair, rng: np.random.Generator,
         rhs = t2(qg.dual.apply_s_inv(b))
         dev = max(dev, abs(lhs - rhs))
 
-    return CheckReport("pairing-axioms", dev, tol.bound(1.0))
+    return CheckReport("pairing-axioms", dev, tol)
 
 
-def check_ft_pairing(qg: QuantumGroupPair, a, b, tol: Tolerance = DEFAULT_TOL) -> CheckReport:
+def check_ft_pairing(qg: QuantumGroupPair, a, b, tol: float = DEFAULT_TOL) -> CheckReport:
     """Inner-product description of the pairing:
     <b|a> = <Lambda_hat(b), Lambda(a^*)>."""
     a = np.asarray(a, dtype=complex)
@@ -263,4 +262,4 @@ def check_ft_pairing(qg: QuantumGroupPair, a, b, tol: Tolerance = DEFAULT_TOL) -
     lhs = pairing(qg, b, a).via_inverse
     rhs = inner(qg.phihat.gns(b), qg.phi.gns(a.conj().T))
     dev = abs(lhs - rhs)
-    return CheckReport("ft-pairing", dev, tol.bound(1.0))
+    return CheckReport("ft-pairing", dev, tol)

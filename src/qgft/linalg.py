@@ -10,6 +10,9 @@ row index pairs as ``(i, k) -> i*n + k`` (first leg major).  The reshaped view
 
 Inner products are linear in the first slot: ``inner(u, v) = sum u_i conj(v_i)``,
 and matrices carry the trace inner product ``<X, Y> = trace(Y^* X)``.
+
+A tolerance is one float: an absolute bound on a deviation, DEFAULT_TOL
+unless given.
 """
 
 from __future__ import annotations
@@ -18,36 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Relative singular-value cutoff for rank decisions in span_basis.
+# Relative singular-value cutoff of every rank decision.
 RANK_RTOL = 1e-8
 
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Absolute/relative comparison tolerance.
-
-    Two values compare equal iff |x - y| <= absolute + relative*max(|x|, |y|),
-    entrywise.
-    """
-
-    absolute: float = 1e-10
-    relative: float = 1e-10
-
-    def __post_init__(self):
-        if self.absolute < 0 or self.relative < 0:
-            raise ValueError("tolerance components must be nonnegative")
-
-    def allclose(self, x, y) -> bool:
-        x = np.asarray(x, dtype=complex)
-        y = np.asarray(y, dtype=complex)
-        bound = self.absolute + self.relative * np.maximum(np.abs(x), np.abs(y))
-        return bool(np.all(np.abs(x - y) <= bound))
-
-    def bound(self, scale: float = 1.0) -> float:
-        return self.absolute + self.relative * abs(scale)
-
-
-DEFAULT_TOL = Tolerance()
+# Absolute bound of every check, and the floor of every rank cutoff.
+DEFAULT_TOL = 1e-10
 
 
 def as_complex_matrix(entries, rows: int | None = None, cols: int | None = None) -> np.ndarray:
@@ -178,12 +156,12 @@ def random_element(rng: np.random.Generator, basis: np.ndarray) -> np.ndarray:
     return span_reconstruct(random_complex(rng, basis.shape[0]), basis)
 
 
-def span_basis(mats, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def span_basis(mats, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (trace inner product) of the span of the given
     matrices, returned as an array of shape (rank, rows, cols).
 
     The rank is decided by the singular-value threshold
-    max(tol.absolute, RANK_RTOL * largest singular value).
+    max(tol, RANK_RTOL * largest singular value).
     """
     mats = [np.asarray(m, dtype=complex) for m in mats]
     if not mats:
@@ -196,7 +174,7 @@ def span_basis(mats, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
     if svals.size == 0 or svals[0] == 0.0:
         return np.zeros((0,) + shape, dtype=complex)
-    cutoff = max(tol.absolute, RANK_RTOL * svals[0])
+    cutoff = max(tol, RANK_RTOL * svals[0])
     rank = int(np.sum(svals > cutoff))
     return vh[:rank].reshape((rank,) + shape)
 
@@ -225,7 +203,7 @@ class SubspaceComparison:
 
 
 def subspace_equal(basis1: np.ndarray, basis2: np.ndarray,
-                   tol: Tolerance = DEFAULT_TOL) -> SubspaceComparison:
+                   tol: float = DEFAULT_TOL) -> SubspaceComparison:
     """Decide equality of two spans by mutual projection residuals.
 
     The reported deviation is the worst residual norm of a basis vector of one
@@ -248,4 +226,4 @@ def subspace_equal(basis1: np.ndarray, basis2: np.ndarray,
         residual = a - coeffs @ b
         norms = np.linalg.norm(residual, axis=1)
         worst = max(worst, float(np.max(norms)))
-    return SubspaceComparison(worst <= tol.bound(1.0), worst)
+    return SubspaceComparison(worst <= tol, worst)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .engine import MultiplicativeUnitary, QuantumGroupPair, Weight
 from .groups import FiniteGroup, NonAbelianInput, characters, is_abelian
-from .linalg import DEFAULT_TOL, Tolerance, deviation, max_abs
+from .linalg import DEFAULT_TOL, deviation, max_abs
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ class DftComparison:
                    self.eigenvalue_deviation)
 
 
-def dft_compare(model: GroupModel, a, tol: Tolerance = DEFAULT_TOL) -> DftComparison:
+def dft_compare(model: GroupModel, a, tol: float = DEFAULT_TOL) -> DftComparison:
     """For abelian G, conjugating the transformed operator L_a by the unitary
     character matrix diagonalizes it; the diagonal is the character-sum
     transform and matches the eigenvalues of L_a.
@@ -157,7 +157,7 @@ def dft_compare(model: GroupModel, a, tol: Tolerance = DEFAULT_TOL) -> DftCompar
     eig_dev = _multiset_deviation(diagonal, np.linalg.eigvals(op))
     worst = max(offdiag, diag_dev, eig_dev)
     return DftComparison(diagonal, sums, offdiag, diag_dev, eig_dev,
-                         worst <= tol.bound(1.0))
+                         worst <= tol)
 
 
 def _multiset_deviation(xs: np.ndarray, ys: np.ndarray) -> float:

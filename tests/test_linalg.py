@@ -6,7 +6,6 @@ import pytest
 
 from qgft.linalg import (
     Functional,
-    Tolerance,
     as_complex_matrix,
     flip,
     kron,
@@ -274,14 +273,6 @@ def test_subspace_dimension_mismatch():
 
 
 # ---------------------------------------------------------------- plumbing
-
-def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        Tolerance(absolute=-1.0)
-    tol = Tolerance(absolute=1e-3, relative=0.0)
-    assert tol.allclose(1.0, 1.0 + 5e-4)
-    assert not tol.allclose(1.0, 1.01)
-
 
 def test_as_complex_matrix_rejects_nonfinite():
     with pytest.raises(ValueError):

@@ -156,3 +156,75 @@ def test_suite_deterministic_given_seed():
     for ca, cb in zip(a.checks, b.checks):
         assert ca.name == cb.name
         assert ca.deviation == cb.deviation
+
+
+@pytest.mark.parametrize("tol_value", [float("nan"), float("inf"), -1.0])
+def test_run_suite_rejects_a_bad_tolerance(tol_value):
+    with pytest.raises(ValueError, match="tol_value must be finite and non-negative"):
+        run_suite(models.build(groups.cyclic(2)), tol_value=tol_value)
+
+
+# Stages with their own fixed bound; every other stage reads tol_value.
+FIXED_BOUNDS = {
+    "model": {"unitarity": 0.0, "pentagon": 0.0, "pentagon-dense": 1e-12,
+              "haar-weights": 0.0, "pontryagin": 1e-8},
+    "dense": {"unitarity": 1e-12, "pentagon": 1e-12, "pontryagin": 1e-8},
+}
+
+
+@pytest.mark.parametrize("source", ["model", "dense"])
+def test_tol_value_reaches_every_stage(source):
+    mdl = models.build(groups.symmetric(3))
+    report = run_suite(mdl if source == "model" else np.asarray(mdl.qg.w), tol_value=3e-9)
+    assert report.passed
+    fixed = FIXED_BOUNDS[source]
+    for check in report.checks:
+        assert check.tolerance == fixed.get(check.name, 3e-9), check.name
+    assert fixed.keys() <= {c.name for c in report.checks}
+
+
+S3_PAIR = models.build(groups.symmetric(3)).qg
+
+
+def test_library_checks_default_to_one_absolute_bound():
+    assert engine.check_coassociativity(S3_PAIR).tolerance == 1e-10
+
+
+def scaled_phihat(eps):
+    qg = S3_PAIR
+    return engine.QuantumGroupPair(qg.mu, qg.m_basis, qg.mhat_basis, qg.phi,
+                                   engine.Weight(qg.phihat.xi * (1 + eps)),
+                                   qg.s_mat, qg.shat_mat)
+
+
+def perturbed_s_mat(eps):
+    # The change to column 2 sums to 0, and phi is constant on the s3 basis, so
+    # psi = s_mat^T phi, and with it right invariance, is unchanged.
+    qg = S3_PAIR
+    s_mat = qg.s_mat.copy()
+    s_mat[0, 2] += eps
+    s_mat[1, 2] -= eps
+    return engine.QuantumGroupPair(qg.mu, qg.m_basis, qg.mhat_basis, qg.phi, qg.phihat,
+                                   s_mat, qg.shat_mat)
+
+
+def phased_dense_w(eps):
+    w = np.array(S3_PAIR.w)
+    w[:, 0] *= np.exp(1j * eps)  # still unitary, no longer pentagonal
+    return w
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-4])
+@pytest.mark.parametrize("corrupt, stage", [
+    (scaled_phihat, "gns-duality-phihat"),
+    (perturbed_s_mat, "antipode-slices"),
+    (phased_dense_w, "pentagon"),
+], ids=["phihat-scaled", "s-mat-perturbed", "w-column-phased"])
+def test_suite_blames_the_corrupted_stage(corrupt, stage, eps):
+    report = run_suite(corrupt(eps))
+    checks = {c.name: c for c in report.checks}
+    assert report.first_failed == stage
+    assert 0.5 * eps <= checks[stage].deviation <= 2 * eps
+    if "right-invariance" in checks:
+        assert checks["right-invariance"].deviation == 0.0
+    assert checks["unitarity"].deviation <= 1.2e-16
