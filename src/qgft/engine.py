@@ -39,6 +39,8 @@ from .linalg import (
     Functional,
     as_complex_matrix,
     deviation,
+    flat_rows,
+    flip,
     max_abs,
     membership_residual,
     random_complex,
@@ -46,12 +48,16 @@ from .linalg import (
     slice_right,
     span_basis,
     span_coords,
+    span_project,
     span_reconstruct,
     subspace_equal,
 )
 
 DENSE_PENTAGON_MAX_DIM = 12
 DENSE_PENTAGON_TOL = 1e-12
+# The antipode matrix is singular when its smallest singular value is at most
+# this fraction of its largest.
+ANTIPODE_SINGULAR_RTOL = 1e-10
 
 
 class ClosureFailure(ValueError):
@@ -259,10 +265,10 @@ def algebra_closure_deviation(basis: np.ndarray) -> float:
     """How far products and adjoints of basis elements leave the span."""
     if basis.shape[0] == 0:
         return 0.0
-    m = basis.shape[0]
-    products = np.einsum("iab,jbc->ijac", basis, basis).reshape(m * m, *basis.shape[1:])
+    basis = np.ascontiguousarray(basis, dtype=complex)
     adjoints = basis.conj().transpose(0, 2, 1)
-    return max(membership_residual(products, basis), membership_residual(adjoints, basis))
+    return max(membership_residual(basis[:, None] @ basis[None, :], basis),
+               membership_residual(adjoints, basis))
 
 
 def slice_span_m(mu: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -352,9 +358,12 @@ def check_coassociativity(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> Che
     reported deviation includes the span-membership residual of delta itself.
     """
     d, residual = qg.delta_coeffs
-    lhs = np.einsum("kla,abi->klbi", d, d)
-    rhs = np.einsum("lmb,abi->almi", d, d)
-    diff = lhs - rhs
+    m = d.shape[0]
+    d_rows = d.reshape(m * m, m)                                                  # [(k l), a]
+    lhs = (d_rows @ d.reshape(m, m * m)).reshape(m, m, m, m)                      # [k, l, b, i]
+    d_ai_b = np.ascontiguousarray(d.transpose(0, 2, 1)).reshape(m * m, m)         # [(a i), b]
+    rhs = (d_ai_b @ d_rows.T).reshape(m, m, m, m)                                 # [a, i, l, m']
+    diff = lhs - rhs.transpose(0, 2, 3, 1)
     per_input = np.sqrt(np.sum(np.abs(diff) ** 2, axis=(0, 1, 2)))
     dev = max(float(np.max(per_input)) if per_input.size else 0.0, residual)
     return CheckReport("coassociativity", dev, tol)
@@ -368,8 +377,8 @@ class Weight:
     xi: np.ndarray
 
     def __post_init__(self):
-        xi = np.asarray(self.xi, dtype=complex).reshape(-1)
-        if not (np.all(np.isfinite(xi.real)) and np.all(np.isfinite(xi.imag))):
+        xi = np.ascontiguousarray(self.xi, dtype=complex).reshape(-1)
+        if not np.isfinite(xi).all():
             raise ValueError("implementing vector must be finite")
         object.__setattr__(self, "xi", xi)
 
@@ -380,7 +389,8 @@ class Weight:
         return x @ self.xi
 
     def values_on(self, basis: np.ndarray) -> np.ndarray:
-        return np.einsum("kab,b,a->k", basis, self.xi, self.xi.conj())
+        """phi(x_k) for every operator x_k of the stack basis."""
+        return flat_rows(basis) @ np.outer(self.xi.conj(), self.xi).reshape(-1)
 
     def gns_rank(self, basis: np.ndarray) -> int:
         """Rank of Lambda on the basis; equals len(basis) iff faithful there."""
@@ -396,9 +406,7 @@ def check_left_invariance(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> Che
     functionals omega and M-basis elements x."""
     d, residual = qg.delta_coeffs
     f = qg.phi_values
-    got = np.einsum("kli,kvu,l->uvi", d, qg.m_basis, f)
-    want = np.einsum("uv,i->uvi", np.eye(qg.n), f)
-    dev = max(deviation(got, want), residual)
+    dev = max(_invariance_deviation(qg, f @ d, f), residual)                      # f @ d: [k, i]
     return CheckReport("left-invariance", dev, tol)
 
 
@@ -407,23 +415,29 @@ def check_right_invariance(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> Ch
     right-invariant weight, with values s_mat^T phi on the M basis."""
     d, residual = qg.delta_coeffs
     g = qg.s_mat.T @ qg.phi_values
-    got = np.einsum("kli,k,lvu->uvi", d, g, qg.m_basis)
-    want = np.einsum("uv,i->uvi", np.eye(qg.n), g)
-    dev = max(deviation(got, want), residual)
+    m = d.shape[0]
+    dev = max(_invariance_deviation(qg, (g @ d.reshape(m, m * m)).reshape(m, m), g), residual)
     return CheckReport("right-invariance", dev, tol)
+
+
+def _invariance_deviation(qg: QuantumGroupPair, e: np.ndarray, values: np.ndarray) -> float:
+    """Largest entry of sum_k e[k, i] x_k - [u = v] values[i] over the M basis
+    x_k, as [v, u, i] = (B^T @ e)[(v u), i] on the flat basis rows B."""
+    got = (flat_rows(qg.m_basis).T @ e).reshape(qg.n, qg.n, -1)
+    return deviation(got, np.eye(qg.n)[:, :, None] * values)
 
 
 def _fit_slice_map(sources: np.ndarray, targets: np.ndarray, basis: np.ndarray,
                    tol: float, what: str) -> tuple[np.ndarray, float]:
     """Least-squares linear map on span(basis) sending each source slice to
     its target slice, with the worst operator-level residual."""
-    coords_src = np.einsum("qab,kab->kq", sources, basis.conj())
-    coords_tgt = np.einsum("qab,kab->kq", targets, basis.conj())
-    mem = max(membership_residual(sources, basis), membership_residual(targets, basis))
-    # Solve S @ coords_src = coords_tgt in the least-squares sense.
-    s_mat, *_ = np.linalg.lstsq(coords_src.T, coords_tgt.T, rcond=None)
-    s_mat = s_mat.T
-    fit = max_abs(s_mat @ coords_src - coords_tgt)
+    coords_src, mem_src = span_project(sources, basis)                            # [q, k]
+    coords_tgt, mem_tgt = span_project(targets, basis)
+    # Solve coords_src @ S^T = coords_tgt in the least-squares sense.
+    s_mat_t, *_ = np.linalg.lstsq(coords_src, coords_tgt, rcond=None)
+    s_mat = s_mat_t.T
+    fit = max_abs(coords_src @ s_mat_t - coords_tgt)
+    mem = max(mem_src, mem_tgt)
     residual = max(fit, mem)
     if residual > tol:
         raise InconsistentSlices(
@@ -463,10 +477,8 @@ def lam_hat(mu: MultiplicativeUnitary, theta: Functional) -> np.ndarray:
 def sharp(omega: Functional, s_mat: np.ndarray, basis: np.ndarray) -> Functional:
     """The sharp of a functional, omega_sharp(x) = conj(omega(S(x)^*)),
     re-encoded as a density supported on the span."""
-    star_vals = np.einsum("ij,lij->l", omega.density, basis.conj())
-    f = s_mat.T @ star_vals.conj()
-    density = np.einsum("k,kab->ba", f, basis.conj())
-    return Functional(density)
+    f = s_mat.T @ span_coords(omega.density, basis).conj()
+    return Functional(span_reconstruct(f.conj(), basis).conj().T)
 
 
 @dataclass(frozen=True)
@@ -494,10 +506,10 @@ def fixed_leg_vectors(mu: MultiplicativeUnitary, leg: int) -> np.ndarray:
     w4 = mu.dense.reshape(n, n, n, n)
     if leg == 2:
         lhs = w4.reshape(n * n * n, n)                      # rows (a,b,i), cols t
-        rhs = np.einsum("ai,bt->abit", np.eye(n), np.eye(n)).reshape(n * n * n, n)
+        rhs = np.eye(n * n).reshape(n * n * n, n)           # [a,b,i,t] = [a=i][b=t]
     elif leg == 1:
         lhs = np.transpose(w4, (0, 1, 3, 2)).reshape(n * n * n, n)  # rows (a,b,j), cols s
-        rhs = np.einsum("bj,as->abjs", np.eye(n), np.eye(n)).reshape(n * n * n, n)
+        rhs = flip(n).reshape(n * n * n, n)                 # [a,b,j,s] = [b=j][a=s]
     else:
         raise ValueError("leg must be 1 or 2")
     _, svals, vh = np.linalg.svd(lhs - rhs, full_matrices=False)
@@ -557,8 +569,8 @@ class QuantumGroupPair:
                  s_mat: np.ndarray, shat_mat: np.ndarray):
         self.mu = mu
         self.n = mu.n
-        self.m_basis = np.asarray(m_basis, dtype=complex)
-        self.mhat_basis = np.asarray(mhat_basis, dtype=complex)
+        self.m_basis = np.ascontiguousarray(m_basis, dtype=complex)
+        self.mhat_basis = np.ascontiguousarray(mhat_basis, dtype=complex)
         self.phi = phi
         self.phihat = phihat
         self.s_mat = np.asarray(s_mat, dtype=complex)
@@ -595,8 +607,7 @@ class QuantumGroupPair:
     def require_in_m(self, x: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         """Coordinates of x in the M basis; NotInAlgebra if x is off the span by
         more than tol * (1 + max|x|)."""
-        coords = self.coords_m(x)
-        res = max_abs(x - span_reconstruct(coords, self.m_basis))
+        coords, res = span_project(x, self.m_basis)
         if res > tol * (1.0 + max_abs(x)):
             raise NotInAlgebra(f"operand lies outside the algebra (residual {res:.3e})")
         return coords
@@ -604,7 +615,7 @@ class QuantumGroupPair:
     @cached_property
     def s_inv_mat(self) -> np.ndarray:
         svals = np.linalg.svd(self.s_mat, compute_uv=False)
-        if svals.size == 0 or svals[-1] <= 1e-10 * svals[0]:
+        if svals.size == 0 or svals[-1] <= ANTIPODE_SINGULAR_RTOL * svals[0]:
             raise SingularAntipode("antipode matrix is singular within tolerance")
         return np.linalg.inv(self.s_mat)
 
@@ -614,7 +625,7 @@ class QuantumGroupPair:
 
     def _map_m(self, mat: np.ndarray, x: np.ndarray) -> np.ndarray:
         """A map on M, in basis coordinates, applied to x or to each of a stack x."""
-        return span_reconstruct((mat @ self.coords_m(x)[..., None])[..., 0], self.m_basis)
+        return span_reconstruct(self.coords_m(x) @ mat.T, self.m_basis)
 
     def apply_s(self, x: np.ndarray) -> np.ndarray:
         return self._map_m(self.s_mat, x)
@@ -646,11 +657,11 @@ class QuantumGroupPair:
     @cached_property
     def w_membership_residual(self) -> float:
         """Residual of W against span(M (x) Mhat)."""
-        ma, mb = self.m_basis, self.mhat_basis
-        coeffs = np.einsum("kac,lbd,abcd->kl", ma.conj(), mb.conj(), self.w4,
-                           optimize=True)
-        recon = np.einsum("kl,kac,lbd->abcd", coeffs, ma, mb, optimize=True)
-        return max_abs(self.w4 - recon)
+        n2 = self.n * self.n
+        ma, mb = flat_rows(self.m_basis), flat_rows(self.mhat_basis)
+        t = np.ascontiguousarray(self.w4.transpose(0, 2, 1, 3)).reshape(n2, n2)     # [(a c), (b d)]
+        coeffs = (ma.conj() @ t) @ mb.conj().T
+        return max_abs(t - ma.T @ (coeffs @ mb))
 
 
 def pair_from_unitary(w, tol: float = DEFAULT_TOL) -> QuantumGroupPair:
@@ -684,8 +695,8 @@ def check_gns_consistency(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> Che
         vectors = basis @ weight.xi
         gram = vectors @ vectors.conj().T                   # [x, y] = <L(x), L(y)>
         m = basis.shape[0]
-        prods = np.einsum("ycb,xca->yxba", basis.conj(), basis)  # y^* x, as (y, x) pairs
-        phivals = np.einsum("yxba,a,b->xy", prods, weight.xi, weight.xi.conj())
+        prods = basis.conj().transpose(0, 2, 1)[:, None] @ basis[None, :]   # [y, x] = y^* x
+        phivals = weight.values_on(prods).T
         dev = max(dev, deviation(gram, phivals))
         if weight.gns_rank(basis) < m:
             dev = max(dev, 1.0)
@@ -730,7 +741,7 @@ def check_antipode(qg: QuantumGroupPair, tol: float = DEFAULT_TOL,
 
     # Both laws on the whole basis at once: [i, j] stacks hold x_i x_j and S(x_j) S(x_i).
     basis = qg.m_basis
-    s_on_basis = np.einsum("pk,pab->kab", qg.s_mat, basis)
+    s_on_basis = span_reconstruct(qg.s_mat.T, basis)
     dev = max(dev, deviation(qg.apply_s(basis[:, None] @ basis[None, :]),
                              s_on_basis[None, :] @ s_on_basis[:, None]))
 
@@ -752,10 +763,24 @@ def check_sharp_involution(qg: QuantumGroupPair, rng: np.random.Generator,
                                   qg.s_mat, qg.m_basis)
         dev = max(dev, pair.adjoint_deviation(qg.mu))
         twice = sharp(pair.omega_sharp, qg.s_mat, qg.m_basis)
-        vals = np.einsum("ij,kji->k", pair.omega.density, qg.m_basis)
-        vals_twice = np.einsum("ij,kji->k", twice.density, qg.m_basis)
-        dev = max(dev, deviation(vals, vals_twice))
+        dev = max(dev, deviation(pair.omega.values_on(qg.m_basis), twice.values_on(qg.m_basis)))
     return CheckReport("sharp-involution", dev, tol)
+
+
+def _conjugated_unit_values(x4: np.ndarray):
+    """For X on the tensor square, given as x4[j, l, a, q] = X[(j l), (a q)],
+    the map (r1, r2) -> V with V[a, b] = trace((r1 (x) r2) X (E_ab (x) 1) X^*)
+    = sum r1[i, j] r2[k, l] x4[j, l, a, q] conj(x4[i, k, b, q]): three n^5
+    products, with the conjugated operand laid out once."""
+    n = x4.shape[0]
+    rows = np.ascontiguousarray(x4, dtype=complex).reshape(n, n ** 3)                # [j, (l a q)]
+    conj_rows = flat_rows(rows.conj().reshape(n * n, n, n).transpose(1, 0, 2))        # [b, (i k) q]
+
+    def values(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
+        t = (r1 @ rows).reshape(n, n, n * n)                                    # [i, l, (a q)]
+        u = np.matmul(r2, t).reshape(n * n, n, n)                               # [(i k), a, q]
+        return flat_rows(u.transpose(1, 0, 2)) @ conj_rows.T
+    return values
 
 
 def check_slice_product_laws(qg: QuantumGroupPair, rng: np.random.Generator,
@@ -768,9 +793,9 @@ def check_slice_product_laws(qg: QuantumGroupPair, rng: np.random.Generator,
     operators on the tensor square per unit.
     """
     n = qg.n
-    # W^* is the transpose of conj(W), so it is Fortran-ordered. np.einsum sums in
-    # layout order: a C-ordered copy would change the deviation in its last digits.
     w, w4, w_adj = qg.w, qg.w4, qg.w.conj().T
+    delta_on_units = _conjugated_unit_values(w4.conj().transpose(2, 3, 1, 0))   # X = W^* Sigma
+    delta_hat_cop_on_units = _conjugated_unit_values(w4)                       # X = W
     dev = 0.0
 
     for _ in range(samples):
@@ -779,21 +804,19 @@ def check_slice_product_laws(qg: QuantumGroupPair, rng: np.random.Generator,
 
         # (omega1 (x) id)(W)(omega2 (x) id)(W) = (mu (x) id)(W),
         # mu = (omega1 (x) omega2) o delta.  mu(E_ab) tabulated directly.
-        mu_vals = np.einsum("ij,kl,pajl,pbik->ab", r1, r2, w4.conj(), w4,
-                            optimize=True)
+        mu_vals = delta_on_units(r1, r2)
         lhs = slice_left(f1, w) @ slice_left(f2, w)
         dev = max(dev, deviation(lhs, slice_left(Functional(mu_vals.T), w)))
 
         # (id (x) theta1)(W)(id (x) theta2)(W) = (id (x) nu)(W),
         # nu = (theta1 (x) theta2) o delta_hat_cop with delta_hat_cop(y) = W(y (x) 1)W^*.
-        nu_vals = np.einsum("ij,kl,jlaq,ikbq->ab", r1, r2, w4, w4.conj(),
-                            optimize=True)
+        nu_vals = delta_hat_cop_on_units(r1, r2)
         lhs = slice_right(f1, w) @ slice_right(f2, w)
         dev = max(dev, deviation(lhs, slice_right(Functional(nu_vals.T), w)))
 
-        # Same law for W^*, now with the unflipped delta_hat.
-        nu_prime_vals = np.einsum("ij,kl,ljaq,kibq->ab", r1, r2, w4, w4.conj(),
-                                  optimize=True)
+        # Same law for W^*, now with the unflipped delta_hat = (theta2 (x) theta1)
+        # o delta_hat_cop.
+        nu_prime_vals = delta_hat_cop_on_units(r2, r1)
         lhs = slice_right(f1, w_adj) @ slice_right(f2, w_adj)
         dev = max(dev, deviation(lhs, slice_right(Functional(nu_prime_vals.T), w_adj)))
 

@@ -217,10 +217,8 @@ def check_pairing_axioms(qg: QuantumGroupPair, rng: np.random.Generator,
     d, _ = qg.delta_coeffs
     dh, _ = qg.dual.delta_coeffs
     w = qg.w
+    m, mhat = d.shape[0], dh.shape[0]
     dev = 0.0
-
-    def vals_on(omega, basis):
-        return np.einsum("ij,kji->k", omega.density, basis)
 
     for _ in range(samples):
         w1, w2, t1, t2 = (Functional(random_complex(rng, (n, n))) for _ in range(4))
@@ -229,18 +227,16 @@ def check_pairing_axioms(qg: QuantumGroupPair, rng: np.random.Generator,
         a = slice_right(t1, w)
         b1, b2 = slice_left(w1, w), slice_left(w2, w)
         lhs = t1(b1 @ b2)
-        a_coords = qg.coords_m(a)
-        rhs = complex(np.einsum("i,kli,k,l->", a_coords, d,
-                                vals_on(w1, qg.m_basis), vals_on(w2, qg.m_basis)))
+        delta_a = (d.reshape(m * m, m) @ qg.coords_m(a)).reshape(m, m)
+        rhs = complex(w1.values_on(qg.m_basis) @ delta_a @ w2.values_on(qg.m_basis))
         dev = max(dev, abs(lhs - rhs))
 
         # (2): omega-presentation of b evaluates the left side.
         b = slice_left(w1, w)
         a1, a2 = slice_right(t1, w), slice_right(t2, w)
         lhs = w1(a1 @ a2)
-        b_coords = qg.dual.coords_m(b)
-        rhs = complex(np.einsum("i,kli,l,k->", b_coords, dh,
-                                vals_on(t1, qg.mhat_basis), vals_on(t2, qg.mhat_basis)))
+        delta_hat_b = (dh.reshape(mhat * mhat, mhat) @ qg.dual.coords_m(b)).reshape(mhat, mhat)
+        rhs = complex(t2.values_on(qg.mhat_basis) @ delta_hat_b @ t1.values_on(qg.mhat_basis))
         dev = max(dev, abs(lhs - rhs))
 
         # (3): omega = (omega0)^sharp exercises the sharp construction.

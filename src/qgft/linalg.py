@@ -11,6 +11,13 @@ row index pairs as ``(i, k) -> i*n + k`` (first leg major).  The reshaped view
 Inner products are linear in the first slot: ``inner(u, v) = sum u_i conj(v_i)``,
 and matrices carry the trace inner product ``<X, Y> = trace(Y^* X)``.
 
+Contraction convention: every contraction is a reshape or transpose of its
+operands followed by one matmul, on operands made C-contiguous at the kernel
+boundary.  A stack of matrices is contracted as its flat rows
+(``flat_rows``), and a small operand is conjugated rather than a large one.  The
+summation order is then fixed by the shapes alone, so a result is bit for bit
+the same whatever the memory layout of the caller's arrays.
+
 A tolerance is one float: an absolute bound on a deviation, DEFAULT_TOL
 unless given.
 """
@@ -29,7 +36,7 @@ DEFAULT_TOL = 1e-10
 
 
 def as_complex_matrix(entries, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Validate and coerce to a finite complex128 matrix."""
+    """Validate and coerce to a finite, C-contiguous complex128 matrix."""
     mat = np.asarray(entries, dtype=complex)
     if mat.ndim != 2:
         raise ValueError(f"expected a matrix, got array of ndim {mat.ndim}")
@@ -37,9 +44,9 @@ def as_complex_matrix(entries, rows: int | None = None, cols: int | None = None)
         raise ValueError(f"expected {rows} rows, got {mat.shape[0]}")
     if cols is not None and mat.shape[1] != cols:
         raise ValueError(f"expected {cols} columns, got {mat.shape[1]}")
-    if not (np.all(np.isfinite(mat.real)) and np.all(np.isfinite(mat.imag))):
+    if not np.isfinite(mat).all():
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
-    return mat
+    return np.ascontiguousarray(mat)
 
 
 def inner(u: np.ndarray, v: np.ndarray) -> complex:
@@ -74,7 +81,13 @@ class Functional:
         return self.density.shape[0]
 
     def __call__(self, x: np.ndarray) -> complex:
-        return complex(np.einsum("ij,ji->", self.density, x))
+        if np.shape(x) != self.density.shape:
+            raise ValueError(f"operator shape {np.shape(x)} does not match density {self.density.shape}")
+        return complex(flat_rows(self.density) @ flat_rows(np.transpose(x)))
+
+    def values_on(self, basis: np.ndarray) -> np.ndarray:
+        """omega(x_k) for every operator x_k of the stack basis."""
+        return flat_rows(basis) @ flat_rows(self.density.T)
 
 
 def matrix_unit_functional(n: int, i: int, j: int) -> Functional:
@@ -131,8 +144,8 @@ def slice_left(omega: Functional, x: np.ndarray) -> np.ndarray:
     n = omega.dim
     if x.shape != (n * n, n * n):
         raise ValueError(f"operator shape {x.shape} incompatible with leg dimension {n}")
-    x4 = x.reshape(n, n, n, n)
-    return np.einsum("ij,jkil->kl", omega.density, x4)
+    legs1_first = np.ascontiguousarray(x.reshape(n, n, n, n).transpose(0, 2, 1, 3))  # [j, i, k, l]
+    return (flat_rows(omega.density.T) @ legs1_first.reshape(n * n, n * n)).reshape(n, n)
 
 
 def slice_right(theta: Functional, x: np.ndarray) -> np.ndarray:
@@ -141,8 +154,8 @@ def slice_right(theta: Functional, x: np.ndarray) -> np.ndarray:
     n = theta.dim
     if x.shape != (n * n, n * n):
         raise ValueError(f"operator shape {x.shape} incompatible with leg dimension {n}")
-    x4 = x.reshape(n, n, n, n)
-    return np.einsum("kl,iljk->ij", theta.density, x4)
+    legs2_last = np.ascontiguousarray(x.reshape(n, n, n, n).transpose(0, 2, 3, 1))   # [i, j, k, l]
+    return (legs2_last.reshape(n * n, n * n) @ flat_rows(theta.density)).reshape(n, n)
 
 
 def random_complex(rng: np.random.Generator, shape) -> np.ndarray:
@@ -179,21 +192,43 @@ def span_basis(mats, tol: float = DEFAULT_TOL) -> np.ndarray:
     return vh[:rank].reshape((rank,) + shape)
 
 
+def flat_rows(stack: np.ndarray) -> np.ndarray:
+    """A stack of matrices (..., rows, cols) as a C-contiguous complex array
+    of flat rows (..., rows * cols)."""
+    stack = np.ascontiguousarray(stack, dtype=complex)
+    return stack.reshape(stack.shape[:-2] + (stack.shape[-2] * stack.shape[-1],))
+
+
+def span_project(x: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float]:
+    """Coordinates of x, or of each operator of a stack x, in an orthonormal
+    basis, and the largest entry of x minus its orthogonal projection."""
+    coeffs = span_coords(x, basis)
+    return coeffs, max_abs(np.asarray(x, dtype=complex) - span_reconstruct(coeffs, basis))
+
+
 def membership_residual(x: np.ndarray, basis: np.ndarray) -> float:
     """Largest entry of x, or of any operator of a stack x, minus its
     orthogonal projection onto span(basis)."""
-    x = np.asarray(x, dtype=complex)
-    return max_abs(x - span_reconstruct(span_coords(x, basis), basis))
+    return span_project(x, basis)[1]
 
 
 def span_coords(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Coefficients of x, or of each operator of a stack x, in an orthonormal
-    basis (projection coordinates)."""
-    return np.einsum("kab,...ab->...k", basis.conj(), np.asarray(x, dtype=complex))
+    basis (projection coordinates): conj(conj(x) @ B^T) on the flat rows B of
+    the basis, so the operand is conjugated and the basis is not."""
+    if np.shape(x)[-2:] != np.shape(basis)[1:]:
+        raise ValueError(f"operand shape {np.shape(x)} does not match basis {np.shape(basis)}")
+    x_flat, b_flat = flat_rows(x), flat_rows(basis)
+    coeffs = (x_flat.reshape(-1, x_flat.shape[-1]).conj() @ b_flat.T).conj()
+    return coeffs.reshape(x_flat.shape[:-1] + (len(b_flat),))
 
 
 def span_reconstruct(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    return np.einsum("...k,kab->...ab", np.asarray(coeffs, dtype=complex), basis)
+    """The operator, or stack of operators, with the given coordinates in an
+    orthonormal basis."""
+    coeffs = np.ascontiguousarray(coeffs, dtype=complex)
+    flat = coeffs.reshape(-1, coeffs.shape[-1]) @ flat_rows(basis)
+    return flat.reshape(coeffs.shape[:-1] + np.shape(basis)[1:])
 
 
 @dataclass(frozen=True)

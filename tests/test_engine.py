@@ -9,9 +9,10 @@ import weakref
 import numpy as np
 import pytest
 
-from qgft import groups, models
+from qgft import engine, groups, models
 from qgft.cli import parse_group_spec
 from qgft.engine import (
+    ANTIPODE_SINGULAR_RTOL,
     ClosureFailure,
     InconsistentSlices,
     MultiplicativeUnitary,
@@ -564,6 +565,20 @@ def test_singular_antipode_raises():
         broken.s_inv_mat
 
 
+@pytest.mark.parametrize("ratio, singular", [(2e-10, False), (0.5e-10, True)])
+def test_antipode_singularity_cutoff_edge(ratio, singular):
+    # smallest/largest singular value on either side of the cutoff
+    assert (ratio < ANTIPODE_SINGULAR_RTOL) == singular
+    qg = z2().qg
+    pair = QuantumGroupPair(qg.mu, qg.m_basis, qg.mhat_basis, qg.phi, qg.phihat,
+                            np.diag([1.0, ratio]), qg.shat_mat)
+    if singular:
+        with pytest.raises(SingularAntipode):
+            pair.s_inv_mat
+    else:
+        np.testing.assert_allclose(pair.s_inv_mat, np.diag([1.0, 1.0 / ratio]))
+
+
 # ------------------------------------------------------------------- sharp
 
 def test_sharp_identity_evaluation_z2():
@@ -644,6 +659,31 @@ def test_slice_product_laws():
         qg = model(g).qg
         rng = np.random.default_rng(5)
         assert check_slice_product_laws(qg, rng, samples=3).passed
+
+
+def test_slice_product_laws_do_not_depend_on_the_layout_of_w():
+    qg = pair_from_unitary(transported_dihedral3())
+    fortran_w = np.asfortranarray(qg.w)
+    assert not fortran_w.flags.c_contiguous
+    fortran = QuantumGroupPair(MultiplicativeUnitary(qg.n, dense=fortran_w), qg.m_basis,
+                               qg.mhat_basis, qg.phi, qg.phihat, qg.s_mat, qg.shat_mat)
+    want = check_slice_product_laws(qg, np.random.default_rng(3), samples=2).deviation
+    assert check_slice_product_laws(fortran, np.random.default_rng(3), samples=2).deviation == want
+
+
+def test_slice_product_law_functionals_match_einsum_formulas():
+    # the three functionals check_slice_product_laws tabulates, against the
+    # four-operand sums that define them
+    n, rng = 3, np.random.default_rng(8)
+    w4 = random_unitary(rng, n * n).reshape(n, n, n, n)
+    r1, r2 = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+    delta = engine._conjugated_unit_values(w4.conj().transpose(2, 3, 1, 0))
+    delta_hat_cop = engine._conjugated_unit_values(w4)
+    cases = [(delta(r1, r2), "ij,kl,pajl,pbik->ab", w4.conj(), w4),
+             (delta_hat_cop(r1, r2), "ij,kl,jlaq,ikbq->ab", w4, w4.conj()),
+             (delta_hat_cop(r2, r1), "ij,kl,ljaq,kibq->ab", w4, w4.conj())]
+    for got, spec, x, y in cases:
+        np.testing.assert_allclose(got, np.einsum(spec, r1, r2, x, y), atol=1e-12)
 
 
 # ------------------------------------------------------------- pontryagin

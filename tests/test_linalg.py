@@ -17,6 +17,8 @@ from qgft.linalg import (
     slice_left,
     slice_right,
     span_basis,
+    span_coords,
+    span_reconstruct,
     subspace_equal,
     trace_functional,
 )
@@ -297,4 +299,57 @@ def test_random_draws_take_the_real_part_first():
     fresh = np.random.default_rng(6)
     coeffs = fresh.standard_normal(3) + 1j * fresh.standard_normal(3)
     np.testing.assert_array_equal(random_element(np.random.default_rng(6), basis),
-                                  np.einsum("k,kab->ab", coeffs, basis))
+                                  (coeffs.reshape(1, 3) @ basis.reshape(3, 4)).reshape(2, 2))
+
+
+def reversed_strides(a):
+    """The same entries as a, as a view with negative strides."""
+    return np.flip(np.flip(a, -1).copy(), -1)
+
+
+LAYOUTS = (np.ascontiguousarray, np.asfortranarray, reversed_strides)
+
+
+def test_kernels_do_not_depend_on_memory_layout():
+    # operands are made C-contiguous before each product, so every layout of
+    # the same entries sums in the same order
+    n = 3
+    basis = span_basis([random_matrix(n) for _ in range(5)])
+    x, density, w = random_matrix(n), random_matrix(n), random_matrix(n * n)
+    stack, coeffs = np.stack([random_matrix(n) for _ in range(4)]), random_matrix(4, len(basis))
+    results = []
+    for layout in LAYOUTS:
+        b, f = layout(basis), Functional(layout(density))
+        assert layout is np.ascontiguousarray or not b.flags.c_contiguous
+        results.append((span_coords(layout(x), b), span_coords(layout(stack), b),
+                        span_reconstruct(layout(coeffs), b),
+                        span_reconstruct(layout(coeffs[0]), b),
+                        membership_residual(layout(stack), b),
+                        slice_left(f, layout(w)), slice_right(f, layout(w)),
+                        f(layout(x)), f.values_on(b)))
+    for other in results[1:]:
+        for got, want in zip(other, results[0]):
+            np.testing.assert_array_equal(got, want)
+
+
+def test_flat_kernels_match_einsum_oracles():
+    n = 3
+    basis = span_basis([random_matrix(n) for _ in range(5)])
+    stack, coeffs = np.stack([random_matrix(n) for _ in range(4)]), random_matrix(4, len(basis))
+    f, w = Functional(random_matrix(n)), random_matrix(n * n)
+    np.testing.assert_allclose(span_coords(stack, basis),
+                               np.einsum("kab,sab->sk", basis.conj(), stack), atol=1e-13)
+    np.testing.assert_allclose(span_reconstruct(coeffs, basis),
+                               np.einsum("sk,kab->sab", coeffs, basis), atol=1e-13)
+    np.testing.assert_allclose(f.values_on(basis),
+                               np.einsum("ij,kji->k", f.density, basis), atol=1e-13)
+    assert f(w[:n, :n]) == pytest.approx(np.trace(f.density @ w[:n, :n]), abs=1e-13)
+
+
+def test_flat_kernels_reject_mismatched_shapes():
+    # a flat product would silently pair entries of operands of equal size
+    basis = span_basis([random_matrix(2) for _ in range(3)])
+    with pytest.raises(ValueError):
+        span_coords(random_matrix(1, 4), basis)
+    with pytest.raises(ValueError):
+        Functional(random_matrix(2))(random_matrix(1, 4))

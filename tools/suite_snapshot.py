@@ -4,7 +4,9 @@
 
 Run it from the repository root on two commits and compare the two files with
 `cmp`: a change that keeps the arithmetic of every check leaves them
-byte-identical.  The sources are
+byte-identical.  A change that moves deviations on purpose is compared with
+`tools/suite_diff.py`, which reads each report's checks and its
+`first_failed` stage ("" when every check passes).  The sources are
 
 * the ten group models below, at suite seed 11;
 * the two n = 12 unitaries of the verify-dense benchmark workload (workload
@@ -65,7 +67,9 @@ def main(argv: list[str]) -> int:
     reports = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, seed, source in sources(Path(tmp)):
-            report = run_suite(source, seed=seed, model_name=name).to_json_dict()
+            result = run_suite(source, seed=seed, model_name=name)
+            report = result.to_json_dict()
+            report["first_failed"] = result.first_failed or ""
             for check in report["checks"]:
                 check["elapsed_ms"] = 0.0
             reports.append(report)
