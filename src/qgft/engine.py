@@ -20,9 +20,12 @@ Heavy identities on the generated algebras (coassociativity, invariance) are
 checked in coefficient space, on the pair's cached tensor `qg.delta_coeffs`:
 with orthonormal algebra bases it reproduces the operator-level Frobenius
 deviations exactly, up to the separately reported span-membership residual,
-and never materializes operators on the tensor cube.  The checks of a built
-pair take `(qg, tol)` with `tol` one float absolute bound; `check_pentagon(mu)`
-bounds by 0, or by DENSE_PENTAGON_TOL for a dense W.  The pair caches no dense W.
+and never materializes operators on the tensor cube.  For a permutation W the
+tensor is read from W's inverse index maps in O(m^2 n^3), with no operator on
+the tensor square; its membership residual still covers every entry of every
+delta(x_i).  The checks of a built pair take `(qg, tol)` with `tol` one float
+absolute bound; `check_pentagon(mu)` bounds by 0, or by DENSE_PENTAGON_TOL for
+a dense W.  The pair caches no dense W.
 """
 
 from __future__ import annotations
@@ -41,11 +44,12 @@ from .linalg import (
     deviation,
     flat_rows,
     flip,
+    left_slicer,
     max_abs,
     membership_residual,
     random_complex,
+    right_slicer,
     slice_left,
-    slice_right,
     span_basis,
     span_coords,
     span_project,
@@ -58,6 +62,9 @@ DENSE_PENTAGON_TOL = 1e-12
 # The antipode matrix is singular when its smallest singular value is at most
 # this fraction of its largest.
 ANTIPODE_SINGULAR_RTOL = 1e-10
+# A permutation W's coefficient-tensor residual is reconstructed in blocks of
+# rows holding at most this many entries.
+_RESIDUAL_BLOCK_ENTRIES = 1 << 15
 
 
 class ClosureFailure(ValueError):
@@ -100,7 +107,8 @@ class MultiplicativeUnitary:
     The permutation form stores index maps (s, t) -> (sig[s, t], tau[s, t]),
     W e_(s,t) = e_(sig, tau).  The kernels that use it are exact index
     computations: unitarity and the pentagon compare index tables, `dual`
-    returns the permutation form of What, and `comultiply` is a gather.
+    returns the permutation form of What, `comultiply` is a gather, and
+    `comult_coeff_tensor` reads its coefficients from `inverse_perm`.
     """
 
     def __init__(self, n: int, dense: np.ndarray | None = None,
@@ -150,18 +158,27 @@ class MultiplicativeUnitary:
         """What = Sigma W^* Sigma; it holds no reference back to W.
 
         For a permutation W, What e_(tau, sig) = e_(t, s), so What is the
-        permutation with sig_hat[tau, sig] = t and tau_hat[tau, sig] = s.
+        permutation with sig_hat[tau, sig] = t and tau_hat[tau, sig] = s,
+        read from `inverse_perm`.
         """
         if not self.is_permutation:
             return MultiplicativeUnitary(self.n, dense=_swap_legs(self.dense.conj().T, self.n))
+        s_of, t_of = self.inverse_perm
+        return MultiplicativeUnitary.from_permutation(np.ascontiguousarray(t_of.T),
+                                                      np.ascontiguousarray(s_of.T))
+
+    @cached_property
+    def inverse_perm(self) -> tuple[np.ndarray, np.ndarray]:
+        """The inverse index maps of a permutation W: index tables s_of, t_of
+        over (sig, tau) with W e_(s_of[sig, tau], t_of[sig, tau]) = e_(sig, tau)."""
         if self.unitarity_deviation() != 0.0:
             raise ValueError("permutation maps are not a bijection of basis pairs")
         sig, tau = self.perm
         s, t = np.indices(sig.shape)
-        sig_hat, tau_hat = np.empty_like(sig), np.empty_like(tau)
-        sig_hat[tau, sig] = t
-        tau_hat[tau, sig] = s
-        return MultiplicativeUnitary.from_permutation(sig_hat, tau_hat)
+        s_of, t_of = np.empty_like(sig), np.empty_like(tau)
+        s_of[sig, tau] = s
+        t_of[sig, tau] = t
+        return s_of, t_of
 
     @cached_property
     def comult_gather(self) -> tuple[np.ndarray, np.ndarray]:
@@ -326,12 +343,23 @@ def _swap_legs(x: np.ndarray, n: int) -> np.ndarray:
 def comult_coeff_tensor(mu: MultiplicativeUnitary, basis: np.ndarray) -> tuple[np.ndarray, float]:
     """Coefficient tensor D of delta = comultiply(mu, .) over an orthonormal
     basis: delta(x_i) = sum_{k,l} D[k, l, i] x_k (x) x_l, plus the largest
-    membership residual of any delta(x_i) in span (x) span.
+    membership residual of any delta(x_i) in span (x) span.  The residual
+    covers every one of the n^4 entries of every delta(x_i), on both routes.
 
     With the flat basis B[k, (a c)] = x_k[a, c] and T[(a c), (b d)] =
     delta(x_i)[(a b), (c d)], D[:, :, i] = (conj(B) @ T) @ conj(B)^T, and the
-    residual compares T with B^T @ (D[:, :, i] @ B), n rows at a time."""
-    m, n = basis.shape[:2]
+    residual compares T with B^T @ (D[:, :, i] @ B).  A permutation W reads D
+    from its index maps in O(m^2 n^3) (`_gathered_coeff_tensor`); a dense W
+    forms T and takes two products per element, n rows of the residual at a
+    time."""
+    m = basis.shape[0]
+    if m == 0:
+        return np.zeros((0, 0, 0), dtype=complex), 0.0
+    n = mu.n
+    if basis.shape[1:] != (n, n):
+        raise ValueError(f"basis shape {basis.shape} does not match leg dimension {n}")
+    if mu.is_permutation:
+        return _gathered_coeff_tensor(mu, np.ascontiguousarray(basis, dtype=complex))
     n2 = n * n
     flat = basis.reshape(m, n2)
     flat_conj = flat.conj()
@@ -347,6 +375,54 @@ def comult_coeff_tensor(mu: MultiplicativeUnitary, basis: np.ndarray) -> tuple[n
         for r in range(0, n2, n):
             np.subtract(np.matmul(flat.T[r:r + n], cb, out=recon), t[r:r + n], out=recon)
             residual = max(residual, float(np.abs(recon, out=mag).max()))
+    return coeffs, residual
+
+
+def _gathered_coeff_tensor(mu: MultiplicativeUnitary, basis: np.ndarray) -> tuple[np.ndarray, float]:
+    """comult_coeff_tensor of a permutation W, with no operator on the tensor square.
+
+    With (s, t) = (s_of, t_of)[sig, tau] the pair that W sends to (sig, tau),
+    delta(x)[(s t)(sig, tau), (s t)(sig, tau')] = x[tau, tau'] and every other
+    entry is 0, so
+      D[k, l, i] = sum_{tau, tau'} Z[k, l, tau, tau'] x_i[tau, tau'],
+      Z[k, l, tau, tau'] = sum_sig conj(x_k[s(sig, tau), s(sig, tau')] x_l[t(sig, tau), t(sig, tau')]):
+    for each tau, one batch of n (m x n)(n x m) products over tau' and one
+    (m^2 x n)(n x m) product, O(m^2 n^3) in all.  The residual builds
+    B^T @ (D[:, :, i] @ B) in blocks of rows of T and subtracts the n^3
+    nonzeros of delta(x_i), placed by `mu.comult_gather`, in place."""
+    m, n = basis.shape[:2]
+    n2 = n * n
+    s_of, t_of = mu.inverse_perm
+    conj_cols = np.ascontiguousarray(basis.conj().transpose(1, 2, 0))           # [a, c, k]
+    d = np.zeros((m * m, m), dtype=complex)                                     # [(k l), i]
+    for tau in range(n):
+        xs = conj_cols[s_of[:, tau][None, :], s_of.T]                           # [tau', sig, k]
+        xt = conj_cols[t_of[:, tau][None, :], t_of.T]                           # [tau', sig, l]
+        z = np.matmul(xs.transpose(0, 2, 1), xt).reshape(n, m * m)              # [tau', (k l)]
+        d += z.T @ basis[:, tau, :].T
+    coeffs = d.reshape(m, m, m)
+
+    dst, src = mu.comult_gather
+    a, b, c, e = np.unravel_index(dst, (n, n, n, n))
+    t_dst = (a * n + c) * n2 + b * n + e                                        # into T[(a c), (b e)]
+    order = np.argsort(t_dst)
+    t_dst, src = t_dst[order], src[order]
+    rows = max(1, min(n2, _RESIDUAL_BLOCK_ENTRIES // n2))
+    starts = range(0, n2, rows)
+    bounds = np.searchsorted(t_dst, [r * n2 for r in starts] + [n2 * n2])
+    flat = basis.reshape(m, n2)
+    flat_t = np.ascontiguousarray(flat.T)
+    recon, mag = np.empty((rows, n2), dtype=complex), np.empty((rows, n2))
+    residual = 0.0
+    for i in range(m):
+        cb = coeffs[:, :, i] @ flat
+        x = basis[i].reshape(n2)
+        for j, r in enumerate(starts):
+            block = recon[:min(rows, n2 - r)]
+            np.matmul(flat_t[r:r + rows], cb, out=block)
+            lo, hi = bounds[j], bounds[j + 1]
+            block.reshape(-1)[t_dst[lo:hi] - r * n2] -= x[src[lo:hi]]
+            residual = max(residual, float(np.abs(block, out=mag[:len(block)]).max()))
     return coeffs, residual
 
 
@@ -783,6 +859,17 @@ def _conjugated_unit_values(x4: np.ndarray):
     return values
 
 
+def _product_law_deviation(slicer, draws, comultiplied_values) -> float:
+    """Largest entry of slicer(f1) slicer(f2) - slicer(f12) over the drawn
+    densities (r1, r2) of f1, f2, where f12 has the values
+    comultiplied_values(r1, r2) on the matrix units."""
+    dev = 0.0
+    for r1, r2 in draws:
+        lhs = slicer(Functional(r1)) @ slicer(Functional(r2))
+        dev = max(dev, deviation(lhs, slicer(Functional(comultiplied_values(r1, r2).T))))
+    return dev
+
+
 def check_slice_product_laws(qg: QuantumGroupPair, rng: np.random.Generator,
                              samples: int = 5, tol: float = DEFAULT_TOL) -> CheckReport:
     """Multiplicativity of W: products of slices are slices of the
@@ -790,36 +877,27 @@ def check_slice_product_laws(qg: QuantumGroupPair, rng: np.random.Generator,
 
     The comultiplied functionals (e.g. mu = (omega1 (x) omega2) o delta) are
     evaluated on all matrix units in one contraction against W, never forming
-    operators on the tensor square per unit.
+    operators on the tensor square per unit.  Each law lays its operand out
+    once for every sample, and one law at a time.
     """
     n = qg.n
-    w, w4, w_adj = qg.w, qg.w4, qg.w.conj().T
-    delta_on_units = _conjugated_unit_values(w4.conj().transpose(2, 3, 1, 0))   # X = W^* Sigma
+    w, w4 = qg.w, qg.w4
+    draws = [(random_complex(rng, (n, n)), random_complex(rng, (n, n))) for _ in range(samples)]
+
+    # (omega1 (x) id)(W)(omega2 (x) id)(W) = (mu (x) id)(W),
+    # mu = (omega1 (x) omega2) o delta.  mu(E_ab) tabulated directly.
+    dev = _product_law_deviation(left_slicer(w, n), draws,
+                                 _conjugated_unit_values(w4.conj().transpose(2, 3, 1, 0)))  # X = W^* Sigma
+
+    # (id (x) theta1)(W)(id (x) theta2)(W) = (id (x) nu)(W),
+    # nu = (theta1 (x) theta2) o delta_hat_cop with delta_hat_cop(y) = W(y (x) 1)W^*.
     delta_hat_cop_on_units = _conjugated_unit_values(w4)                       # X = W
-    dev = 0.0
+    dev = max(dev, _product_law_deviation(right_slicer(w, n), draws, delta_hat_cop_on_units))
 
-    for _ in range(samples):
-        r1, r2 = random_complex(rng, (n, n)), random_complex(rng, (n, n))
-        f1, f2 = Functional(r1), Functional(r2)
-
-        # (omega1 (x) id)(W)(omega2 (x) id)(W) = (mu (x) id)(W),
-        # mu = (omega1 (x) omega2) o delta.  mu(E_ab) tabulated directly.
-        mu_vals = delta_on_units(r1, r2)
-        lhs = slice_left(f1, w) @ slice_left(f2, w)
-        dev = max(dev, deviation(lhs, slice_left(Functional(mu_vals.T), w)))
-
-        # (id (x) theta1)(W)(id (x) theta2)(W) = (id (x) nu)(W),
-        # nu = (theta1 (x) theta2) o delta_hat_cop with delta_hat_cop(y) = W(y (x) 1)W^*.
-        nu_vals = delta_hat_cop_on_units(r1, r2)
-        lhs = slice_right(f1, w) @ slice_right(f2, w)
-        dev = max(dev, deviation(lhs, slice_right(Functional(nu_vals.T), w)))
-
-        # Same law for W^*, now with the unflipped delta_hat = (theta2 (x) theta1)
-        # o delta_hat_cop.
-        nu_prime_vals = delta_hat_cop_on_units(r2, r1)
-        lhs = slice_right(f1, w_adj) @ slice_right(f2, w_adj)
-        dev = max(dev, deviation(lhs, slice_right(Functional(nu_prime_vals.T), w_adj)))
-
+    # Same law for W^*, now with the unflipped delta_hat = (theta2 (x) theta1)
+    # o delta_hat_cop.
+    dev = max(dev, _product_law_deviation(right_slicer(w.conj().T, n), draws,
+                                          lambda r1, r2: delta_hat_cop_on_units(r2, r1)))
     return CheckReport("slice-product-laws", dev, tol)
 
 

@@ -30,11 +30,11 @@ from .linalg import (
     as_complex_matrix,
     deviation,
     inner,
+    left_slicer,
     max_abs,
     random_complex,
     random_element,
-    slice_left,
-    slice_right,
+    right_slicer,
     span_reconstruct,
 )
 
@@ -216,35 +216,31 @@ def check_pairing_axioms(qg: QuantumGroupPair, rng: np.random.Generator,
     n = qg.n
     d, _ = qg.delta_coeffs
     dh, _ = qg.dual.delta_coeffs
-    w = qg.w
+    w_left, w_right = left_slicer(qg.w, n), right_slicer(qg.w, n)
     m, mhat = d.shape[0], dh.shape[0]
     dev = 0.0
 
     for _ in range(samples):
         w1, w2, t1, t2 = (Functional(random_complex(rng, (n, n))) for _ in range(4))
+        b1, b2 = w_left(w1), w_left(w2)
+        a1, a2 = w_right(t1), w_right(t2)
 
-        # (1): theta-presentation of a evaluates the left side.
-        a = slice_right(t1, w)
-        b1, b2 = slice_left(w1, w), slice_left(w2, w)
+        # (1): theta-presentation of a = a1 evaluates the left side.
         lhs = t1(b1 @ b2)
-        delta_a = (d.reshape(m * m, m) @ qg.coords_m(a)).reshape(m, m)
+        delta_a = (d.reshape(m * m, m) @ qg.coords_m(a1)).reshape(m, m)
         rhs = complex(w1.values_on(qg.m_basis) @ delta_a @ w2.values_on(qg.m_basis))
         dev = max(dev, abs(lhs - rhs))
 
-        # (2): omega-presentation of b evaluates the left side.
-        b = slice_left(w1, w)
-        a1, a2 = slice_right(t1, w), slice_right(t2, w)
+        # (2): omega-presentation of b = b1 evaluates the left side.
         lhs = w1(a1 @ a2)
-        delta_hat_b = (dh.reshape(mhat * mhat, mhat) @ qg.dual.coords_m(b)).reshape(mhat, mhat)
+        delta_hat_b = (dh.reshape(mhat * mhat, mhat) @ qg.dual.coords_m(b1)).reshape(mhat, mhat)
         rhs = complex(t2.values_on(qg.mhat_basis) @ delta_hat_b @ t1.values_on(qg.mhat_basis))
         dev = max(dev, abs(lhs - rhs))
 
-        # (3): omega = (omega0)^sharp exercises the sharp construction.
+        # (3): omega = (omega0)^sharp exercises the sharp construction; a = a2.
         omega = sharp(w2, qg.s_mat, qg.m_basis)
-        b = slice_left(omega, w)
-        a = slice_right(t2, w)
-        lhs = omega(qg.apply_s(a))
-        rhs = t2(qg.dual.apply_s_inv(b))
+        lhs = omega(qg.apply_s(a2))
+        rhs = t2(qg.dual.apply_s_inv(w_left(omega)))
         dev = max(dev, abs(lhs - rhs))
 
     return CheckReport("pairing-axioms", dev, tol)

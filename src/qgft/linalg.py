@@ -1,5 +1,6 @@
 """Dense complex tensor kernel: Kronecker products, leg embeddings, the flip,
-the one single-functional slice kernel (slice_left/slice_right), seeded
+the one slice kernel (left_slicer/right_slicer, which lay an operator out once
+for many functionals, and slice_left/slice_right, one application each), seeded
 complex Gaussian draws, and numerically robust span/membership tests.
 
 Index convention (normative for the whole package): an operator ``X`` on the
@@ -134,28 +135,48 @@ def leg_embed(x: np.ndarray, placement: int, n: int) -> np.ndarray:
     raise ValueError(f"placement must be one of 12, 13, 23; got {placement}")
 
 
-def slice_left(omega: Functional, x: np.ndarray) -> np.ndarray:
-    """Apply a functional to the first tensor leg: (omega (x) id)(x).
-
-    For x = sum_k a_k (x) b_k this returns sum_k omega(a_k) b_k, computed as
-    the partial trace over leg 1 of (density (x) 1) x.
-    """
+def _legs(x: np.ndarray, n: int, axes: tuple[int, ...]) -> np.ndarray:
+    """x on the tensor square of C^n, its four legs transposed by axes and
+    laid out C-contiguous as an n^2 x n^2 matrix."""
     x = np.asarray(x, dtype=complex)
-    n = omega.dim
     if x.shape != (n * n, n * n):
         raise ValueError(f"operator shape {x.shape} incompatible with leg dimension {n}")
-    legs1_first = np.ascontiguousarray(x.reshape(n, n, n, n).transpose(0, 2, 1, 3))  # [j, i, k, l]
-    return (flat_rows(omega.density.T) @ legs1_first.reshape(n * n, n * n)).reshape(n, n)
+    return np.ascontiguousarray(x.reshape(n, n, n, n).transpose(axes)).reshape(n * n, n * n)
+
+
+def left_slicer(x: np.ndarray, n: int):
+    """The map omega -> (omega (x) id)(x), with x laid out once for every
+    functional it is applied to.
+
+    For x = sum_k a_k (x) b_k the map returns sum_k omega(a_k) b_k, computed
+    as the partial trace over leg 1 of (density (x) 1) x.
+    """
+    legs1_first = _legs(x, n, (0, 2, 1, 3))                                   # [(i j), (k l)]
+
+    def apply(omega: Functional) -> np.ndarray:
+        return (flat_rows(omega.density.T) @ legs1_first).reshape(n, n)
+    return apply
+
+
+def right_slicer(x: np.ndarray, n: int):
+    """The map theta -> (id (x) theta)(x), with x laid out once."""
+    legs2_last = _legs(x, n, (0, 2, 3, 1))                                    # [(i j), (l k)]
+
+    def apply(theta: Functional) -> np.ndarray:
+        return (legs2_last @ flat_rows(theta.density)).reshape(n, n)
+    return apply
+
+
+def slice_left(omega: Functional, x: np.ndarray) -> np.ndarray:
+    """Apply a functional to the first tensor leg: (omega (x) id)(x); one
+    application of `left_slicer`."""
+    return left_slicer(x, omega.dim)(omega)
 
 
 def slice_right(theta: Functional, x: np.ndarray) -> np.ndarray:
-    """Apply a functional to the second tensor leg: (id (x) theta)(x)."""
-    x = np.asarray(x, dtype=complex)
-    n = theta.dim
-    if x.shape != (n * n, n * n):
-        raise ValueError(f"operator shape {x.shape} incompatible with leg dimension {n}")
-    legs2_last = np.ascontiguousarray(x.reshape(n, n, n, n).transpose(0, 2, 3, 1))   # [i, j, k, l]
-    return (legs2_last.reshape(n * n, n * n) @ flat_rows(theta.density)).reshape(n, n)
+    """Apply a functional to the second tensor leg: (id (x) theta)(x); one
+    application of `right_slicer`."""
+    return right_slicer(x, theta.dim)(theta)
 
 
 def random_complex(rng: np.random.Generator, shape) -> np.ndarray:

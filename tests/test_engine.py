@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from qgft import engine, groups, models
+from qgft import engine, groups, linalg, models
 from qgft.cli import parse_group_spec
 from qgft.engine import (
     ANTIPODE_SINGULAR_RTOL,
@@ -49,7 +49,7 @@ from qgft.engine import (
     slice_span_m,
     slice_span_mhat,
 )
-from qgft.fourier import inverse_fourier
+from qgft.fourier import check_pairing_axioms, inverse_fourier
 from qgft.linalg import (
     Functional,
     flip,
@@ -412,6 +412,73 @@ def test_coeff_tensor_matches_einsum_formulas(label, side):
     assert (residual > 0.1) == (side == "dropped")
 
 
+def rotated(basis, seed):
+    """The basis rotated by a seeded random m x m unitary: another orthonormal
+    basis of the same span, with dense elements."""
+    m = basis.shape[0]
+    u = random_unitary(np.random.default_rng(seed), m)
+    return (u @ basis.reshape(m, -1)).reshape(basis.shape)
+
+
+@pytest.mark.parametrize("kind", ["exact", "rotated", "dropped", "rotated-dropped"])
+@pytest.mark.parametrize("side", ["pair", "dual"])
+@pytest.mark.parametrize("spec", ["dihedral:6", "s4"])
+def test_permutation_coeff_tensor_matches_the_dense_route(spec, side, kind):
+    qg = model(parse_group_spec(spec)).qg
+    qg = qg.dual if side == "dual" else qg
+    basis = rotated(qg.m_basis, 3) if kind.startswith("rotated") else qg.m_basis
+    basis = basis[:-1] if kind.endswith("dropped") else basis
+    coeffs, residual = comult_coeff_tensor(qg.mu, basis)
+    want_coeffs, want_residual = comult_coeff_tensor(
+        MultiplicativeUnitary.from_dense(qg.mu.dense), basis)
+    assert np.max(np.abs(coeffs - want_coeffs)) <= 1e-13
+    assert abs(residual - want_residual) <= 1e-13
+    # delta(L_g) = L_g (x) L_g on the dual's exact basis, so dropping one of
+    # its elements leaves the others inside span (x) span
+    leaves_span = kind == "rotated-dropped" or (kind == "dropped" and side == "pair")
+    assert (residual > 0.01) == leaves_span
+
+
+def permutation_and_dense(spec):
+    mu = model(parse_group_spec(spec)).qg.mu
+    return [mu, MultiplicativeUnitary.from_dense(mu.dense)]
+
+
+@pytest.mark.parametrize("route", [0, 1], ids=["permutation", "dense"])
+def test_coeff_tensor_of_an_empty_basis(route):
+    mu = permutation_and_dense("s3")[route]
+    for basis in (np.zeros((0, 6, 6), dtype=complex), np.zeros((0, 0, 0), dtype=complex)):
+        coeffs, residual = comult_coeff_tensor(mu, basis)
+        assert coeffs.shape == (0, 0, 0) and residual == 0.0
+
+
+@pytest.mark.parametrize("route", [0, 1], ids=["permutation", "dense"])
+def test_coeff_tensor_rejects_a_basis_of_another_leg_dimension(route):
+    mu = permutation_and_dense("s3")[route]
+    with pytest.raises(ValueError):
+        comult_coeff_tensor(mu, np.eye(5, dtype=complex)[None])
+
+
+@pytest.mark.parametrize("side", ["pair", "dual"])
+def test_permutation_coeff_tensor_memory_peak_on_s4(side):
+    # the dense route holds two n^4 operators per element, 11.3 MiB at n = 24
+    qg = model(groups.symmetric(4)).qg
+    pair = qg.dual if side == "dual" else qg
+    tracemalloc.start()
+    try:
+        comult_coeff_tensor(pair.mu, pair.m_basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2 ** 20
+
+
+def test_coeff_tensors_of_a_permutation_w_build_no_dense_w():
+    qg = model(groups.symmetric(4)).qg
+    qg.delta_coeffs, qg.dual.delta_coeffs
+    assert qg.mu._dense is None and qg.mu.dual._dense is None
+
+
 # ------------------------------------------------------------- invariance
 
 def test_left_invariance_models():
@@ -669,6 +736,20 @@ def test_slice_product_laws_do_not_depend_on_the_layout_of_w():
                                qg.mhat_basis, qg.phi, qg.phihat, qg.s_mat, qg.shat_mat)
     want = check_slice_product_laws(qg, np.random.default_rng(3), samples=2).deviation
     assert check_slice_product_laws(fortran, np.random.default_rng(3), samples=2).deviation == want
+
+
+def test_slicing_checks_lay_each_operand_out_once(monkeypatch):
+    # three operands for the slice-product laws (W on each leg, W^* on leg 2)
+    # and two for the pairing axioms (W on each leg), whatever the sample count
+    layouts = []
+    lay_out = linalg._legs
+    monkeypatch.setattr(linalg, "_legs", lambda *args: layouts.append(args[2]) or lay_out(*args))
+    qg = model(groups.symmetric(3)).qg
+    check_slice_product_laws(qg, np.random.default_rng(1), samples=4)
+    assert len(layouts) == 3
+    layouts.clear()
+    check_pairing_axioms(qg, np.random.default_rng(1), samples=4)
+    assert len(layouts) == 2
 
 
 def test_slice_product_law_functionals_match_einsum_formulas():

@@ -1,0 +1,30 @@
+"""tools/kernel_times.py on s3, with one timed call per kernel."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+SPEC = importlib.util.spec_from_file_location(
+    "kernel_times", Path(__file__).resolve().parent.parent / "tools" / "kernel_times.py")
+kernel_times = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(kernel_times)
+
+
+def test_kernel_times_on_s3(monkeypatch, capsys):
+    monkeypatch.setattr(kernel_times, "REPEATS", 1)
+    assert kernel_times.main(["s3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    names = [(r["kernel"], r["source"], r["side"]) for r in out["kernels"]]
+    dense = [(kernel, label, "") for label in ("transported-dihedral6", "dual-cyclic12")
+             for kernel in ("check_pentagon", "slice_span_m", "slice_span_mhat")]
+    assert names == [("comult_coeff_tensor", "s3", "M"), ("comult_coeff_tensor", "s3", "Mhat"),
+                     *dense, ("run_suite", "s3", "")]
+    for record in out["kernels"]:
+        assert record["best_ms"] > 0 and record["peak_mib"] > 0
+    assert out["environment"]["repeats"] == 1
+
+
+def test_kernel_times_rejects_an_unknown_spec(capsys):
+    assert kernel_times.main(["no-such-group.json"]) == 2
+    assert "kernel_times:" in capsys.readouterr().err
+    assert kernel_times.main(["--help"]) == 2

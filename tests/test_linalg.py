@@ -9,11 +9,13 @@ from qgft.linalg import (
     as_complex_matrix,
     flip,
     kron,
+    left_slicer,
     leg_embed,
     matrix_unit_functional,
     membership_residual,
     random_complex,
     random_element,
+    right_slicer,
     slice_left,
     slice_right,
     span_basis,
@@ -216,6 +218,31 @@ def test_slices_match_oracle_on_random_input():
                                slice_left_oracle(density, x, n), atol=1e-12)
     np.testing.assert_allclose(slice_right(Functional(density), x),
                                slice_right_oracle(density, x, n), atol=1e-12)
+
+
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+def test_slicers_match_single_slices_bit_for_bit(layout):
+    # one layout of x serves many functionals with the arithmetic of one
+    # slice_left / slice_right call each
+    n = 3
+    x = layout(random_matrix(n * n))
+    left, right = left_slicer(x, n), right_slicer(x, n)
+    for _ in range(4):
+        omega = Functional(random_matrix(n))
+        np.testing.assert_array_equal(left(omega), slice_left(omega, x))
+        np.testing.assert_array_equal(right(omega), slice_right(omega, x))
+        np.testing.assert_allclose(left(omega), slice_left_oracle(omega.density, x, n), atol=1e-12)
+
+
+def test_slicers_reject_mismatched_dimensions():
+    with pytest.raises(ValueError, match="leg dimension"):
+        left_slicer(random_matrix(9), 2)
+    with pytest.raises(ValueError, match="leg dimension"):
+        right_slicer(random_matrix(4), 3)
+    with pytest.raises(ValueError):
+        left_slicer(random_matrix(4), 2)(Functional(random_matrix(3)))
+    with pytest.raises(ValueError):
+        right_slicer(random_matrix(4), 2)(Functional(random_matrix(3)))
 
 
 # ---------------------------------------------------------------- spans

@@ -1,0 +1,96 @@
+"""Wall time and memory peak of the engine's heaviest kernels.
+
+    python3 tools/kernel_times.py [SPEC ...]      (default: s4)
+
+Prints JSON with one record per kernel and source: the best of 5 timed calls
+(`best_ms`) and the tracemalloc peak of one more call (`peak_mib`).  Run it
+from the repository root; it imports the package from `src/`, so running the
+same file from a copy of another commit measures that commit.  The kernels are
+
+* `comult_coeff_tensor` on each group SPEC, on its M basis (side M) and on
+  the dual's (side Mhat);
+* `check_pentagon`, `slice_span_m` and `slice_span_mhat` on the two n = 12
+  dense unitaries of the verify-dense benchmark workload (workload seed 11);
+* `run_suite` on each group SPEC at suite seed 11, on a freshly built model
+  per call, so no cached table carries over from one call to the next.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from perfbench.workloads import dense_unitaries
+from qgft import cli, engine, models
+from qgft.verify import run_suite
+
+REPEATS = 5
+SUITE_SEED = 11
+DENSE_SEED = 11
+
+
+def measure(call) -> dict:
+    """Best-of-REPEATS wall time of call(), then the tracemalloc peak of one
+    more call."""
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return {"best_ms": min(times) * 1e3, "peak_mib": peak / 2 ** 20}
+
+
+def kernels(groups: list):
+    """(kernel, source, side, call) for every measured kernel, given
+    (spec, FiniteGroup) pairs."""
+    for spec, group in groups:
+        qg = models.build(group).qg
+        for side, pair in (("M", qg), ("Mhat", qg.dual)):
+            yield ("comult_coeff_tensor", spec, side,
+                   lambda pair=pair: engine.comult_coeff_tensor(pair.mu, pair.m_basis))
+    for label, w in dense_unitaries(DENSE_SEED):
+        mu = engine.MultiplicativeUnitary.from_dense(w)
+        yield "check_pentagon", label, "", lambda mu=mu: engine.check_pentagon(mu)
+        yield "slice_span_m", label, "", lambda mu=mu: engine.slice_span_m(mu)
+        yield "slice_span_mhat", label, "", lambda mu=mu: engine.slice_span_mhat(mu)
+    for spec, group in groups:
+        yield "run_suite", spec, "", lambda group=group: run_suite(models.build(group),
+                                                                   seed=SUITE_SEED)
+
+
+def main(argv: list[str]) -> int:
+    if any(arg.startswith("-") for arg in argv):
+        print(__doc__, file=sys.stderr)
+        return 2
+    try:
+        groups = [(spec, cli.parse_group_spec(spec)) for spec in argv or ["s4"]]
+    except (ValueError, OSError) as exc:
+        print(f"kernel_times: {exc}", file=sys.stderr)
+        return 2
+    records = [{"kernel": kernel, "source": source, "side": side, **measure(call)}
+               for kernel, source, side, call in kernels(groups)]
+    environment = {"python": platform.python_version(), "numpy": np.__version__,
+                   "nproc": os.cpu_count(), "repeats": REPEATS}
+    json.dump({"environment": environment, "kernels": records}, sys.stdout, indent=1)
+    print()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
