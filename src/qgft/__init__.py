@@ -11,7 +11,6 @@ from .engine import (
     MultiplicativeUnitary,
     NotInAlgebra,
     QuantumGroupPair,
-    SharpFunctional,
     SingularAntipode,
     Weight,
     WeightDerivationError,
@@ -30,7 +29,6 @@ from .engine import (
 # The transform itself is reached through the submodule (qgft.fourier.fourier,
 # mirroring scipy.fft.fft) so the function never shadows the submodule.
 from .fourier import (
-    FourierReport,
     PairingValue,
     convolve,
     convolve_direct,
@@ -72,11 +70,11 @@ from .verify import VerificationReport, run_suite
 
 __all__ = [
     "CheckReport", "ClosureFailure", "InconsistentSlices", "MultiplicativeUnitary",
-    "NotInAlgebra", "QuantumGroupPair", "SharpFunctional", "SingularAntipode",
+    "NotInAlgebra", "QuantumGroupPair", "SingularAntipode",
     "Weight", "WeightDerivationError", "antipode_from_slices",
     "antipode_hat_from_slices", "check_pentagon", "comultiply", "dual_comultiply",
     "generate_M", "generate_Mhat", "lam", "lam_hat", "pair_from_unitary", "sharp",
-    "FourierReport", "PairingValue", "convolve", "convolve_direct", "convolve_dual",
+    "PairingValue", "convolve", "convolve_direct", "convolve_dual",
     "convolve_dual_direct", "check_inversion", "check_plancherel", "fourier",
     "inverse_fourier", "pairing",  # "fourier" names the submodule
     "CayleyTableError", "FiniteGroup", "MissingInverse", "NoIdentity",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -85,6 +86,11 @@ def load_unitary(path) -> np.ndarray:
     if n > DENSE_PENTAGON_MAX_DIM:
         raise ValueError(f"{path}: dense unitaries support leg dimension "
                          f"<= {DENSE_PENTAGON_MAX_DIM}, got {n}")
+    for key in ("re", "im"):  # JSON numbers only: true is a bool, an object a dict
+        rows = data[key]
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
+                and set(map(type, chain.from_iterable(rows))) <= {int, float}):
+            raise ValueError(f"{path}: field '{key}' must be a matrix of JSON numbers")
     re = np.asarray(data["re"], dtype=float)
     im = np.asarray(data["im"], dtype=float)
     if re.shape != (n * n, n * n) or im.shape != (n * n, n * n):

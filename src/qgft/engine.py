@@ -23,9 +23,10 @@ deviations exactly, up to the separately reported span-membership residual,
 and never materializes operators on the tensor cube.  For a permutation W the
 tensor is read from W's inverse index maps in O(m^2 n^3), with no operator on
 the tensor square; its membership residual still covers every entry of every
-delta(x_i).  The checks of a built pair take `(qg, tol)` with `tol` one float
-absolute bound; `check_pentagon(mu)` bounds by 0, or by DENSE_PENTAGON_TOL for
-a dense W.  The pair caches no dense W.
+delta(x_i).  A check of a built pair is `check_*(qg, tol)`, or
+`check_*(qg, rng, tol)` on its *_SAMPLES random draws; `tol` is one float
+absolute bound.  `check_unitarity(mu)` and `check_pentagon(mu)` bound by 0,
+or by DENSE_W_TOL for a dense W.  The pair caches no dense W.
 """
 
 from __future__ import annotations
@@ -58,10 +59,14 @@ from .linalg import (
 )
 
 DENSE_PENTAGON_MAX_DIM = 12
-DENSE_PENTAGON_TOL = 1e-12
+# Bound of the unitarity and pentagon checks of a dense W.
+DENSE_W_TOL = 1e-12
 # The antipode matrix is singular when its smallest singular value is at most
 # this fraction of its largest.
 ANTIPODE_SINGULAR_RTOL = 1e-10
+# Random draws of each sampled check.
+SHARP_SAMPLES = 20
+PRODUCT_LAW_SAMPLES = 5
 # A permutation W's coefficient-tensor residual is reconstructed in blocks of
 # rows holding at most this many entries.
 _RESIDUAL_BLOCK_ENTRIES = 1 << 15
@@ -202,6 +207,13 @@ class MultiplicativeUnitary:
         return max(deviation(w @ w.conj().T, eye), deviation(w.conj().T @ w, eye))
 
 
+def check_unitarity(mu: MultiplicativeUnitary) -> CheckReport:
+    """W W^* = W^* W = 1, exactly for a permutation W, within DENSE_W_TOL
+    for a dense W."""
+    return CheckReport("unitarity", mu.unitarity_deviation(),
+                       0.0 if mu.is_permutation else DENSE_W_TOL)
+
+
 def _pentagon_permutation_deviation(mu: MultiplicativeUnitary) -> float:
     """Exact pentagon check on all n^3 basis triples of a permutation W."""
     sig, tau = mu.perm
@@ -254,14 +266,14 @@ def check_pentagon(mu: MultiplicativeUnitary) -> CheckReport:
     Permutation forms are checked exactly on basis triples.  Dense forms are
     checked on every entry of the tensor cube as products of W, an n^8
     computation that holds only n^4-sized blocks at a time; they are
-    accepted up to n <= DENSE_PENTAGON_MAX_DIM, within DENSE_PENTAGON_TOL.
+    accepted up to n <= DENSE_PENTAGON_MAX_DIM, within DENSE_W_TOL.
     """
     if mu.is_permutation:
         return CheckReport("pentagon", _pentagon_permutation_deviation(mu), 0.0, note="exact")
     if mu.n > DENSE_PENTAGON_MAX_DIM:
         raise ValueError(
             f"dense pentagon check needs n <= {DENSE_PENTAGON_MAX_DIM}, got n = {mu.n}")
-    return CheckReport("pentagon", _pentagon_dense_deviation(mu.dense, mu.n), DENSE_PENTAGON_TOL)
+    return CheckReport("pentagon", _pentagon_dense_deviation(mu.dense, mu.n), DENSE_W_TOL)
 
 
 def slice_family_leg2(w: np.ndarray, n: int) -> np.ndarray:
@@ -557,24 +569,6 @@ def sharp(omega: Functional, s_mat: np.ndarray, basis: np.ndarray) -> Functional
     return Functional(span_reconstruct(f.conj(), basis).conj().T)
 
 
-@dataclass(frozen=True)
-class SharpFunctional:
-    """A functional paired with its sharp; satisfies
-    ((omega (x) id)(W))^* = (omega_sharp (x) id)(W) and is involutive on the
-    algebra."""
-
-    omega: Functional
-    omega_sharp: Functional
-
-    @classmethod
-    def of(cls, omega: Functional, s_mat: np.ndarray,
-           basis: np.ndarray) -> "SharpFunctional":
-        return cls(omega, sharp(omega, s_mat, basis))
-
-    def adjoint_deviation(self, mu: MultiplicativeUnitary) -> float:
-        return deviation(lam(mu, self.omega).conj().T, lam(mu, self.omega_sharp))
-
-
 def fixed_leg_vectors(mu: MultiplicativeUnitary, leg: int) -> np.ndarray:
     """Orthonormal basis of {v : W(eta (x) v) = eta (x) v for all eta}
     (leg = 2), or of the mirrored leg-1 condition (leg = 1)."""
@@ -730,15 +724,6 @@ class QuantumGroupPair:
         w_star_mid = (np.tensordot(xi.conj(), self.w4, axes=(0, 0)) @ xihat).T.conj()
         return (xi.conj() @ self.m_basis) @ w_star_mid @ (self.mhat_basis @ xihat).T
 
-    @cached_property
-    def w_membership_residual(self) -> float:
-        """Residual of W against span(M (x) Mhat)."""
-        n2 = self.n * self.n
-        ma, mb = flat_rows(self.m_basis), flat_rows(self.mhat_basis)
-        t = np.ascontiguousarray(self.w4.transpose(0, 2, 1, 3)).reshape(n2, n2)     # [(a c), (b d)]
-        coeffs = (ma.conj() @ t) @ mb.conj().T
-        return max_abs(t - ma.T @ (coeffs @ mb))
-
 
 def pair_from_unitary(w, tol: float = DEFAULT_TOL) -> QuantumGroupPair:
     """Build the full quantum-group bundle from a multiplicative unitary.
@@ -761,6 +746,15 @@ def pair_from_unitary(w, tol: float = DEFAULT_TOL) -> QuantumGroupPair:
     shat_mat, _ = antipode_hat_from_slices(mu, mhat_basis, tol)
     return QuantumGroupPair(mu, m_basis, mhat_basis, Weight(xi_phi), Weight(xi_phihat),
                             s_mat, shat_mat)
+
+
+def check_w_membership(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckReport:
+    """Residual of W against span(M (x) Mhat)."""
+    n2 = qg.n * qg.n
+    ma, mb = flat_rows(qg.m_basis), flat_rows(qg.mhat_basis)
+    t = np.ascontiguousarray(qg.w4.transpose(0, 2, 1, 3)).reshape(n2, n2)         # [(a c), (b d)]
+    coeffs = (ma.conj() @ t) @ mb.conj().T
+    return CheckReport("w-membership", max_abs(t - ma.T @ (coeffs @ mb)), tol)
 
 
 def check_gns_consistency(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -830,16 +824,16 @@ def check_antipode(qg: QuantumGroupPair, tol: float = DEFAULT_TOL,
 
 
 def check_sharp_involution(qg: QuantumGroupPair, rng: np.random.Generator,
-                           samples: int = 20, tol: float = DEFAULT_TOL) -> CheckReport:
-    """((omega (x) id)(W))^* = (omega_sharp (x) id)(W) for random omega, and
-    involutivity of sharp on the algebra."""
+                           tol: float = DEFAULT_TOL) -> CheckReport:
+    """((omega (x) id)(W))^* = (omega_sharp (x) id)(W) for SHARP_SAMPLES random
+    omega, and involutivity of sharp on the algebra."""
     dev = 0.0
-    for _ in range(samples):
-        pair = SharpFunctional.of(Functional(random_complex(rng, (qg.n, qg.n))),
-                                  qg.s_mat, qg.m_basis)
-        dev = max(dev, pair.adjoint_deviation(qg.mu))
-        twice = sharp(pair.omega_sharp, qg.s_mat, qg.m_basis)
-        dev = max(dev, deviation(pair.omega.values_on(qg.m_basis), twice.values_on(qg.m_basis)))
+    for _ in range(SHARP_SAMPLES):
+        omega = Functional(random_complex(rng, (qg.n, qg.n)))
+        omega_sharp = sharp(omega, qg.s_mat, qg.m_basis)
+        dev = max(dev, deviation(lam(qg.mu, omega).conj().T, lam(qg.mu, omega_sharp)))
+        twice = sharp(omega_sharp, qg.s_mat, qg.m_basis)
+        dev = max(dev, deviation(omega.values_on(qg.m_basis), twice.values_on(qg.m_basis)))
     return CheckReport("sharp-involution", dev, tol)
 
 
@@ -871,9 +865,10 @@ def _product_law_deviation(slicer, draws, comultiplied_values) -> float:
 
 
 def check_slice_product_laws(qg: QuantumGroupPair, rng: np.random.Generator,
-                             samples: int = 5, tol: float = DEFAULT_TOL) -> CheckReport:
+                             tol: float = DEFAULT_TOL) -> CheckReport:
     """Multiplicativity of W: products of slices are slices of the
-    comultiplied functionals, on both legs and for W^* on leg 2.
+    comultiplied functionals, on both legs and for W^* on leg 2, for
+    PRODUCT_LAW_SAMPLES random pairs of functionals.
 
     The comultiplied functionals (e.g. mu = (omega1 (x) omega2) o delta) are
     evaluated on all matrix units in one contraction against W, never forming
@@ -882,7 +877,8 @@ def check_slice_product_laws(qg: QuantumGroupPair, rng: np.random.Generator,
     """
     n = qg.n
     w, w4 = qg.w, qg.w4
-    draws = [(random_complex(rng, (n, n)), random_complex(rng, (n, n))) for _ in range(samples)]
+    draws = [(random_complex(rng, (n, n)), random_complex(rng, (n, n)))
+             for _ in range(PRODUCT_LAW_SAMPLES)]
 
     # (omega1 (x) id)(W)(omega2 (x) id)(W) = (mu (x) id)(W),
     # mu = (omega1 (x) omega2) o delta.  mu(E_ab) tabulated directly.
@@ -906,7 +902,5 @@ def pontryagin_check(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckRep
     span M and its leg-2 slices span Mhat."""
     hat_m = slice_span_m(qg.mu.dual)        # the dual's "M": should be Mhat
     hat_mhat = slice_span_mhat(qg.mu.dual)  # the dual's "Mhat": should be M
-    cmp1 = subspace_equal(hat_mhat, qg.m_basis, tol)
-    cmp2 = subspace_equal(hat_m, qg.mhat_basis, tol)
-    dev = max(cmp1.deviation, cmp2.deviation)
+    dev = max(subspace_equal(hat_mhat, qg.m_basis), subspace_equal(hat_m, qg.mhat_basis))
     return CheckReport("pontryagin", dev, tol)

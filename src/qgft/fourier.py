@@ -16,6 +16,9 @@ exact because every operand must pass the span membership precondition
 
 F^{-1} is the transform of the dual pair (What = Sigma W^* Sigma), and every
 Mhat-side function here is its M-side twin applied to `qg.dual`.
+
+Each result is one check: `check_gns_transport(qg, tol)` on the full bases,
+and the sampled `check_*(qg, rng, tol)`, each on its *_SAMPLES random draws.
 """
 
 from __future__ import annotations
@@ -31,12 +34,19 @@ from .linalg import (
     deviation,
     inner,
     left_slicer,
-    max_abs,
     random_complex,
     random_element,
     right_slicer,
     span_reconstruct,
 )
+
+# Random draws of each sampled check.
+INVERSION_SAMPLES = 10
+PLANCHEREL_SAMPLES = 50
+CONVOLUTION_SAMPLES = 20
+PAIRING_SAMPLES = 50
+PAIRING_AXIOM_SAMPLES = 20
+FT_PAIRING_SAMPLES = 10
 
 
 def _from_table(qg: QuantumGroupPair, coords: np.ndarray) -> np.ndarray:
@@ -58,75 +68,43 @@ def inverse_fourier(qg: QuantumGroupPair, b) -> np.ndarray:
     return _transform(qg.dual, b)
 
 
-@dataclass(frozen=True)
-class FourierReport:
-    """A transform together with its GNS transport: the transform is isometric
-    on GNS vectors, Lambda_hat(F(a)) = Lambda(a)."""
-
-    input: np.ndarray
-    output: np.ndarray
-    gns_input: np.ndarray
-    gns_output: np.ndarray
-
-    @property
-    def deviation(self) -> float:
-        return max_abs(self.gns_output - self.gns_input)
-
-
-def fourier_report(qg: QuantumGroupPair, a) -> FourierReport:
-    out = fourier(qg, a)
-    return FourierReport(np.asarray(a, dtype=complex), out,
-                         qg.phi.gns(np.asarray(a, dtype=complex)), qg.phihat.gns(out))
-
-
-def inverse_fourier_report(qg: QuantumGroupPair, b) -> FourierReport:
-    return fourier_report(qg.dual, b)
-
-
-def check_inversion(qg: QuantumGroupPair, tol: float = DEFAULT_TOL,
-                    rng: np.random.Generator | None = None,
-                    samples: int = 0) -> CheckReport:
+def check_inversion(qg: QuantumGroupPair, rng: np.random.Generator,
+                    tol: float = DEFAULT_TOL) -> CheckReport:
     """Both composites of F and F^{-1} deviate from the identity by at most
-    tol, on full algebra bases and optionally on random samples."""
+    tol, on the full algebra bases and on INVERSION_SAMPLES random elements of
+    each algebra."""
+    samples = [(random_element(rng, qg.m_basis), random_element(rng, qg.mhat_basis))
+               for _ in range(INVERSION_SAMPLES)]
     dev = 0.0
-    elements_m = list(qg.m_basis)
-    elements_mhat = list(qg.mhat_basis)
-    if rng is not None and samples > 0:
-        for _ in range(samples):
-            elements_m.append(random_element(rng, qg.m_basis))
-            elements_mhat.append(random_element(rng, qg.mhat_basis))
-    for a in elements_m:
+    for a in [*qg.m_basis, *(a for a, _ in samples)]:
         dev = max(dev, deviation(inverse_fourier(qg, fourier(qg, a)), a))
-    for b in elements_mhat:
+    for b in [*qg.mhat_basis, *(b for _, b in samples)]:
         dev = max(dev, deviation(fourier(qg, inverse_fourier(qg, b)), b))
     return CheckReport("fourier-inversion", dev, tol)
 
 
 def check_gns_transport(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckReport:
-    """Lambda_hat(F(a)) = Lambda(a) and Lambda(F^{-1}(b)) = Lambda_hat(b) on
-    full bases."""
+    """The transform is isometric on GNS vectors: Lambda_hat(F(a)) = Lambda(a)
+    and Lambda(F^{-1}(b)) = Lambda_hat(b) on full bases."""
     dev = 0.0
     for side in (qg, qg.dual):
         for a in side.m_basis:
-            dev = max(dev, fourier_report(side, a).deviation)
+            dev = max(dev, deviation(side.phihat.gns(fourier(side, a)), side.phi.gns(a)))
     return CheckReport("gns-transport", dev, tol)
 
 
-@dataclass(frozen=True)
-class PlancherelResult:
-    lhs: complex  # phihat(F(a)^* F(a))
-    rhs: complex  # phi(a^* a)
-
-    @property
-    def deviation(self) -> float:
-        return abs(self.lhs - self.rhs)
-
-
-def check_plancherel(qg: QuantumGroupPair, a) -> PlancherelResult:
-    a = np.asarray(a, dtype=complex)
-    fa = fourier(qg, a)
-    return PlancherelResult(qg.phihat.value(fa.conj().T @ fa),
-                            qg.phi.value(a.conj().T @ a))
+def check_plancherel(qg: QuantumGroupPair, rng: np.random.Generator,
+                     tol: float = DEFAULT_TOL) -> CheckReport:
+    """phihat(F(a)^* F(a)) = phi(a^* a), both real, for PLANCHEREL_SAMPLES
+    random a in M."""
+    dev = 0.0
+    for _ in range(PLANCHEREL_SAMPLES):
+        a = random_element(rng, qg.m_basis)
+        fa = fourier(qg, a)
+        lhs = qg.phihat.value(fa.conj().T @ fa)
+        rhs = qg.phi.value(a.conj().T @ a)
+        dev = max(dev, abs(lhs - rhs), abs(lhs.imag), abs(rhs.imag))
+    return CheckReport("plancherel", dev, tol)
 
 
 def convolve(qg: QuantumGroupPair, a, c) -> np.ndarray:
@@ -159,10 +137,11 @@ def convolve_dual_direct(qg: QuantumGroupPair, b, d) -> np.ndarray:
 
 
 def check_convolution(qg: QuantumGroupPair, rng: np.random.Generator,
-                      samples: int = 20, tol: float = DEFAULT_TOL) -> CheckReport:
-    """Both convolution routes agree, on both sides, for random pairs."""
+                      tol: float = DEFAULT_TOL) -> CheckReport:
+    """Both convolution routes agree, on both sides, for CONVOLUTION_SAMPLES
+    random pairs."""
     dev = 0.0
-    for _ in range(samples):
+    for _ in range(CONVOLUTION_SAMPLES):
         a, c = random_element(rng, qg.m_basis), random_element(rng, qg.m_basis)
         dev = max(dev, deviation(convolve(qg, a, c), convolve_direct(qg, a, c)))
         b, e = random_element(rng, qg.mhat_basis), random_element(rng, qg.mhat_basis)
@@ -203,28 +182,50 @@ def pairing(qg: QuantumGroupPair, b, a) -> PairingValue:
     return PairingValue(via_inverse, via_forward, via_w)
 
 
+def check_pairing(qg: QuantumGroupPair, rng: np.random.Generator,
+                  tol: float = DEFAULT_TOL) -> CheckReport:
+    """The three Haar-weight routes of <b|a> agree (`PairingValue.spread`) for
+    PAIRING_SAMPLES random b in Mhat and a in M."""
+    dev = 0.0
+    for _ in range(PAIRING_SAMPLES):
+        a = random_element(rng, qg.m_basis)
+        b = random_element(rng, qg.mhat_basis)
+        dev = max(dev, pairing(qg, b, a).spread)
+    return CheckReport("pairing", dev, tol)
+
+
 def check_pairing_axioms(qg: QuantumGroupPair, rng: np.random.Generator,
-                         samples: int = 20, tol: float = DEFAULT_TOL) -> CheckReport:
+                         tol: float = DEFAULT_TOL) -> CheckReport:
     """The defining properties of the dual pairing, for elements presented as
     explicit slices b = (omega (x) id)(W), a = (id (x) theta)(W) so that
-    <b|a> = omega(a) = theta(b):
+    <b|a> = omega(a) = theta(b), over PAIRING_AXIOM_SAMPLES random draws of
+    four functionals:
 
       (1) <b1 b2 | a> = (omega1 (x) omega2)(delta a)
       (2) <b | a1 a2> = (theta1 (x) theta2)(delta_hat_cop b)
       (3) <b | S(a)>  = <Shat^{-1}(b) | a>, with omega built from a sharp.
+
+    Every functional is drawn first; then every left slice is taken and W's
+    leg-1 layout dropped before the leg-2 layout is made, so one n^4 layout
+    of W is held at a time.
     """
     n = qg.n
     d, _ = qg.delta_coeffs
     dh, _ = qg.dual.delta_coeffs
-    w_left, w_right = left_slicer(qg.w, n), right_slicer(qg.w, n)
     m, mhat = d.shape[0], dh.shape[0]
+    draws = [[Functional(random_complex(rng, (n, n))) for _ in range(4)]
+             for _ in range(PAIRING_AXIOM_SAMPLES)]
+    # (3) takes omega = (omega2)^sharp to exercise the sharp construction.
+    sharps = [sharp(w2, qg.s_mat, qg.m_basis) for _, w2, _, _ in draws]
+    w_left = left_slicer(qg.w, n)
+    lefts = [(w_left(w1), w_left(w2), w_left(omega))
+             for (w1, w2, _, _), omega in zip(draws, sharps)]
+    del w_left
+    w_right = right_slicer(qg.w, n)
+    rights = [(w_right(t1), w_right(t2)) for _, _, t1, t2 in draws]
+
     dev = 0.0
-
-    for _ in range(samples):
-        w1, w2, t1, t2 = (Functional(random_complex(rng, (n, n))) for _ in range(4))
-        b1, b2 = w_left(w1), w_left(w2)
-        a1, a2 = w_right(t1), w_right(t2)
-
+    for (w1, w2, t1, t2), omega, (b1, b2, b_omega), (a1, a2) in zip(draws, sharps, lefts, rights):
         # (1): theta-presentation of a = a1 evaluates the left side.
         lhs = t1(b1 @ b2)
         delta_a = (d.reshape(m * m, m) @ qg.coords_m(a1)).reshape(m, m)
@@ -237,21 +238,23 @@ def check_pairing_axioms(qg: QuantumGroupPair, rng: np.random.Generator,
         rhs = complex(t2.values_on(qg.mhat_basis) @ delta_hat_b @ t1.values_on(qg.mhat_basis))
         dev = max(dev, abs(lhs - rhs))
 
-        # (3): omega = (omega0)^sharp exercises the sharp construction; a = a2.
-        omega = sharp(w2, qg.s_mat, qg.m_basis)
+        # (3): b = (omega (x) id)(W) for the sharp omega, and a = a2.
         lhs = omega(qg.apply_s(a2))
-        rhs = t2(qg.dual.apply_s_inv(w_left(omega)))
+        rhs = t2(qg.dual.apply_s_inv(b_omega))
         dev = max(dev, abs(lhs - rhs))
 
     return CheckReport("pairing-axioms", dev, tol)
 
 
-def check_ft_pairing(qg: QuantumGroupPair, a, b, tol: float = DEFAULT_TOL) -> CheckReport:
-    """Inner-product description of the pairing:
-    <b|a> = <Lambda_hat(b), Lambda(a^*)>."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    lhs = pairing(qg, b, a).via_inverse
-    rhs = inner(qg.phihat.gns(b), qg.phi.gns(a.conj().T))
-    dev = abs(lhs - rhs)
+def check_ft_pairing(qg: QuantumGroupPair, rng: np.random.Generator,
+                     tol: float = DEFAULT_TOL) -> CheckReport:
+    """Inner-product description of the pairing,
+    <b|a> = <Lambda_hat(b), Lambda(a^*)>, for FT_PAIRING_SAMPLES random b in
+    Mhat and a in M."""
+    dev = 0.0
+    for _ in range(FT_PAIRING_SAMPLES):
+        a = random_element(rng, qg.m_basis)
+        b = random_element(rng, qg.mhat_basis)
+        lhs = pairing(qg, b, a).via_inverse
+        dev = max(dev, abs(lhs - inner(qg.phihat.gns(b), qg.phi.gns(a.conj().T))))
     return CheckReport("ft-pairing", dev, tol)

@@ -252,28 +252,18 @@ def span_reconstruct(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return flat.reshape(coeffs.shape[:-1] + np.shape(basis)[1:])
 
 
-@dataclass(frozen=True)
-class SubspaceComparison:
-    equal: bool
-    deviation: float
-
-
-def subspace_equal(basis1: np.ndarray, basis2: np.ndarray,
-                   tol: float = DEFAULT_TOL) -> SubspaceComparison:
-    """Decide equality of two spans by mutual projection residuals.
-
-    The reported deviation is the worst residual norm of a basis vector of one
-    span projected onto the other (the sine of the largest principal angle
-    when the spans have equal dimension).
+def subspace_equal(basis1: np.ndarray, basis2: np.ndarray) -> float:
+    """How far two spans are from equal, by mutual projection residuals: the
+    worst residual norm of a basis vector of one span projected onto the other
+    (the sine of the largest principal angle when the spans have equal
+    dimension); 0 for two empty spans, 1 when only one is empty.
     """
     b1 = np.asarray(basis1, dtype=complex)
     b2 = np.asarray(basis2, dtype=complex)
     if b1.shape[0] and b2.shape[0] and b1.shape[1:] != b2.shape[1:]:
         raise ValueError("bases live on different ambient spaces")
-    if b1.shape[0] == 0 and b2.shape[0] == 0:
-        return SubspaceComparison(True, 0.0)
     if b1.shape[0] == 0 or b2.shape[0] == 0:
-        return SubspaceComparison(False, 1.0)
+        return float(b1.shape[0] != b2.shape[0])
     v1 = b1.reshape(b1.shape[0], -1)
     v2 = b2.reshape(b2.shape[0], -1)
     worst = 0.0
@@ -282,4 +272,4 @@ def subspace_equal(basis1: np.ndarray, basis2: np.ndarray,
         residual = a - coeffs @ b
         norms = np.linalg.norm(residual, axis=1)
         worst = max(worst, float(np.max(norms)))
-    return SubspaceComparison(worst <= tol, worst)
+    return worst

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import MultiplicativeUnitary, QuantumGroupPair, Weight
+from .fourier import CONVOLUTION_SAMPLES, PAIRING_SAMPLES, convolve, convolve_dual, pairing
 from .groups import FiniteGroup, NonAbelianInput, characters, is_abelian
-from .linalg import DEFAULT_TOL, deviation, max_abs
+from .linalg import DEFAULT_TOL, deviation, max_abs, random_complex
 
 
 @dataclass(frozen=True)
@@ -114,6 +115,32 @@ def classical_convolution(group: FiniteGroup, a, c) -> np.ndarray:
     a = as_function(a, group.order)
     c = as_function(c, group.order)
     return a @ c[group.mult[group.inv, :]]
+
+
+def convolution_oracle_deviation(model: GroupModel, rng: np.random.Generator) -> float:
+    """pi(a) * pi(c) = pi(a * c) with the group convolution, and L(b) * L(d) =
+    L(b d), for CONVOLUTION_SAMPLES random functions a, c, b and d."""
+    n, qg, dev = model.n, model.qg, 0.0
+    for _ in range(CONVOLUTION_SAMPLES):
+        fa, fc = random_complex(rng, n), random_complex(rng, n)
+        out = convolve(qg, pi(model, fa), pi(model, fc))
+        dev = max(dev, deviation(pi_function(model, out),
+                                 classical_convolution(model.group, fa, fc)))
+        fb, fd = random_complex(rng, n), random_complex(rng, n)
+        out = convolve_dual(qg, L(model, fb), L(model, fd))
+        dev = max(dev, deviation(L_function(model, out), fb * fd))
+    return dev
+
+
+def pairing_oracle_deviation(model: GroupModel, rng: np.random.Generator) -> float:
+    """<L(b) | pi(a)> = sum_x a(x) b(x) along every route, for PAIRING_SAMPLES
+    random pairs of functions."""
+    dev = 0.0
+    for _ in range(PAIRING_SAMPLES):
+        fa, fb = random_complex(rng, model.n), random_complex(rng, model.n)
+        value = pairing(model.qg, L(model, fb), pi(model, fa))
+        dev = max(dev, value.spread, abs(value.via_inverse - complex(np.sum(fa * fb))))
+    return dev
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,12 @@ consistency, the sharp involution, slice product laws, GNS transport, Fourier
 inversion, Plancherel, convolution agreement, pairing spread and axioms, the
 inner-product pairing description, and the Pontryagin double-dual span check.
 
+`run_suite` derives the pair of a source that is not one (algebra-generation,
+haar-weights, antipode-assembly) and otherwise only calls the `check_*`
+functions of `engine` and `fourier` in this order.  For a group model,
+`convolution-agreement` and `pairing` also take the model's classical oracle
+(`models.*_oracle_deviation`), drawn after the generic samples.
+
 Stages are bounded by `tol_value`, except unitarity, the pentagons, exact model
 weights and pontryagin (PONTRYAGIN_TOL), which keep their own bounds.  Randomized
 stages draw from a generator seeded with the recorded seed, so a report is
@@ -22,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import engine, models
+from . import engine, fourier, models
 from .engine import (
     CheckReport,
     MultiplicativeUnitary,
@@ -30,32 +36,11 @@ from .engine import (
     Weight,
     check_pentagon,
 )
-from .fourier import (
-    check_convolution,
-    check_ft_pairing,
-    check_gns_transport,
-    check_inversion,
-    check_pairing_axioms,
-    check_plancherel,
-    convolve,
-    convolve_dual,
-    pairing,
-)
-from .linalg import DEFAULT_TOL, deviation, random_complex, random_element, subspace_equal
+from .linalg import DEFAULT_TOL, subspace_equal
 
 SUITE_VERSION = "qgft-suite/1"
 DEFAULT_SEED = 20201
-DENSE_CHECK_TOL = 1e-12
 PONTRYAGIN_TOL = 1e-8
-
-INVERSION_SAMPLES = 10
-PLANCHEREL_SAMPLES = 50
-CONVOLUTION_SAMPLES = 20
-PAIRING_SAMPLES = 50
-PAIRING_AXIOM_SAMPLES = 20
-SHARP_SAMPLES = 20
-FT_PAIRING_SAMPLES = 10
-PRODUCT_LAW_SAMPLES = 5
 
 
 @dataclass
@@ -71,45 +56,15 @@ class VerificationReport:
         return self.first_failed is None
 
     def to_json_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "seed": self.seed,
-            "suite_version": self.suite_version,
-            "checks": [
-                {
-                    "name": c.name,
-                    "pass": bool(c.passed),
-                    "deviation": float(c.deviation),
-                    "tolerance": float(c.tolerance),
-                    "elapsed_ms": float(c.elapsed_ms),
-                }
-                for c in sorted(self.checks, key=lambda c: c.name)
-            ],
-        }
+        checks = [{"name": c.name, "pass": bool(c.passed), "deviation": float(c.deviation),
+                   "tolerance": float(c.tolerance), "elapsed_ms": float(c.elapsed_ms)}
+                  for c in sorted(self.checks, key=lambda c: c.name)]
+        return {"model": self.model, "seed": self.seed, "suite_version": self.suite_version,
+                "checks": checks}
 
 
 class _Abort(Exception):
     pass
-
-
-class _Runner:
-    def __init__(self, report: VerificationReport):
-        self.report = report
-
-    def run(self, name: str, fn, abort_on_fail: bool = False) -> CheckReport:
-        start = time.perf_counter()
-        try:
-            check = fn()
-            check.name = name
-        except Exception as exc:
-            check = CheckReport(name, 1.0, 0.0, note=f"{type(exc).__name__}: {exc}")
-        check.elapsed_ms = (time.perf_counter() - start) * 1e3
-        self.report.checks.append(check)
-        if not check.passed and self.report.first_failed is None:
-            self.report.first_failed = name
-        if not check.passed and abort_on_fail:
-            raise _Abort
-        return check
 
 
 def run_suite(source, tol_value: float = DEFAULT_TOL, seed: int = DEFAULT_SEED,
@@ -120,52 +75,51 @@ def run_suite(source, tol_value: float = DEFAULT_TOL, seed: int = DEFAULT_SEED,
     negative, infinite or NaN."""
     if not 0.0 <= tol_value < float("inf"):  # also rejects NaN
         raise ValueError(f"tol_value must be finite and non-negative, got {tol_value}")
-    model: models.GroupModel | None = None
-    qg: QuantumGroupPair | None = None
-
-    if isinstance(source, models.GroupModel):
-        model = source
-        qg = source.qg
+    model = source if isinstance(source, models.GroupModel) else None
+    qg = model.qg if model is not None else (
+        source if isinstance(source, QuantumGroupPair) else None)
+    if qg is not None:
         mu = qg.mu
-        name = model_name or source.group.name
-    elif isinstance(source, QuantumGroupPair):
-        qg = source
-        mu = qg.mu
-        name = model_name or f"pair:{qg.n}"
+        name = model_name or (model.group.name if model is not None else f"pair:{qg.n}")
     else:
         mu = (source if isinstance(source, MultiplicativeUnitary)
               else MultiplicativeUnitary.from_dense(source))
         name = model_name or f"unitary:{mu.n}"
 
     report = VerificationReport(model=name, seed=seed)
-    runner = _Runner(report)
-    rng = np.random.default_rng(seed)
+
+    def run(stage: str, fn, abort_on_fail: bool = False) -> None:
+        """Time fn() into the report as `stage`; an exception fails the stage."""
+        start = time.perf_counter()
+        try:
+            check = fn()
+            check.name = stage
+        except Exception as exc:
+            check = CheckReport(stage, 1.0, 0.0, note=f"{type(exc).__name__}: {exc}")
+        check.elapsed_ms = (time.perf_counter() - start) * 1e3
+        report.checks.append(check)
+        if not check.passed and report.first_failed is None:
+            report.first_failed = stage
+        if not check.passed and abort_on_fail:
+            raise _Abort
 
     try:
-        _run_stages(runner, mu, model, qg, tol_value, rng)
+        _run_stages(run, mu, model, qg, tol_value, np.random.default_rng(seed))
     except _Abort:
         pass
     return report
 
 
-def _run_stages(runner: _Runner, mu: MultiplicativeUnitary,
+def _run_stages(run, mu: MultiplicativeUnitary,
                 model: models.GroupModel | None, qg: QuantumGroupPair | None,
                 tol: float, rng: np.random.Generator):
-    n = mu.n
-
-    def unitarity():
-        dev = mu.unitarity_deviation()
-        bound = 0.0 if mu.is_permutation else DENSE_CHECK_TOL
-        return CheckReport("", dev, bound)
-
-    runner.run("unitarity", unitarity, abort_on_fail=True)
-    runner.run("pentagon", lambda: check_pentagon(mu), abort_on_fail=True)
-    if mu.is_permutation and n <= engine.DENSE_PENTAGON_MAX_DIM:
+    run("unitarity", lambda: engine.check_unitarity(mu), abort_on_fail=True)
+    run("pentagon", lambda: check_pentagon(mu), abort_on_fail=True)
+    if mu.is_permutation and mu.n <= engine.DENSE_PENTAGON_MAX_DIM:
         dense_mu = MultiplicativeUnitary.from_dense(mu.dense)
-        runner.run("pentagon-dense", lambda: check_pentagon(dense_mu))
+        run("pentagon-dense", lambda: check_pentagon(dense_mu))
 
-    # Slice-algebra generation and closure; for models, also against the
-    # exact built-in bases.
+    # Slice-algebra generation and closure, and for a given pair, its bases.
     state: dict = {}
 
     def generation():
@@ -174,13 +128,12 @@ def _run_stages(runner: _Runner, mu: MultiplicativeUnitary,
         dev = max(engine.algebra_closure_deviation(m_span),
                   engine.algebra_closure_deviation(mhat_span))
         if qg is not None:
-            dev = max(dev,
-                      subspace_equal(m_span, qg.m_basis, tol).deviation,
-                      subspace_equal(mhat_span, qg.mhat_basis, tol).deviation)
+            dev = max(dev, subspace_equal(m_span, qg.m_basis),
+                      subspace_equal(mhat_span, qg.mhat_basis))
         state["m_span"], state["mhat_span"] = m_span, mhat_span
         return CheckReport("", dev, tol)
 
-    runner.run("algebra-generation", generation, abort_on_fail=True)
+    run("algebra-generation", generation, abort_on_fail=True)
 
     def weights():
         if model is not None:
@@ -189,7 +142,7 @@ def _run_stages(runner: _Runner, mu: MultiplicativeUnitary,
         state["weights"] = (Weight(xi_phi), Weight(xi_phihat))
         return CheckReport("", 0.0, tol)
 
-    runner.run("haar-weights", weights, abort_on_fail=True)
+    run("haar-weights", weights, abort_on_fail=True)
 
     if qg is None:
         def antipodes():
@@ -198,100 +151,38 @@ def _run_stages(runner: _Runner, mu: MultiplicativeUnitary,
             state["antipode_fits"] = fits
             return CheckReport("", max(fits[0][1], fits[1][1]), tol)
 
-        runner.run("antipode-assembly", antipodes, abort_on_fail=True)
+        run("antipode-assembly", antipodes, abort_on_fail=True)
         phi, phihat = state["weights"]
         (s_mat, _), (shat_mat, _) = state["antipode_fits"]
         qg = QuantumGroupPair(mu, state["m_span"], state["mhat_span"],
                               phi, phihat, s_mat, shat_mat)
 
-    pair = qg
-
-    def w_membership():
-        dev = pair.w_membership_residual
-        return CheckReport("", dev, tol)
-
-    runner.run("w-membership", w_membership)
-
-    # Mhat-side stages are M-side stages of the dual; runner.run calls fn at once.
-    sides = ((pair, ""), (pair.dual, "-dual"))
-    for side, suffix in sides:
-        runner.run("coassociativity" + suffix, lambda: engine.check_coassociativity(side, tol))
-    for side, suffix in sides:
-        runner.run("left-invariance" + suffix, lambda: engine.check_left_invariance(side, tol))
-        runner.run("right-invariance" + suffix, lambda: engine.check_right_invariance(side, tol))
-
-    runner.run("gns-consistency", lambda: engine.check_gns_consistency(pair, tol))
-    runner.run("gns-duality-phihat", lambda: engine.check_gns_duality_phihat(pair, tol))
-    runner.run("gns-duality-phihatdual",
-               lambda: engine.check_gns_duality_phihatdual(pair, tol))
-
-    runner.run("antipode-slices",
-               lambda: engine.check_antipode(pair, tol, state.get("antipode_fits")))
-    runner.run("sharp-involution",
-               lambda: engine.check_sharp_involution(pair, rng, SHARP_SAMPLES, tol))
-    runner.run("slice-product-laws",
-               lambda: engine.check_slice_product_laws(pair, rng, PRODUCT_LAW_SAMPLES, tol))
-
-    runner.run("gns-transport", lambda: check_gns_transport(pair, tol))
-    runner.run("fourier-inversion",
-               lambda: check_inversion(pair, tol, rng, INVERSION_SAMPLES))
-
-    def plancherel():
-        dev = 0.0
-        for _ in range(PLANCHEREL_SAMPLES):
-            a = random_element(rng, pair.m_basis)
-            result = check_plancherel(pair, a)
-            dev = max(dev, result.deviation,
-                      abs(result.lhs.imag), abs(result.rhs.imag))
-        return CheckReport("", dev, tol)
-
-    runner.run("plancherel", plancherel)
-
-    def convolution():
-        check = check_convolution(pair, rng, CONVOLUTION_SAMPLES, tol)
-        dev = check.deviation
+    def with_oracle(check: CheckReport, oracle) -> CheckReport:
         if model is not None:
-            for _ in range(CONVOLUTION_SAMPLES):
-                fa = random_complex(rng, n)
-                fc = random_complex(rng, n)
-                out = convolve(pair, models.pi(model, fa), models.pi(model, fc))
-                dev = max(dev, deviation(models.pi_function(model, out),
-                                         models.classical_convolution(model.group, fa, fc)))
-                fb = random_complex(rng, n)
-                fd = random_complex(rng, n)
-                out = convolve_dual(pair, models.L(model, fb), models.L(model, fd))
-                dev = max(dev, deviation(models.L_function(model, out), fb * fd))
-        return CheckReport("", dev, tol)
+            check.deviation = max(check.deviation, oracle(model, rng))
+        return check
 
-    runner.run("convolution-agreement", convolution)
-
-    def pairing_spread():
-        dev = 0.0
-        for _ in range(PAIRING_SAMPLES):
-            a = random_element(rng, pair.m_basis)
-            b = random_element(rng, pair.mhat_basis)
-            value = pairing(pair, b, a)
-            dev = max(dev, value.spread)
-        if model is not None:
-            for _ in range(PAIRING_SAMPLES):
-                fa = random_complex(rng, n)
-                fb = random_complex(rng, n)
-                value = pairing(pair, models.L(model, fb), models.pi(model, fa))
-                dev = max(dev, value.spread,
-                          abs(value.via_inverse - complex(np.sum(fa * fb))))
-        return CheckReport("", dev, tol)
-
-    runner.run("pairing", pairing_spread)
-    runner.run("pairing-axioms",
-               lambda: check_pairing_axioms(pair, rng, PAIRING_AXIOM_SAMPLES, tol))
-
-    def ft_pairing():
-        dev = 0.0
-        for _ in range(FT_PAIRING_SAMPLES):
-            a = random_element(rng, pair.m_basis)
-            b = random_element(rng, pair.mhat_basis)
-            dev = max(dev, check_ft_pairing(pair, a, b, tol).deviation)
-        return CheckReport("", dev, tol)
-
-    runner.run("ft-pairing", ft_pairing)
-    runner.run("pontryagin", lambda: engine.pontryagin_check(pair, PONTRYAGIN_TOL))
+    run("w-membership", lambda: engine.check_w_membership(qg, tol))
+    # Mhat-side stages are M-side stages of the dual; run calls fn at once.
+    sides = ((qg, ""), (qg.dual, "-dual"))
+    for side, suffix in sides:
+        run("coassociativity" + suffix, lambda: engine.check_coassociativity(side, tol))
+    for side, suffix in sides:
+        run("left-invariance" + suffix, lambda: engine.check_left_invariance(side, tol))
+        run("right-invariance" + suffix, lambda: engine.check_right_invariance(side, tol))
+    run("gns-consistency", lambda: engine.check_gns_consistency(qg, tol))
+    run("gns-duality-phihat", lambda: engine.check_gns_duality_phihat(qg, tol))
+    run("gns-duality-phihatdual", lambda: engine.check_gns_duality_phihatdual(qg, tol))
+    run("antipode-slices", lambda: engine.check_antipode(qg, tol, state.get("antipode_fits")))
+    run("sharp-involution", lambda: engine.check_sharp_involution(qg, rng, tol))
+    run("slice-product-laws", lambda: engine.check_slice_product_laws(qg, rng, tol))
+    run("gns-transport", lambda: fourier.check_gns_transport(qg, tol))
+    run("fourier-inversion", lambda: fourier.check_inversion(qg, rng, tol))
+    run("plancherel", lambda: fourier.check_plancherel(qg, rng, tol))
+    run("convolution-agreement", lambda: with_oracle(fourier.check_convolution(qg, rng, tol),
+                                                     models.convolution_oracle_deviation))
+    run("pairing", lambda: with_oracle(fourier.check_pairing(qg, rng, tol),
+                                       models.pairing_oracle_deviation))
+    run("pairing-axioms", lambda: fourier.check_pairing_axioms(qg, rng, tol))
+    run("ft-pairing", lambda: fourier.check_ft_pairing(qg, rng, tol))
+    run("pontryagin", lambda: engine.pontryagin_check(qg, PONTRYAGIN_TOL))

@@ -22,6 +22,7 @@ from qgft.engine import (
     sharp,
 )
 from qgft.fourier import (
+    check_gns_transport,
     check_inversion,
     check_pairing_axioms,
     check_plancherel,
@@ -30,9 +31,7 @@ from qgft.fourier import (
     convolve_dual,
     convolve_dual_direct,
     fourier,
-    fourier_report,
     inverse_fourier,
-    inverse_fourier_report,
     pairing,
 )
 from qgft.linalg import Functional, flip
@@ -93,9 +92,10 @@ def test_criterion_02_transform_is_regular_representation(built):
 
 
 def test_criterion_03_inversion(built):
+    rng = np.random.default_rng(SEED)
     worst = 0.0
     for mdl in built:
-        worst = max(worst, check_inversion(mdl.qg).deviation)
+        worst = max(worst, check_inversion(mdl.qg, rng).deviation)
     report_line(3, "fourier-inversion", worst <= 1e-10, f"max dev {worst:.2e}")
     assert worst <= 1e-10
 
@@ -106,9 +106,12 @@ def test_criterion_04_plancherel(built):
     for mdl in built:
         for _ in range(50):
             a = rng.standard_normal(mdl.n) + 1j * rng.standard_normal(mdl.n)
-            result = check_plancherel(mdl.qg, models.pi(mdl, a))
+            fa = fourier(mdl.qg, models.pi(mdl, a))
+            lhs = mdl.qg.phihat.value(fa.conj().T @ fa)
+            rhs = mdl.qg.phi.value(models.pi(mdl, a.conj() * a))
             norm_sq = float(np.sum(np.abs(a) ** 2))
-            worst = max(worst, abs(result.lhs - norm_sq), abs(result.rhs - norm_sq))
+            worst = max(worst, abs(lhs - norm_sq), abs(rhs - norm_sq))
+        worst = max(worst, check_plancherel(mdl.qg, rng).deviation)
     report_line(4, "plancherel", worst <= 1e-10, f"max dev {worst:.2e}")
     assert worst <= 1e-10
 
@@ -146,7 +149,7 @@ def test_criterion_06_pairing(built):
             value = pairing(mdl.qg, models.L(mdl, fb), models.pi(mdl, fa))
             worst = max(worst, value.spread,
                         abs(value.via_inverse - complex(np.sum(fa * fb))))
-        axioms = check_pairing_axioms(mdl.qg, rng, samples=20)
+        axioms = check_pairing_axioms(mdl.qg, rng)
         worst = max(worst, axioms.deviation)
     report_line(6, "pairing", worst <= 1e-10, f"max dev {worst:.2e}")
     assert worst <= 1e-10
@@ -155,10 +158,7 @@ def test_criterion_06_pairing(built):
 def test_criterion_07_gns_transport(built):
     worst = 0.0
     for mdl in built:
-        for a in mdl.qg.m_basis:
-            worst = max(worst, fourier_report(mdl.qg, a).deviation)
-        for b in mdl.qg.mhat_basis:
-            worst = max(worst, inverse_fourier_report(mdl.qg, b).deviation)
+        worst = max(worst, check_gns_transport(mdl.qg).deviation)
     report_line(7, "gns-transport", worst <= 1e-10, f"max dev {worst:.2e}")
     assert worst <= 1e-10
 

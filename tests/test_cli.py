@@ -132,6 +132,12 @@ def test_verify_oversized_dense_unitary_exits_2(tmp_path, capsys):
 # One-by-one unitaries whose leg dimension field is not a positive JSON integer.
 BAD_N = {"null": None, "negative": -1, "fraction": 1.9, "true": True}
 
+# One-by-one unitaries with a matrix entry that is not a JSON number.
+BAD_ENTRIES = {"re-object": {"re": {"a": 1}, "im": [[0]]},
+               "re-nested-object": {"re": [[{"a": 1}]], "im": [[0]]},
+               "re-true": {"re": [[True]], "im": [[0]]},
+               "im-true": {"re": [[1]], "im": [[True]]}}
+
 LOAD_FAILURES = [
     ["verify", "--unitary", "{missing}"],
     ["verify", "--group", "cyclic:0"],
@@ -150,6 +156,8 @@ LOAD_FAILURES = [
     *(pytest.param(["verify", "--unitary", f"{{n_{label}}}"], id=f"verify-n-{label}")
       for label in BAD_N),
     pytest.param(["verify", "--unitary", "{number}"], id="verify-unitary-not-an-object"),
+    *(pytest.param(["verify", "--unitary", f"{{entries_{label}}}"], id=f"verify-entries-{label}")
+      for label in BAD_ENTRIES),
 ]
 
 
@@ -158,7 +166,8 @@ LOAD_FAILURES = [
 def test_load_failure_exits_2_with_empty_stdout(tmp_path, capsys, argv):
     contents = {"values_5": {"values": 5}, "number": 5,
                 **{f"n_{label}": {"n": n, "re": [[1.0]], "im": [[0.0]]}
-                   for label, n in BAD_N.items()}}
+                   for label, n in BAD_N.items()},
+                **{f"entries_{label}": {"n": 1, **fields} for label, fields in BAD_ENTRIES.items()}}
     files = {"good": write_function(tmp_path, "f.json", [1.0, 2.0]),
              "missing": str(tmp_path / "missing.json")}
     for key, data in contents.items():

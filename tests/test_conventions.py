@@ -1,7 +1,11 @@
 """Package-wide code conventions."""
 
 import ast
+import inspect
 from pathlib import Path
+
+from qgft import engine, fourier
+from qgft.linalg import DEFAULT_TOL
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qgft"
 
@@ -52,3 +56,42 @@ def test_no_einsum_in_the_package():
     assert "np.einsum(" not in "".join(
         path.read_text() for path in PACKAGE.glob("*.py")
         if path.name not in {file for file, _, _ in EINSUM_ALLOWLIST})
+
+
+# Every public check_* in engine and fourier is check_*(qg or mu[, rng][, tol]),
+# with tol defaulting to DEFAULT_TOL.  A parameter outside that shape is listed
+# here as (function, parameter, reason).
+CHECK_EXTRA_PARAMETERS: list[tuple[str, str, str]] = [
+    ("check_antipode", "fits",
+     "run_suite passes the antipode fits of a dense source, so each antipode is fitted once"),
+]
+
+
+def public_checks():
+    for module in (engine, fourier):
+        for name, fn in vars(module).items():
+            if name.startswith("check_") and inspect.isfunction(fn) \
+                    and fn.__module__ == module.__name__:
+                yield name, fn
+
+
+def test_every_check_has_the_one_signature():
+    extras = {(fn, param) for fn, param, _ in CHECK_EXTRA_PARAMETERS}
+    checked = set()
+    for name, fn in public_checks():
+        params = [p for p in inspect.signature(fn).parameters.values()
+                  if (name, p.name) not in extras]
+        names = [p.name for p in params]
+        assert names[0] in ("qg", "mu"), name
+        rest = names[2:] if names[1:2] == ["rng"] else names[1:]
+        assert rest in ([], ["tol"]), name
+        assert "samples" not in names, name
+        by_name = {p.name: p for p in params}
+        if "rng" in by_name:
+            assert by_name["rng"].default is inspect.Parameter.empty, name
+        if "tol" in by_name:
+            assert by_name["tol"].default == DEFAULT_TOL, name
+        checked.add(name)
+    assert {"check_pentagon", "check_unitarity", "check_inversion", "check_plancherel",
+            "check_pairing", "check_ft_pairing", "check_w_membership"} <= checked
+    assert {fn for fn, _, _ in CHECK_EXTRA_PARAMETERS} <= checked

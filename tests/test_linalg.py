@@ -278,8 +278,7 @@ def test_span_idempotent():
     mats = [random_matrix(3) for _ in range(4)] + [np.zeros((3, 3))]
     first = span_basis(mats)
     second = span_basis(list(first))
-    cmp = subspace_equal(first, second)
-    assert cmp.equal and cmp.deviation < 1e-12
+    assert subspace_equal(first, second) < 1e-12
 
 
 def test_subspace_equal_cases():
@@ -287,13 +286,14 @@ def test_subspace_equal_cases():
     e0[0, 0] = 1.0
     e1 = np.zeros((2, 2), dtype=complex)
     e1[1, 1] = 1.0
-    same = subspace_equal(span_basis([e0]), span_basis([e0]))
-    assert same.equal and same.deviation == 0.0
-    assert not subspace_equal(span_basis([e0]), span_basis([e1])).equal
+    assert subspace_equal(span_basis([e0]), span_basis([e0])) == 0.0
+    assert subspace_equal(span_basis([e0]), span_basis([e1])) == pytest.approx(1.0)
+    assert subspace_equal(span_basis([]), span_basis([])) == 0.0
+    assert subspace_equal(span_basis([e0]), span_basis([])) == 1.0
     diagonals = span_basis([e0, e1])
     everything = span_basis([random_matrix(2) for _ in range(6)])
     assert everything.shape[0] == 4
-    assert not subspace_equal(diagonals, everything).equal
+    assert subspace_equal(diagonals, everything) > 0.5
 
 
 def test_subspace_dimension_mismatch():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qgft import engine, groups, models
+from qgft import fourier as ft
 from qgft.linalg import flip, random_complex
 from qgft.verify import SUITE_VERSION, run_suite
 
@@ -228,3 +229,63 @@ def test_suite_blames_the_corrupted_stage(corrupt, stage, eps):
     if "right-invariance" in checks:
         assert checks["right-invariance"].deviation == 0.0
     assert checks["unitarity"].deviation <= 1.2e-16
+
+
+def replayed_checks(mu, qg, model, seed, tol=1e-10):
+    """Every check stage of run_suite, called directly in suite order with a
+    generator seeded like the suite's; a group model also adds its oracles."""
+    rng = np.random.default_rng(seed)
+    stages = {"unitarity": engine.check_unitarity(mu), "pentagon": engine.check_pentagon(mu)}
+    if mu.is_permutation:
+        dense_mu = engine.MultiplicativeUnitary.from_dense(mu.dense)
+        stages["pentagon-dense"] = engine.check_pentagon(dense_mu)
+    stages["w-membership"] = engine.check_w_membership(qg, tol)
+    for side, suffix in ((qg, ""), (qg.dual, "-dual")):
+        stages["coassociativity" + suffix] = engine.check_coassociativity(side, tol)
+    for side, suffix in ((qg, ""), (qg.dual, "-dual")):
+        stages["left-invariance" + suffix] = engine.check_left_invariance(side, tol)
+        stages["right-invariance" + suffix] = engine.check_right_invariance(side, tol)
+    stages["gns-consistency"] = engine.check_gns_consistency(qg, tol)
+    stages["gns-duality-phihat"] = engine.check_gns_duality_phihat(qg, tol)
+    stages["gns-duality-phihatdual"] = engine.check_gns_duality_phihatdual(qg, tol)
+    stages["antipode-slices"] = engine.check_antipode(qg, tol)
+    stages["sharp-involution"] = engine.check_sharp_involution(qg, rng, tol)
+    stages["slice-product-laws"] = engine.check_slice_product_laws(qg, rng, tol)
+    stages["gns-transport"] = ft.check_gns_transport(qg, tol)
+    stages["fourier-inversion"] = ft.check_inversion(qg, rng, tol)
+    stages["plancherel"] = ft.check_plancherel(qg, rng, tol)
+    stages["convolution-agreement"] = ft.check_convolution(qg, rng, tol)
+    if model is not None:
+        stages["convolution-agreement"].deviation = max(
+            stages["convolution-agreement"].deviation,
+            models.convolution_oracle_deviation(model, rng))
+    stages["pairing"] = ft.check_pairing(qg, rng, tol)
+    if model is not None:
+        stages["pairing"].deviation = max(stages["pairing"].deviation,
+                                          models.pairing_oracle_deviation(model, rng))
+    stages["pairing-axioms"] = ft.check_pairing_axioms(qg, rng, tol)
+    stages["ft-pairing"] = ft.check_ft_pairing(qg, rng, tol)
+    stages["pontryagin"] = engine.pontryagin_check(qg, 1e-8)
+    return stages
+
+
+@pytest.mark.parametrize("label", ["s3", "transported-dihedral3"])
+def test_run_suite_only_orders_the_checks(label):
+    if label == "s3":
+        source = model = models.build(groups.symmetric(3))
+        mu, qg, derived = model.qg.mu, model.qg, {"algebra-generation", "haar-weights"}
+    else:
+        q, _ = np.linalg.qr(random_complex(np.random.default_rng(5), (6, 6)))
+        uu = np.kron(q, q)
+        source = uu @ models.build(groups.dihedral(3)).qg.w @ uu.conj().T
+        model, qg = None, engine.pair_from_unitary(source)
+        mu = qg.mu
+        derived = {"algebra-generation", "haar-weights", "antipode-assembly"}
+    report = run_suite(source, seed=17)
+    assert report.passed
+    stages = replayed_checks(mu, qg, model, seed=17)
+    assert [c.name for c in report.checks if c.name not in derived] == list(stages)
+    for check in report.checks:
+        if check.name in stages:
+            assert check.deviation == stages[check.name].deviation, check.name
+            assert check.tolerance == stages[check.name].tolerance, check.name

@@ -9,6 +9,9 @@ same file from a copy of another commit measures that commit.  The kernels are
 
 * `comult_coeff_tensor` on each group SPEC, on its M basis (side M) and on
   the dual's (side Mhat);
+* `check_pairing_axioms` on each group SPEC's pair, with a generator seeded
+  at the suite seed on every call, after the first call has filled the
+  pair's caches;
 * `check_pentagon`, `slice_span_m` and `slice_span_mhat` on the two n = 12
   dense unitaries of the verify-dense benchmark workload (workload seed 11);
 * `run_suite` on each group SPEC at suite seed 11, on a freshly built model
@@ -32,6 +35,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench.workloads import dense_unitaries
 from qgft import cli, engine, models
+from qgft.fourier import check_pairing_axioms
 from qgft.verify import run_suite
 
 REPEATS = 5
@@ -64,6 +68,8 @@ def kernels(groups: list):
         for side, pair in (("M", qg), ("Mhat", qg.dual)):
             yield ("comult_coeff_tensor", spec, side,
                    lambda pair=pair: engine.comult_coeff_tensor(pair.mu, pair.m_basis))
+        yield ("check_pairing_axioms", spec, "",
+               lambda qg=qg: check_pairing_axioms(qg, np.random.default_rng(SUITE_SEED)))
     for label, w in dense_unitaries(DENSE_SEED):
         mu = engine.MultiplicativeUnitary.from_dense(w)
         yield "check_pentagon", label, "", lambda mu=mu: engine.check_pentagon(mu)
