@@ -56,15 +56,21 @@ class VerificationReport:
         return self.first_failed is None
 
     def to_json_dict(self) -> dict:
-        checks = [{"name": c.name, "pass": bool(c.passed), "deviation": float(c.deviation),
-                   "tolerance": float(c.tolerance), "elapsed_ms": float(c.elapsed_ms)}
-                  for c in sorted(self.checks, key=lambda c: c.name)]
-        return {"model": self.model, "seed": self.seed, "suite_version": self.suite_version,
-                "checks": checks}
-
-
-class _Abort(Exception):
-    pass
+        return {
+            "model": self.model,
+            "seed": self.seed,
+            "suite_version": self.suite_version,
+            "checks": [
+                {
+                    "name": c.name,
+                    "pass": bool(c.passed),
+                    "deviation": float(c.deviation),
+                    "tolerance": float(c.tolerance),
+                    "elapsed_ms": float(c.elapsed_ms),
+                }
+                for c in sorted(self.checks, key=lambda c: c.name)
+            ],
+        }
 
 
 def run_suite(source, tol_value: float = DEFAULT_TOL, seed: int = DEFAULT_SEED,
@@ -75,21 +81,29 @@ def run_suite(source, tol_value: float = DEFAULT_TOL, seed: int = DEFAULT_SEED,
     negative, infinite or NaN."""
     if not 0.0 <= tol_value < float("inf"):  # also rejects NaN
         raise ValueError(f"tol_value must be finite and non-negative, got {tol_value}")
-    model = source if isinstance(source, models.GroupModel) else None
-    qg = model.qg if model is not None else (
-        source if isinstance(source, QuantumGroupPair) else None)
-    if qg is not None:
+    model: models.GroupModel | None = None
+    qg: QuantumGroupPair | None = None
+
+    if isinstance(source, models.GroupModel):
+        model = source
+        qg = source.qg
         mu = qg.mu
-        name = model_name or (model.group.name if model is not None else f"pair:{qg.n}")
+        name = model_name or source.group.name
+    elif isinstance(source, QuantumGroupPair):
+        qg = source
+        mu = qg.mu
+        name = model_name or f"pair:{qg.n}"
     else:
         mu = (source if isinstance(source, MultiplicativeUnitary)
               else MultiplicativeUnitary.from_dense(source))
         name = model_name or f"unitary:{mu.n}"
 
     report = VerificationReport(model=name, seed=seed)
+    tol, rng = tol_value, np.random.default_rng(seed)
 
-    def run(stage: str, fn, abort_on_fail: bool = False) -> None:
-        """Time fn() into the report as `stage`; an exception fails the stage."""
+    def run(stage: str, fn) -> bool:
+        """Time fn() into the report as `stage`; an exception fails the stage.
+        Returns whether the stage passed."""
         start = time.perf_counter()
         try:
             check = fn()
@@ -100,21 +114,13 @@ def run_suite(source, tol_value: float = DEFAULT_TOL, seed: int = DEFAULT_SEED,
         report.checks.append(check)
         if not check.passed and report.first_failed is None:
             report.first_failed = stage
-        if not check.passed and abort_on_fail:
-            raise _Abort
+        return check.passed
 
-    try:
-        _run_stages(run, mu, model, qg, tol_value, np.random.default_rng(seed))
-    except _Abort:
-        pass
-    return report
-
-
-def _run_stages(run, mu: MultiplicativeUnitary,
-                model: models.GroupModel | None, qg: QuantumGroupPair | None,
-                tol: float, rng: np.random.Generator):
-    run("unitarity", lambda: engine.check_unitarity(mu), abort_on_fail=True)
-    run("pentagon", lambda: check_pentagon(mu), abort_on_fail=True)
+    # A failed structural stage returns the report at once.
+    if not run("unitarity", lambda: engine.check_unitarity(mu)):
+        return report
+    if not run("pentagon", lambda: check_pentagon(mu)):
+        return report
     if mu.is_permutation and mu.n <= engine.DENSE_PENTAGON_MAX_DIM:
         dense_mu = MultiplicativeUnitary.from_dense(mu.dense)
         run("pentagon-dense", lambda: check_pentagon(dense_mu))
@@ -133,7 +139,8 @@ def _run_stages(run, mu: MultiplicativeUnitary,
         state["m_span"], state["mhat_span"] = m_span, mhat_span
         return CheckReport("", dev, tol)
 
-    run("algebra-generation", generation, abort_on_fail=True)
+    if not run("algebra-generation", generation):
+        return report
 
     def weights():
         if model is not None:
@@ -142,7 +149,8 @@ def _run_stages(run, mu: MultiplicativeUnitary,
         state["weights"] = (Weight(xi_phi), Weight(xi_phihat))
         return CheckReport("", 0.0, tol)
 
-    run("haar-weights", weights, abort_on_fail=True)
+    if not run("haar-weights", weights):
+        return report
 
     if qg is None:
         def antipodes():
@@ -151,7 +159,8 @@ def _run_stages(run, mu: MultiplicativeUnitary,
             state["antipode_fits"] = fits
             return CheckReport("", max(fits[0][1], fits[1][1]), tol)
 
-        run("antipode-assembly", antipodes, abort_on_fail=True)
+        if not run("antipode-assembly", antipodes):
+            return report
         phi, phihat = state["weights"]
         (s_mat, _), (shat_mat, _) = state["antipode_fits"]
         qg = QuantumGroupPair(mu, state["m_span"], state["mhat_span"],
@@ -163,6 +172,7 @@ def _run_stages(run, mu: MultiplicativeUnitary,
         return check
 
     run("w-membership", lambda: engine.check_w_membership(qg, tol))
+
     # Mhat-side stages are M-side stages of the dual; run calls fn at once.
     sides = ((qg, ""), (qg.dual, "-dual"))
     for side, suffix in sides:
@@ -170,12 +180,15 @@ def _run_stages(run, mu: MultiplicativeUnitary,
     for side, suffix in sides:
         run("left-invariance" + suffix, lambda: engine.check_left_invariance(side, tol))
         run("right-invariance" + suffix, lambda: engine.check_right_invariance(side, tol))
+
     run("gns-consistency", lambda: engine.check_gns_consistency(qg, tol))
     run("gns-duality-phihat", lambda: engine.check_gns_duality_phihat(qg, tol))
     run("gns-duality-phihatdual", lambda: engine.check_gns_duality_phihatdual(qg, tol))
+
     run("antipode-slices", lambda: engine.check_antipode(qg, tol, state.get("antipode_fits")))
     run("sharp-involution", lambda: engine.check_sharp_involution(qg, rng, tol))
     run("slice-product-laws", lambda: engine.check_slice_product_laws(qg, rng, tol))
+
     run("gns-transport", lambda: fourier.check_gns_transport(qg, tol))
     run("fourier-inversion", lambda: fourier.check_inversion(qg, rng, tol))
     run("plancherel", lambda: fourier.check_plancherel(qg, rng, tol))
@@ -186,3 +199,4 @@ def _run_stages(run, mu: MultiplicativeUnitary,
     run("pairing-axioms", lambda: fourier.check_pairing_axioms(qg, rng, tol))
     run("ft-pairing", lambda: fourier.check_ft_pairing(qg, rng, tol))
     run("pontryagin", lambda: engine.pontryagin_check(qg, PONTRYAGIN_TOL))
+    return report

@@ -25,7 +25,7 @@ from qgft.fourier import (
     inverse_fourier,
     pairing,
 )
-from qgft.linalg import inner, kron, random_element
+from qgft.linalg import deviation, inner, kron, random_element
 
 RNG = np.random.default_rng(23)
 
@@ -155,10 +155,11 @@ def test_fourier_report_vectors():
     a = random_function(3)
     qg, pi_a, l_a = mdl.qg, models.pi(mdl, a), models.L(mdl, a)
     # Lambda(pi_a) is the function itself; Lambda_hat(L_a) likewise
-    np.testing.assert_allclose(qg.phi.gns(pi_a), a, atol=1e-13)
-    np.testing.assert_allclose(qg.phihat.gns(fourier(qg, pi_a)), a, atol=1e-12)
-    np.testing.assert_allclose(qg.phi.gns(inverse_fourier(qg, l_a)), qg.phihat.gns(l_a),
-                               atol=1e-12)
+    gns_in, gns_out = qg.phi.gns(pi_a), qg.phihat.gns(fourier(qg, pi_a))
+    np.testing.assert_allclose(gns_in, a, atol=1e-13)
+    np.testing.assert_allclose(gns_out, a, atol=1e-12)
+    assert deviation(gns_out, gns_in) <= 1e-12
+    assert deviation(qg.phi.gns(inverse_fourier(qg, l_a)), qg.phihat.gns(l_a)) <= 1e-12
 
 
 def test_plancherel_as_isometry():
