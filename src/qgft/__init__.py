@@ -6,7 +6,6 @@ exact oracle."""
 
 from .engine import (
     CheckReport,
-    ClosureFailure,
     InconsistentSlices,
     MultiplicativeUnitary,
     NotInAlgebra,
@@ -19,8 +18,6 @@ from .engine import (
     check_pentagon,
     comultiply,
     dual_comultiply,
-    generate_M,
-    generate_Mhat,
     lam,
     lam_hat,
     pair_from_unitary,
@@ -69,11 +66,11 @@ from .models import GroupModel, build, dft_compare
 from .verify import VerificationReport, run_suite
 
 __all__ = [
-    "CheckReport", "ClosureFailure", "InconsistentSlices", "MultiplicativeUnitary",
+    "CheckReport", "InconsistentSlices", "MultiplicativeUnitary",
     "NotInAlgebra", "QuantumGroupPair", "SingularAntipode",
     "Weight", "WeightDerivationError", "antipode_from_slices",
     "antipode_hat_from_slices", "check_pentagon", "comultiply", "dual_comultiply",
-    "generate_M", "generate_Mhat", "lam", "lam_hat", "pair_from_unitary", "sharp",
+    "lam", "lam_hat", "pair_from_unitary", "sharp",
     "PairingValue", "convolve", "convolve_direct", "convolve_dual",
     "convolve_dual_direct", "check_inversion", "check_plancherel", "fourier",
     "inverse_fourier", "pairing",  # "fourier" names the submodule

@@ -87,8 +87,9 @@ def load_unitary(path) -> np.ndarray:
         raise ValueError(f"{path}: dense unitaries support leg dimension "
                          f"<= {DENSE_PENTAGON_MAX_DIM}, got {n}")
     for key in ("re", "im"):  # JSON numbers only: true is a bool, an object a dict
-        rows = data[key]
+        rows = data[key]      # and rows of one length, so numpy sees a matrix
         if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)
+                and len(set(map(len, rows))) <= 1
                 and set(map(type, chain.from_iterable(rows))) <= {int, float}):
             raise ValueError(f"{path}: field '{key}' must be a matrix of JSON numbers")
     re = np.asarray(data["re"], dtype=float)

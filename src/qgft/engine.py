@@ -27,6 +27,10 @@ delta(x_i).  A check of a built pair is `check_*(qg, tol)`, or
 `check_*(qg, rng, tol)` on its *_SAMPLES random draws; `tol` is one float
 absolute bound.  `check_unitarity(mu)` and `check_pentagon(mu)` bound by 0,
 or by DENSE_W_TOL for a dense W.  The pair caches no dense W.
+
+A pair is derived from W only by `derive_pair`, in three stages handed to a
+runner: `verify.run_suite` records each, `pair_from_unitary` raises at the
+first that fails.
 """
 
 from __future__ import annotations
@@ -70,11 +74,6 @@ PRODUCT_LAW_SAMPLES = 5
 # A permutation W's coefficient-tensor residual is reconstructed in blocks of
 # rows holding at most this many entries.
 _RESIDUAL_BLOCK_ENTRIES = 1 << 15
-
-
-class ClosureFailure(ValueError):
-    """Products or adjoints of generated slices leave the span: W is not of
-    the expected regular type."""
 
 
 class InconsistentSlices(ValueError):
@@ -306,24 +305,6 @@ def slice_span_m(mu: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> np.ndar
 
 def slice_span_mhat(mu: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> np.ndarray:
     return span_basis(slice_family_leg1(mu.dense, mu.n), tol)
-
-
-def _require_closed(basis: np.ndarray, leg: int, tol: float) -> np.ndarray:
-    dev = algebra_closure_deviation(basis)
-    if dev > tol:
-        raise ClosureFailure(f"leg-{leg} slice span is not an algebra (deviation {dev:.3e})")
-    return basis
-
-
-def generate_M(mu: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the span of leg-2 slices of W, verified closed
-    under multiplication and adjoint.  Raises ClosureFailure otherwise."""
-    return _require_closed(slice_span_m(mu, tol), 2, tol)
-
-
-def generate_Mhat(mu: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the span of leg-1 slices of W; see generate_M."""
-    return _require_closed(slice_span_mhat(mu, tol), 1, tol)
 
 
 def comultiply(mu: MultiplicativeUnitary, x: np.ndarray) -> np.ndarray:
@@ -588,6 +569,14 @@ def fixed_leg_vectors(mu: MultiplicativeUnitary, leg: int) -> np.ndarray:
     return vh[n - null_dim:].conj() if null_dim else np.zeros((0, n), dtype=complex)
 
 
+def _gns_duality_sides(w: np.ndarray, n: int, m_basis: np.ndarray, xi_phi: np.ndarray,
+                       xi_phihat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides of <Lambda_hat((omega (x) id)(W)), Lambda(x)> = omega(x^*)
+    over matrix-unit omega = E_uv (rows, (u, v) order) and M-basis x (columns)."""
+    lhs = (slice_family_leg1(w, n) @ xi_phihat) @ (m_basis @ xi_phi).conj().T
+    return lhs, m_basis.conj().reshape(m_basis.shape[0], n * n).T
+
+
 def derive_haar_vectors(mu: MultiplicativeUnitary, m_basis: np.ndarray,
                         tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Implementing vectors for the Haar weights of a generic W.
@@ -613,9 +602,7 @@ def derive_haar_vectors(mu: MultiplicativeUnitary, m_basis: np.ndarray,
             f"leg-1 fixed space has dimension {v1.shape[0]}, expected 1")
     unit = v1[0]
 
-    lam_family = slice_family_leg1(mu.dense, n)              # lambda(E_uv), (u, v) order
-    lhs = (lam_family @ unit) @ (m_basis @ xi_phi).conj().T  # (n^2, m)
-    rhs = m_basis.conj().reshape(m_basis.shape[0], n * n).T
+    lhs, rhs = _gns_duality_sides(mu.dense, n, m_basis, xi_phi, unit)
     denom = float(np.sum(np.abs(lhs) ** 2))
     if denom <= tol:
         raise WeightDerivationError("dual weight scale is undetermined")
@@ -725,27 +712,52 @@ class QuantumGroupPair:
         return (xi.conj() @ self.m_basis) @ w_star_mid @ (self.mhat_basis @ xihat).T
 
 
-def pair_from_unitary(w, tol: float = DEFAULT_TOL) -> QuantumGroupPair:
-    """Build the full quantum-group bundle from a multiplicative unitary.
+def derive_pair(mu: MultiplicativeUnitary, run, tol: float = DEFAULT_TOL) -> QuantumGroupPair | None:
+    """The pair of W, derived in three stages, each run as run(stage, fn): fn()
+    returns the stage's CheckReport, and run returns whether it passed.
+    algebra-generation spans M and Mhat and bounds their closure, haar-weights
+    recovers both implementing vectors, antipode-assembly fits both antipodes.
+    None after the first stage that fails."""
+    spans, weights, fits = [], [], []
 
-    Checks unitarity and the pentagon relation, generates both slice algebras
-    (with closure verification), recovers the Haar implementing vectors, and
-    assembles both antipodes from slice consistency.
-    """
+    def generation() -> CheckReport:
+        spans[:] = slice_span_m(mu, tol), slice_span_mhat(mu, tol)
+        return CheckReport("algebra-generation", max(map(algebra_closure_deviation, spans)), tol)
+
+    def haar_weights() -> CheckReport:
+        weights[:] = map(Weight, derive_haar_vectors(mu, spans[0], tol))
+        return CheckReport("haar-weights", 0.0, tol)
+
+    def antipode_assembly() -> CheckReport:
+        fits[:] = (antipode_from_slices(mu, spans[0], tol),
+                   antipode_hat_from_slices(mu, spans[1], tol))
+        return CheckReport("antipode-assembly", max(fits[0][1], fits[1][1]), tol)
+
+    if not (run("algebra-generation", generation) and run("haar-weights", haar_weights)
+            and run("antipode-assembly", antipode_assembly)):
+        return None
+    (s_mat, _), (shat_mat, _) = fits
+    return QuantumGroupPair(mu, *spans, *weights, s_mat, shat_mat)
+
+
+def pair_from_unitary(w, tol: float = DEFAULT_TOL) -> QuantumGroupPair:
+    """The pair of W, through the suite's structural stages at its bounds:
+    unitarity, the pentagon, then `derive_pair`.  ValueError names the first
+    stage that fails and its deviation (check_pentagon's own for a dense W with
+    n > DENSE_PENTAGON_MAX_DIM); WeightDerivationError and InconsistentSlices
+    propagate from haar-weights and antipode-assembly."""
     mu = w if isinstance(w, MultiplicativeUnitary) else MultiplicativeUnitary.from_dense(w)
-    udev = mu.unitarity_deviation()
-    if udev > tol:
-        raise ValueError(f"W is not unitary (deviation {udev:.3e})")
-    pentagon = check_pentagon(mu)
-    if not pentagon.passed:
-        raise ValueError(f"pentagon equation fails (deviation {pentagon.deviation:.3e})")
-    m_basis = generate_M(mu, tol)
-    mhat_basis = generate_Mhat(mu, tol)
-    xi_phi, xi_phihat = derive_haar_vectors(mu, m_basis, tol)
-    s_mat, _ = antipode_from_slices(mu, m_basis, tol)
-    shat_mat, _ = antipode_hat_from_slices(mu, mhat_basis, tol)
-    return QuantumGroupPair(mu, m_basis, mhat_basis, Weight(xi_phi), Weight(xi_phihat),
-                            s_mat, shat_mat)
+
+    def run(stage: str, fn) -> bool:
+        check = fn()
+        if not check.passed:
+            raise ValueError(f"W is not the multiplicative unitary of a pair: {stage} "
+                             f"deviation {check.deviation:.3e} exceeds {check.tolerance:.3e}")
+        return True
+
+    run("unitarity", lambda: check_unitarity(mu))
+    run("pentagon", lambda: check_pentagon(mu))
+    return derive_pair(mu, run, tol)
 
 
 def check_w_membership(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -774,12 +786,7 @@ def check_gns_consistency(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> Che
 
 
 def _gns_duality(name: str, qg: QuantumGroupPair, tol: float) -> CheckReport:
-    """<Lambda_hat((omega (x) id)(W)), Lambda(x)> = omega(x^*), over all
-    matrix-unit omega and M-basis x."""
-    family = slice_family_leg1(qg.w, qg.n)
-    basis = qg.m_basis
-    lhs = (family @ qg.phihat.xi) @ (basis @ qg.phi.xi).conj().T
-    rhs = basis.conj().reshape(basis.shape[0], -1).T
+    lhs, rhs = _gns_duality_sides(qg.w, qg.n, qg.m_basis, qg.phi.xi, qg.phihat.xi)
     return CheckReport(name, deviation(lhs, rhs), tol)
 
 
@@ -794,16 +801,13 @@ def check_gns_duality_phihatdual(qg: QuantumGroupPair,
     return _gns_duality("gns-duality-phihatdual", qg.dual, tol)
 
 
-def check_antipode(qg: QuantumGroupPair, tol: float = DEFAULT_TOL,
-                   fits: tuple | None = None) -> CheckReport:
-    """Slice consistency of both antipodes against the stored matrices,
-    anti-multiplicativity of S, and the Kac property S(x^*)^* = S^{-1}(x).
-    `fits` reuses ((S, residual), (Shat, residual)) already fitted from this
-    pair's W and bases; without it both antipodes are fitted here."""
+def check_antipode(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckReport:
+    """Slice consistency of both antipodes, fitted here from W and the bases,
+    against the stored matrices, anti-multiplicativity of S, and the Kac
+    property S(x^*)^* = S^{-1}(x)."""
     try:
-        (s_fit, s_res), (shat_fit, shat_res) = fits or (
-            antipode_from_slices(qg.mu, qg.m_basis, tol),
-            antipode_hat_from_slices(qg.mu, qg.mhat_basis, tol))
+        (s_fit, s_res), (shat_fit, shat_res) = (antipode_from_slices(qg.mu, qg.m_basis, tol),
+                                                antipode_hat_from_slices(qg.mu, qg.mhat_basis, tol))
     except InconsistentSlices:
         return CheckReport("antipode-slices", 1.0, tol,
                            note="slice relation inconsistent")
@@ -827,11 +831,11 @@ def check_sharp_involution(qg: QuantumGroupPair, rng: np.random.Generator,
                            tol: float = DEFAULT_TOL) -> CheckReport:
     """((omega (x) id)(W))^* = (omega_sharp (x) id)(W) for SHARP_SAMPLES random
     omega, and involutivity of sharp on the algebra."""
-    dev = 0.0
+    lam_w, dev = left_slicer(qg.w, qg.n), 0.0                 # lam(mu, .), W laid out once
     for _ in range(SHARP_SAMPLES):
         omega = Functional(random_complex(rng, (qg.n, qg.n)))
         omega_sharp = sharp(omega, qg.s_mat, qg.m_basis)
-        dev = max(dev, deviation(lam(qg.mu, omega).conj().T, lam(qg.mu, omega_sharp)))
+        dev = max(dev, deviation(lam_w(omega).conj().T, lam_w(omega_sharp)))
         twice = sharp(omega_sharp, qg.s_mat, qg.m_basis)
         dev = max(dev, deviation(omega.values_on(qg.m_basis), twice.values_on(qg.m_basis)))
     return CheckReport("sharp-involution", dev, tol)

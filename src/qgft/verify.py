@@ -9,11 +9,12 @@ consistency, the sharp involution, slice product laws, GNS transport, Fourier
 inversion, Plancherel, convolution agreement, pairing spread and axioms, the
 inner-product pairing description, and the Pontryagin double-dual span check.
 
-`run_suite` derives the pair of a source that is not one (algebra-generation,
-haar-weights, antipode-assembly) and otherwise only calls the `check_*`
-functions of `engine` and `fourier` in this order.  For a group model,
-`convolution-agreement` and `pairing` also take the model's classical oracle
-(`models.*_oracle_deviation`), drawn after the generic samples.
+`run_suite` derives the pair of a source that is not one through
+`engine.derive_pair` (algebra-generation, haar-weights, antipode-assembly),
+the derivation `engine.pair_from_unitary` also runs, and otherwise only calls
+the `check_*` functions of `engine` and `fourier` in this order.  For a group
+model, `convolution-agreement` and `pairing` also take the model's classical
+oracle (`models.*_oracle_deviation`), drawn after the generic samples.
 
 Stages are bounded by `tol_value`, except unitarity, the pentagons, exact model
 weights and pontryagin (PONTRYAGIN_TOL), which keep their own bounds.  Randomized
@@ -29,13 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import engine, fourier, models
-from .engine import (
-    CheckReport,
-    MultiplicativeUnitary,
-    QuantumGroupPair,
-    Weight,
-    check_pentagon,
-)
+from .engine import CheckReport, MultiplicativeUnitary, QuantumGroupPair, check_pentagon
 from .linalg import DEFAULT_TOL, subspace_equal
 
 SUITE_VERSION = "qgft-suite/1"
@@ -125,46 +120,27 @@ def run_suite(source, tol_value: float = DEFAULT_TOL, seed: int = DEFAULT_SEED,
         dense_mu = MultiplicativeUnitary.from_dense(mu.dense)
         run("pentagon-dense", lambda: check_pentagon(dense_mu))
 
-    # Slice-algebra generation and closure, and for a given pair, its bases.
-    state: dict = {}
-
-    def generation():
-        m_span = engine.slice_span_m(mu, tol)
-        mhat_span = engine.slice_span_mhat(mu, tol)
-        dev = max(engine.algebra_closure_deviation(m_span),
-                  engine.algebra_closure_deviation(mhat_span))
-        if qg is not None:
-            dev = max(dev, subspace_equal(m_span, qg.m_basis),
-                      subspace_equal(mhat_span, qg.mhat_basis))
-        state["m_span"], state["mhat_span"] = m_span, mhat_span
-        return CheckReport("", dev, tol)
-
-    if not run("algebra-generation", generation):
-        return report
-
-    def weights():
-        if model is not None:
-            return CheckReport("", 0.0, 0.0, note="exact model weights")
-        xi_phi, xi_phihat = engine.derive_haar_vectors(mu, state["m_span"], tol)
-        state["weights"] = (Weight(xi_phi), Weight(xi_phihat))
-        return CheckReport("", 0.0, tol)
-
-    if not run("haar-weights", weights):
-        return report
-
+    # A source that is not a pair is derived stage by stage; a given pair's
+    # bases are compared with the slice spans, and its weights derived or exact.
     if qg is None:
-        def antipodes():
-            fits = (engine.antipode_from_slices(mu, state["m_span"], tol),
-                    engine.antipode_hat_from_slices(mu, state["mhat_span"], tol))
-            state["antipode_fits"] = fits
-            return CheckReport("", max(fits[0][1], fits[1][1]), tol)
-
-        if not run("antipode-assembly", antipodes):
+        qg = engine.derive_pair(mu, run, tol)
+        if qg is None:
             return report
-        phi, phihat = state["weights"]
-        (s_mat, _), (shat_mat, _) = state["antipode_fits"]
-        qg = QuantumGroupPair(mu, state["m_span"], state["mhat_span"],
-                              phi, phihat, s_mat, shat_mat)
+    else:
+        def generation():
+            spans = engine.slice_span_m(mu, tol), engine.slice_span_mhat(mu, tol)
+            return CheckReport("", max(*map(engine.algebra_closure_deviation, spans),
+                                       subspace_equal(spans[0], qg.m_basis),
+                                       subspace_equal(spans[1], qg.mhat_basis)), tol)
+
+        def weights():
+            if model is not None:
+                return CheckReport("", 0.0, 0.0, note="exact model weights")
+            engine.derive_haar_vectors(mu, qg.m_basis, tol)
+            return CheckReport("", 0.0, tol)
+
+        if not (run("algebra-generation", generation) and run("haar-weights", weights)):
+            return report
 
     def with_oracle(check: CheckReport, oracle) -> CheckReport:
         if model is not None:
@@ -185,7 +161,7 @@ def run_suite(source, tol_value: float = DEFAULT_TOL, seed: int = DEFAULT_SEED,
     run("gns-duality-phihat", lambda: engine.check_gns_duality_phihat(qg, tol))
     run("gns-duality-phihatdual", lambda: engine.check_gns_duality_phihatdual(qg, tol))
 
-    run("antipode-slices", lambda: engine.check_antipode(qg, tol, state.get("antipode_fits")))
+    run("antipode-slices", lambda: engine.check_antipode(qg, tol))
     run("sharp-involution", lambda: engine.check_sharp_involution(qg, rng, tol))
     run("slice-product-laws", lambda: engine.check_slice_product_laws(qg, rng, tol))
 

@@ -132,11 +132,14 @@ def test_verify_oversized_dense_unitary_exits_2(tmp_path, capsys):
 # One-by-one unitaries whose leg dimension field is not a positive JSON integer.
 BAD_N = {"null": None, "negative": -1, "fraction": 1.9, "true": True}
 
-# One-by-one unitaries with a matrix entry that is not a JSON number.
+# One-by-one unitaries with a matrix entry that is not a JSON number, or with
+# rows of different lengths.
 BAD_ENTRIES = {"re-object": {"re": {"a": 1}, "im": [[0]]},
                "re-nested-object": {"re": [[{"a": 1}]], "im": [[0]]},
                "re-true": {"re": [[True]], "im": [[0]]},
-               "im-true": {"re": [[1]], "im": [[True]]}}
+               "im-true": {"re": [[1]], "im": [[True]]},
+               "re-ragged": {"re": [[1, 0, 0, 0], [0, 1]], "im": [[0]]},
+               "im-ragged": {"re": [[1]], "im": [[0, 0, 0, 0], [0, 0]]}}
 
 LOAD_FAILURES = [
     ["verify", "--unitary", "{missing}"],
@@ -177,6 +180,9 @@ def test_load_failure_exits_2_with_empty_stdout(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert captured.out == ""
+    for arg in argv:  # a bad matrix names its file
+        if arg.startswith("{entries_"):
+            assert arg.format(**files) in captured.err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])

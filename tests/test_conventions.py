@@ -61,10 +61,7 @@ def test_no_einsum_in_the_package():
 # Every public check_* in engine and fourier is check_*(qg or mu[, rng][, tol]),
 # with tol defaulting to DEFAULT_TOL.  A parameter outside that shape is listed
 # here as (function, parameter, reason).
-CHECK_EXTRA_PARAMETERS: list[tuple[str, str, str]] = [
-    ("check_antipode", "fits",
-     "run_suite passes the antipode fits of a dense source, so each antipode is fitted once"),
-]
+CHECK_EXTRA_PARAMETERS: list[tuple[str, str, str]] = []
 
 
 def public_checks():

@@ -14,13 +14,13 @@ from qgft import fourier as ft
 from qgft.cli import parse_group_spec
 from qgft.engine import (
     ANTIPODE_SINGULAR_RTOL,
-    ClosureFailure,
     InconsistentSlices,
     MultiplicativeUnitary,
     QuantumGroupPair,
     SingularAntipode,
     Weight,
     WeightDerivationError,
+    algebra_closure_deviation,
     antipode_from_slices,
     antipode_hat_from_slices,
     check_antipode,
@@ -37,9 +37,8 @@ from qgft.engine import (
     comult_coeff_tensor,
     comultiply,
     derive_haar_vectors,
+    derive_pair,
     dual_comultiply,
-    generate_M,
-    generate_Mhat,
     lam,
     lam_hat,
     pair_from_unitary,
@@ -237,13 +236,15 @@ def test_slice_families_match_single_slice_kernel(n):
 
 def test_generate_z2_spans():
     qg = z2().qg
-    m = generate_M(qg.mu)
+    m = slice_span_m(qg.mu)
     assert m.shape[0] == 2
+    assert algebra_closure_deviation(m) <= 1e-10
     diagonals = span_basis([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
     assert subspace_equal(m, diagonals) <= 1e-10
 
-    mhat = generate_Mhat(qg.mu)
+    mhat = slice_span_mhat(qg.mu)
     assert mhat.shape[0] == 2
+    assert algebra_closure_deviation(mhat) <= 1e-10
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     group_algebra = span_basis([np.eye(2), swap])
     assert subspace_equal(mhat, group_algebra) <= 1e-10
@@ -251,8 +252,9 @@ def test_generate_z2_spans():
 
 def test_generate_identity_w_gives_scalars():
     mu = MultiplicativeUnitary.from_dense(np.eye(9))
-    assert generate_M(mu).shape[0] == 1
-    assert generate_Mhat(mu).shape[0] == 1
+    for span in (slice_span_m(mu), slice_span_mhat(mu)):
+        assert span.shape[0] == 1
+        assert algebra_closure_deviation(span) <= 1e-10
 
 
 def test_generate_span_dims_equal_group_order():
@@ -275,8 +277,11 @@ def test_closure_failure_on_crafted_slices():
             for j in range(n):
                 w4[i, l, j, k] = mat[i, j]
     mu = MultiplicativeUnitary.from_dense(w4.reshape(n * n, n * n))
-    with pytest.raises(ClosureFailure):
-        generate_M(mu)
+    assert algebra_closure_deviation(slice_span_m(mu)) > 1e-10
+    # the derivation stops at its first stage
+    stages = []
+    assert derive_pair(mu, lambda stage, fn: stages.append(fn()) or stages[-1].passed) is None
+    assert [(c.name, c.passed) for c in stages] == [("algebra-generation", False)]
 
 
 # ------------------------------------------------------- comultiplications
@@ -742,8 +747,9 @@ def test_slice_product_laws_do_not_depend_on_the_layout_of_w():
 
 
 def test_slicing_checks_lay_each_operand_out_once(monkeypatch):
-    # three operands for the slice-product laws (W on each leg, W^* on leg 2)
-    # and two for the pairing axioms (W on each leg), whatever the sample count
+    # three operands for the slice-product laws (W on each leg, W^* on leg 2),
+    # two for the pairing axioms (W on each leg) and one for the sharp
+    # involution (W on leg 1), whatever the sample count
     layouts = []
     lay_out = linalg._legs
     monkeypatch.setattr(linalg, "_legs", lambda *args: layouts.append(args[2]) or lay_out(*args))
@@ -751,12 +757,16 @@ def test_slicing_checks_lay_each_operand_out_once(monkeypatch):
     for samples in (1, 4):
         monkeypatch.setattr(engine, "PRODUCT_LAW_SAMPLES", samples)
         monkeypatch.setattr(ft, "PAIRING_AXIOM_SAMPLES", samples)
+        monkeypatch.setattr(engine, "SHARP_SAMPLES", samples)
         layouts.clear()
         check_slice_product_laws(qg, np.random.default_rng(1))
         assert len(layouts) == 3
         layouts.clear()
         check_pairing_axioms(qg, np.random.default_rng(1))
         assert len(layouts) == 2
+        layouts.clear()
+        check_sharp_involution(qg, np.random.default_rng(1))
+        assert len(layouts) == 1
 
 
 def test_slice_product_law_functionals_match_einsum_formulas():

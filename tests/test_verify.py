@@ -66,8 +66,8 @@ def test_suite_on_generic_dense_unitary():
 
 @pytest.mark.parametrize("source", ["dense", "model"])
 def test_suite_fits_each_antipode_once(source, monkeypatch):
-    # a dense source reuses the antipode-assembly fits in antipode-slices;
-    # a given pair has no assembly stage and is fitted there
+    # antipode-slices fits both antipodes; a dense source has fitted them
+    # once before, in antipode-assembly, and the refit gives the same deviation
     mdl = models.build(groups.dihedral(3))
     fit, calls = engine.antipode_from_slices, []
 
@@ -78,7 +78,7 @@ def test_suite_fits_each_antipode_once(source, monkeypatch):
     monkeypatch.setattr(engine, "antipode_from_slices", counted)
     report = run_suite(np.asarray(mdl.qg.w) if source == "dense" else mdl)
     assert report.first_failed is None
-    assert len(calls) == 2
+    assert len(calls) == (4 if source == "dense" else 2)
     monkeypatch.undo()
     if source == "dense":
         refit = engine.check_antipode(engine.pair_from_unitary(np.asarray(mdl.qg.w)))
@@ -149,6 +149,38 @@ def test_suite_fails_weights_off_gns_position():
     executed = [c.name for c in report.checks]
     assert executed[-1] == "haar-weights"
     assert "algebra-generation" in executed
+
+
+def near_unitary_dihedral3():
+    """dihedral:3's W conjugated by u (x) u, with u the seed-5 QR unitary
+    times 1 + 3e-11 diag(normal): the pentagon holds to rounding, and W misses
+    unitarity by 4.9e-11, between the dense bound 1e-12 and DEFAULT_TOL."""
+    rng = np.random.default_rng(5)
+    q, _ = np.linalg.qr(random_complex(rng, (6, 6)))
+    u = q @ np.diag(1 + 3e-11 * rng.standard_normal(6))
+    uu = np.kron(u, u)
+    return uu @ models.build(groups.dihedral(3)).qg.w @ np.linalg.inv(uu)
+
+
+STRUCTURAL_FAILURES = {
+    "near-unitary": (near_unitary_dihedral3, "unitarity", ValueError, "unitarity deviation"),
+    "flipped-z2": (lambda: flip(2) @ models.build(groups.cyclic(2)).qg.w,
+                   "pentagon", ValueError, "pentagon deviation"),
+    "ones": (lambda: np.ones((4, 4)), "unitarity", ValueError, "unitarity deviation"),
+    "dense-cyclic13": (lambda: np.asarray(models.build(groups.cyclic(13)).qg.w),
+                       "pentagon", ValueError, "dense pentagon check needs n <= 12"),
+    "identity": (lambda: np.eye(4), "haar-weights", engine.WeightDerivationError,
+                 "fixed space has dimension"),
+}
+
+
+@pytest.mark.parametrize("label", STRUCTURAL_FAILURES)
+def test_pair_from_unitary_fails_where_the_suite_does(label):
+    build, stage, error, match = STRUCTURAL_FAILURES[label]
+    w = build()
+    assert run_suite(w).first_failed == stage
+    with pytest.raises(error, match=match):
+        engine.pair_from_unitary(w)
 
 
 def test_suite_deterministic_given_seed():
@@ -233,12 +265,20 @@ def test_suite_blames_the_corrupted_stage(corrupt, stage, eps):
 
 def replayed_checks(mu, qg, model, seed, tol=1e-10):
     """Every check stage of run_suite, called directly in suite order with a
-    generator seeded like the suite's; a group model also adds its oracles."""
+    generator seeded like the suite's; a group model also adds its oracles.
+    With qg None the pair is derived by engine.derive_pair, whose three stages
+    are recorded too."""
     rng = np.random.default_rng(seed)
     stages = {"unitarity": engine.check_unitarity(mu), "pentagon": engine.check_pentagon(mu)}
     if mu.is_permutation:
         dense_mu = engine.MultiplicativeUnitary.from_dense(mu.dense)
         stages["pentagon-dense"] = engine.check_pentagon(dense_mu)
+    if qg is None:
+        def record(stage, fn):
+            stages[stage] = fn()
+            return stages[stage].passed
+
+        qg = engine.derive_pair(mu, record, tol)
     stages["w-membership"] = engine.check_w_membership(qg, tol)
     for side, suffix in ((qg, ""), (qg.dual, "-dual")):
         stages["coassociativity" + suffix] = engine.check_coassociativity(side, tol)
@@ -278,9 +318,8 @@ def test_run_suite_only_orders_the_checks(label):
         q, _ = np.linalg.qr(random_complex(np.random.default_rng(5), (6, 6)))
         uu = np.kron(q, q)
         source = uu @ models.build(groups.dihedral(3)).qg.w @ uu.conj().T
-        model, qg = None, engine.pair_from_unitary(source)
-        mu = qg.mu
-        derived = {"algebra-generation", "haar-weights", "antipode-assembly"}
+        model, qg = None, None
+        mu, derived = engine.MultiplicativeUnitary.from_dense(source), set()
     report = run_suite(source, seed=17)
     assert report.passed
     stages = replayed_checks(mu, qg, model, seed=17)

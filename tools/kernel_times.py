@@ -12,8 +12,9 @@ same file from a copy of another commit measures that commit.  The kernels are
 * `check_pairing_axioms` on each group SPEC's pair, with a generator seeded
   at the suite seed on every call, after the first call has filled the
   pair's caches;
-* `check_pentagon`, `slice_span_m` and `slice_span_mhat` on the two n = 12
-  dense unitaries of the verify-dense benchmark workload (workload seed 11);
+* `check_pentagon`, `slice_span_m`, `slice_span_mhat` and `pair_from_unitary`
+  on the two n = 12 dense unitaries of the verify-dense benchmark workload
+  (workload seed 11), and `check_antipode` on the pair derived from each;
 * `run_suite` on each group SPEC at suite seed 11, on a freshly built model
   per call, so no cached table carries over from one call to the next.
 """
@@ -75,6 +76,9 @@ def kernels(groups: list):
         yield "check_pentagon", label, "", lambda mu=mu: engine.check_pentagon(mu)
         yield "slice_span_m", label, "", lambda mu=mu: engine.slice_span_m(mu)
         yield "slice_span_mhat", label, "", lambda mu=mu: engine.slice_span_mhat(mu)
+        yield "pair_from_unitary", label, "", lambda w=w: engine.pair_from_unitary(w)
+        qg = engine.pair_from_unitary(w)
+        yield "check_antipode", label, "", lambda qg=qg: engine.check_antipode(qg)
     for spec, group in groups:
         yield "run_suite", spec, "", lambda group=group: run_suite(models.build(group),
                                                                    seed=SUITE_SEED)
