@@ -5,7 +5,7 @@ the tensor square of an n-dimensional Hilbert space: the pentagon relation,
 the two slice algebras M (leg-2 slices of W) and Mhat (leg-1 slices), the
 comultiplications, the antipodes recovered from slice consistency, invariant
 (Haar) weights realized as implementing vectors, the sharp involution on
-functionals, and the double-dual (Pontryagin) span check.
+functionals, and Pontryagin duality.
 
 Comultiplications act by conjugation with W:
 
@@ -29,8 +29,10 @@ absolute bound.  `check_unitarity(mu)` and `check_pentagon(mu)` bound by 0,
 or by DENSE_W_TOL for a dense W.  The pair caches no dense W.
 
 A pair is derived from W only by `derive_pair`, in three stages handed to a
-runner: `verify.run_suite` records each, `pair_from_unitary` raises at the
-first that fails.
+runner: `verify.run_suite` records each, `pair_from_unitary` and
+`pontryagin_check` raise at the first that fails.  `pair_deviation` compares
+two pairs: the suite compares a given pair with the one derived from its W,
+and `pontryagin_check` compares the pair derived from What with `qg.dual`.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from .linalg import (
     as_complex_matrix,
     deviation,
     flat_rows,
-    flip,
     left_slicer,
     max_abs,
     membership_residual,
@@ -457,6 +458,10 @@ class Weight:
     def gns(self, x: np.ndarray) -> np.ndarray:
         return x @ self.xi
 
+    def state(self) -> np.ndarray:
+        """The density xi xi^* / |xi|^2: the weight up to a positive scale."""
+        return np.outer(self.xi, self.xi.conj()) / np.vdot(self.xi, self.xi).real
+
     def values_on(self, basis: np.ndarray) -> np.ndarray:
         """phi(x_k) for every operator x_k of the stack basis."""
         return flat_rows(basis) @ np.outer(self.xi.conj(), self.xi).reshape(-1)
@@ -550,19 +555,12 @@ def sharp(omega: Functional, s_mat: np.ndarray, basis: np.ndarray) -> Functional
     return Functional(span_reconstruct(f.conj(), basis).conj().T)
 
 
-def fixed_leg_vectors(mu: MultiplicativeUnitary, leg: int) -> np.ndarray:
-    """Orthonormal basis of {v : W(eta (x) v) = eta (x) v for all eta}
-    (leg = 2), or of the mirrored leg-1 condition (leg = 1)."""
+def fixed_leg_vectors(mu: MultiplicativeUnitary) -> np.ndarray:
+    """Orthonormal basis of {v : W(eta (x) v) = eta (x) v for all eta}.  The
+    mirrored condition W(v (x) eta) = v (x) eta is this one on What."""
     n = mu.n
-    w4 = mu.dense.reshape(n, n, n, n)
-    if leg == 2:
-        lhs = w4.reshape(n * n * n, n)                      # rows (a,b,i), cols t
-        rhs = np.eye(n * n).reshape(n * n * n, n)           # [a,b,i,t] = [a=i][b=t]
-    elif leg == 1:
-        lhs = np.transpose(w4, (0, 1, 3, 2)).reshape(n * n * n, n)  # rows (a,b,j), cols s
-        rhs = flip(n).reshape(n * n * n, n)                 # [a,b,j,s] = [b=j][a=s]
-    else:
-        raise ValueError("leg must be 1 or 2")
+    lhs = mu.dense.reshape(n * n * n, n)                    # rows (a,b,i), cols t
+    rhs = np.eye(n * n).reshape(n * n * n, n)               # [a,b,i,t] = [a=i][b=t]
     _, svals, vh = np.linalg.svd(lhs - rhs, full_matrices=False)
     cutoff = max(DEFAULT_TOL, RANK_RTOL * (svals[0] if svals.size else 1.0))
     null_dim = int(np.sum(svals <= cutoff)) + (n - svals.size)
@@ -583,20 +581,20 @@ def derive_haar_vectors(mu: MultiplicativeUnitary, m_basis: np.ndarray,
 
     The GNS relation W^*(Lambda(x) (x) Lambda(y)) = (Lambda (x) Lambda)
     (delta(y)(x (x) 1)) forces W(eta (x) xi_phi) = eta (x) xi_phi for every
-    eta, and dually for xi_phihat; each fixed-vector space must be a line.
-    xi_phi is normalized to |xi_phi|^2 = n (counting convention); the scale of
-    xi_phihat is pinned by the dual GNS relation
+    eta, and the same condition on What for xi_phihat; each fixed-vector space
+    must be a line.  xi_phi is normalized to |xi_phi|^2 = n (counting
+    convention); the scale of xi_phihat is pinned by the dual GNS relation
     <Lambda_hat((omega (x) id)(W)), Lambda(x)> = omega(x^*).
     """
     n = mu.n
-    v2 = fixed_leg_vectors(mu, 2)
+    v2 = fixed_leg_vectors(mu)
     if v2.shape[0] != 1:
         raise WeightDerivationError(
             f"leg-2 fixed space has dimension {v2.shape[0]}, expected 1 "
             "(is W the multiplicative unitary of a quantum group in GNS position?)")
     xi_phi = v2[0] * math.sqrt(n)
 
-    v1 = fixed_leg_vectors(mu, 1)
+    v1 = fixed_leg_vectors(mu.dual)
     if v1.shape[0] != 1:
         raise WeightDerivationError(
             f"leg-1 fixed space has dimension {v1.shape[0]}, expected 1")
@@ -740,6 +738,15 @@ def derive_pair(mu: MultiplicativeUnitary, run, tol: float = DEFAULT_TOL) -> Qua
     return QuantumGroupPair(mu, *spans, *weights, s_mat, shat_mat)
 
 
+def _require(stage: str, fn) -> bool:
+    """A runner for `derive_pair` that raises ValueError at a failed stage."""
+    check = fn()
+    if not check.passed:
+        raise ValueError(f"W is not the multiplicative unitary of a pair: {stage} "
+                         f"deviation {check.deviation:.3e} exceeds {check.tolerance:.3e}")
+    return True
+
+
 def pair_from_unitary(w, tol: float = DEFAULT_TOL) -> QuantumGroupPair:
     """The pair of W, through the suite's structural stages at its bounds:
     unitarity, the pentagon, then `derive_pair`.  ValueError names the first
@@ -747,17 +754,21 @@ def pair_from_unitary(w, tol: float = DEFAULT_TOL) -> QuantumGroupPair:
     n > DENSE_PENTAGON_MAX_DIM); WeightDerivationError and InconsistentSlices
     propagate from haar-weights and antipode-assembly."""
     mu = w if isinstance(w, MultiplicativeUnitary) else MultiplicativeUnitary.from_dense(w)
+    _require("unitarity", lambda: check_unitarity(mu))
+    _require("pentagon", lambda: check_pentagon(mu))
+    return derive_pair(mu, _require, tol)
 
-    def run(stage: str, fn) -> bool:
-        check = fn()
-        if not check.passed:
-            raise ValueError(f"W is not the multiplicative unitary of a pair: {stage} "
-                             f"deviation {check.deviation:.3e} exceeds {check.tolerance:.3e}")
-        return True
 
-    run("unitarity", lambda: check_unitarity(mu))
-    run("pentagon", lambda: check_pentagon(mu))
-    return derive_pair(mu, run, tol)
+def pair_deviation(a: QuantumGroupPair, b: QuantumGroupPair) -> float:
+    """How far two pairs on one carrier space are from equal, on both sides
+    (each pair and its dual): the M spans, the Haar weights up to a positive
+    scale (`Weight.state`), and the antipodes on a's M basis."""
+    dev = 0.0
+    for x, y in ((a, b), (a.dual, b.dual)):
+        dev = max(dev, subspace_equal(x.m_basis, y.m_basis),
+                  deviation(x.phi.state(), y.phi.state()),
+                  deviation(x.apply_s(x.m_basis), y.apply_s(x.m_basis)))
+    return dev
 
 
 def check_w_membership(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -802,22 +813,13 @@ def check_gns_duality_phihatdual(qg: QuantumGroupPair,
 
 
 def check_antipode(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckReport:
-    """Slice consistency of both antipodes, fitted here from W and the bases,
-    against the stored matrices, anti-multiplicativity of S, and the Kac
-    property S(x^*)^* = S^{-1}(x)."""
-    try:
-        (s_fit, s_res), (shat_fit, shat_res) = (antipode_from_slices(qg.mu, qg.m_basis, tol),
-                                                antipode_hat_from_slices(qg.mu, qg.mhat_basis, tol))
-    except InconsistentSlices:
-        return CheckReport("antipode-slices", 1.0, tol,
-                           note="slice relation inconsistent")
-    dev = max(s_res, shat_res, deviation(s_fit, qg.s_mat), deviation(shat_fit, qg.shat_mat))
-
+    """Anti-multiplicativity of S and the Kac property S(x^*)^* = S^{-1}(x); the
+    suite's antipode-assembly and pair-agreement bound slice consistency."""
     # Both laws on the whole basis at once: [i, j] stacks hold x_i x_j and S(x_j) S(x_i).
     basis = qg.m_basis
     s_on_basis = span_reconstruct(qg.s_mat.T, basis)
-    dev = max(dev, deviation(qg.apply_s(basis[:, None] @ basis[None, :]),
-                             s_on_basis[None, :] @ s_on_basis[:, None]))
+    dev = deviation(qg.apply_s(basis[:, None] @ basis[None, :]),
+                    s_on_basis[None, :] @ s_on_basis[:, None])
 
     s2dev = deviation(qg.s_mat @ qg.s_mat, np.eye(basis.shape[0]))
     if s2dev <= tol:  # Kac case: S(x^*)^* = S^{-1}(x)
@@ -902,9 +904,7 @@ def check_slice_product_laws(qg: QuantumGroupPair, rng: np.random.Generator,
 
 
 def pontryagin_check(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckReport:
-    """Double duality: with What = Sigma W^* Sigma, the leg-1 slices of What
-    span M and its leg-2 slices span Mhat."""
-    hat_m = slice_span_m(qg.mu.dual)        # the dual's "M": should be Mhat
-    hat_mhat = slice_span_mhat(qg.mu.dual)  # the dual's "Mhat": should be M
-    dev = max(subspace_equal(hat_mhat, qg.m_basis), subspace_equal(hat_m, qg.mhat_basis))
-    return CheckReport("pontryagin", dev, tol)
+    """Pontryagin duality: the pair derived from What = Sigma W^* Sigma is
+    `qg.dual`, by `pair_deviation`.  ValueError if the derivation fails."""
+    derived = derive_pair(qg.mu.dual, _require, tol)
+    return CheckReport("pontryagin", pair_deviation(derived, qg.dual), tol)

@@ -2,24 +2,26 @@
 unitary, producing a machine-readable report.
 
 Stage order: unitarity, pentagon (exact for permutation forms, dense up to
-n = 12), slice-algebra generation and closure, Haar-weight recovery, W
-membership in M (x) Mhat, coassociativity, invariance (left and right, both
-sides), GNS consistency and the two duality relations, antipode slice
-consistency, the sharp involution, slice product laws, GNS transport, Fourier
-inversion, Plancherel, convolution agreement, pairing spread and axioms, the
-inner-product pairing description, and the Pontryagin double-dual span check.
+n = 12), the derivation of the pair (slice-algebra generation and closure, Haar
+weights, antipode assembly), agreement of a given pair with it, W membership in
+M (x) Mhat, coassociativity, invariance (left and right, both sides), GNS
+consistency and the two duality relations, the antipode laws, the sharp
+involution, slice product laws, GNS transport, Fourier inversion, Plancherel,
+convolution agreement, pairing spread and axioms, the inner-product pairing
+description, and Pontryagin duality.
 
-`run_suite` derives the pair of a source that is not one through
-`engine.derive_pair` (algebra-generation, haar-weights, antipode-assembly),
-the derivation `engine.pair_from_unitary` also runs, and otherwise only calls
-the `check_*` functions of `engine` and `fourier` in this order.  For a group
-model, `convolution-agreement` and `pairing` also take the model's classical
-oracle (`models.*_oracle_deviation`), drawn after the generic samples.
+`run_suite` derives every source's pair through `engine.derive_pair`, as
+`engine.pair_from_unitary` does; a given pair (a group model or a
+`QuantumGroupPair`) must agree with it by `engine.pair_deviation`
+(pair-agreement), and the checks then run on the given pair.  Otherwise it only
+calls the `check_*` functions of `engine` and `fourier` in this order.  For a
+group model, `convolution-agreement` and `pairing` also take the model's
+classical oracle (`models.*_oracle_deviation`), drawn after the generic samples.
 
-Stages are bounded by `tol_value`, except unitarity, the pentagons, exact model
-weights and pontryagin (PONTRYAGIN_TOL), which keep their own bounds.  Randomized
-stages draw from a generator seeded with the recorded seed, so a report is
-reproducible bit for bit apart from the elapsed-time fields.
+Stages are bounded by `tol_value`, except unitarity and the pentagons, which keep
+their own bounds.  Randomized stages draw from a generator seeded with the
+recorded seed, so a report is reproducible bit for bit apart from the
+elapsed-time fields.
 """
 
 from __future__ import annotations
@@ -31,11 +33,10 @@ import numpy as np
 
 from . import engine, fourier, models
 from .engine import CheckReport, MultiplicativeUnitary, QuantumGroupPair, check_pentagon
-from .linalg import DEFAULT_TOL, subspace_equal
+from .linalg import DEFAULT_TOL
 
 SUITE_VERSION = "qgft-suite/1"
 DEFAULT_SEED = 20201
-PONTRYAGIN_TOL = 1e-8
 
 
 @dataclass
@@ -120,27 +121,15 @@ def run_suite(source, tol_value: float = DEFAULT_TOL, seed: int = DEFAULT_SEED,
         dense_mu = MultiplicativeUnitary.from_dense(mu.dense)
         run("pentagon-dense", lambda: check_pentagon(dense_mu))
 
-    # A source that is not a pair is derived stage by stage; a given pair's
-    # bases are compared with the slice spans, and its weights derived or exact.
+    # Every source's pair is derived stage by stage; a given pair must agree with it.
+    derived = engine.derive_pair(mu, run, tol)
+    if derived is None:
+        return report
     if qg is None:
-        qg = engine.derive_pair(mu, run, tol)
-        if qg is None:
-            return report
-    else:
-        def generation():
-            spans = engine.slice_span_m(mu, tol), engine.slice_span_mhat(mu, tol)
-            return CheckReport("", max(*map(engine.algebra_closure_deviation, spans),
-                                       subspace_equal(spans[0], qg.m_basis),
-                                       subspace_equal(spans[1], qg.mhat_basis)), tol)
-
-        def weights():
-            if model is not None:
-                return CheckReport("", 0.0, 0.0, note="exact model weights")
-            engine.derive_haar_vectors(mu, qg.m_basis, tol)
-            return CheckReport("", 0.0, tol)
-
-        if not (run("algebra-generation", generation) and run("haar-weights", weights)):
-            return report
+        qg = derived
+    elif not run("pair-agreement",
+                 lambda: CheckReport("", engine.pair_deviation(qg, derived), tol)):
+        return report
 
     def with_oracle(check: CheckReport, oracle) -> CheckReport:
         if model is not None:
@@ -174,5 +163,5 @@ def run_suite(source, tol_value: float = DEFAULT_TOL, seed: int = DEFAULT_SEED,
                                        models.pairing_oracle_deviation))
     run("pairing-axioms", lambda: fourier.check_pairing_axioms(qg, rng, tol))
     run("ft-pairing", lambda: fourier.check_ft_pairing(qg, rng, tol))
-    run("pontryagin", lambda: engine.pontryagin_check(qg, PONTRYAGIN_TOL))
+    run("pontryagin", lambda: engine.pontryagin_check(qg, tol))
     return report

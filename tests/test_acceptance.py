@@ -195,8 +195,8 @@ def test_criterion_09_pontryagin(built):
         report = pontryagin_check(qg)
         assert report.passed
         worst = max(worst, report.deviation)
-    report_line(9, "pontryagin", worst <= 1e-8, f"max dev {worst:.2e}")
-    assert worst <= 1e-8
+    report_line(9, "pontryagin", worst <= 1e-10, f"max dev {worst:.2e}")
+    assert worst <= 1e-10
 
 
 def test_criterion_10_abelian_dft_oracle():

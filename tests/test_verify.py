@@ -11,7 +11,7 @@ from qgft.verify import SUITE_VERSION, run_suite
 
 EXPECTED_MODEL_CHECKS = {
     "unitarity", "pentagon", "algebra-generation", "haar-weights",
-    "w-membership", "coassociativity", "coassociativity-dual",
+    "antipode-assembly", "pair-agreement", "w-membership", "coassociativity", "coassociativity-dual",
     "left-invariance", "right-invariance", "left-invariance-dual",
     "right-invariance-dual", "gns-consistency", "gns-duality-phihat",
     "gns-duality-phihatdual", "antipode-slices", "sharp-involution",
@@ -66,8 +66,8 @@ def test_suite_on_generic_dense_unitary():
 
 @pytest.mark.parametrize("source", ["dense", "model"])
 def test_suite_fits_each_antipode_once(source, monkeypatch):
-    # antipode-slices fits both antipodes; a dense source has fitted them
-    # once before, in antipode-assembly, and the refit gives the same deviation
+    # antipode-assembly fits both antipodes of W, and pontryagin both of What;
+    # antipode-slices fits none
     mdl = models.build(groups.dihedral(3))
     fit, calls = engine.antipode_from_slices, []
 
@@ -78,12 +78,9 @@ def test_suite_fits_each_antipode_once(source, monkeypatch):
     monkeypatch.setattr(engine, "antipode_from_slices", counted)
     report = run_suite(np.asarray(mdl.qg.w) if source == "dense" else mdl)
     assert report.first_failed is None
-    assert len(calls) == (4 if source == "dense" else 2)
-    monkeypatch.undo()
-    if source == "dense":
-        refit = engine.check_antipode(engine.pair_from_unitary(np.asarray(mdl.qg.w)))
-        slices = next(c for c in report.checks if c.name == "antipode-slices")
-        assert slices.deviation == refit.deviation
+    assert len(calls) == 4
+    engine.check_antipode(mdl.qg)
+    assert len(calls) == 4
 
 
 def test_suite_on_transported_unitary():
@@ -199,9 +196,8 @@ def test_run_suite_rejects_a_bad_tolerance(tol_value):
 
 # Stages with their own fixed bound; every other stage reads tol_value.
 FIXED_BOUNDS = {
-    "model": {"unitarity": 0.0, "pentagon": 0.0, "pentagon-dense": 1e-12,
-              "haar-weights": 0.0, "pontryagin": 1e-8},
-    "dense": {"unitarity": 1e-12, "pentagon": 1e-12, "pontryagin": 1e-8},
+    "model": {"unitarity": 0.0, "pentagon": 0.0, "pentagon-dense": 1e-12},
+    "dense": {"unitarity": 1e-12, "pentagon": 1e-12},
 }
 
 
@@ -241,6 +237,15 @@ def perturbed_s_mat(eps):
                                    s_mat, qg.shat_mat)
 
 
+def tilted_phihat(eps):
+    # xi_phihat + eps e_1 leaves the Haar vector's line; haar-weights alone
+    # would pass it, and left-invariance-dual would catch it at 0.82 eps
+    qg = S3_PAIR
+    xi = qg.phihat.xi + eps * np.eye(qg.n)[1]
+    return engine.QuantumGroupPair(qg.mu, qg.m_basis, qg.mhat_basis, qg.phi,
+                                   engine.Weight(xi), qg.s_mat, qg.shat_mat)
+
+
 def phased_dense_w(eps):
     w = np.array(S3_PAIR.w)
     w[:, 0] *= np.exp(1j * eps)  # still unitary, no longer pentagonal
@@ -250,9 +255,10 @@ def phased_dense_w(eps):
 @pytest.mark.parametrize("eps", [1e-6, 1e-4])
 @pytest.mark.parametrize("corrupt, stage", [
     (scaled_phihat, "gns-duality-phihat"),
-    (perturbed_s_mat, "antipode-slices"),
+    (perturbed_s_mat, "pair-agreement"),
+    (tilted_phihat, "pair-agreement"),
     (phased_dense_w, "pentagon"),
-], ids=["phihat-scaled", "s-mat-perturbed", "w-column-phased"])
+], ids=["phihat-scaled", "s-mat-perturbed", "phihat-tilted", "w-column-phased"])
 def test_suite_blames_the_corrupted_stage(corrupt, stage, eps):
     report = run_suite(corrupt(eps))
     checks = {c.name: c for c in report.checks}
@@ -266,19 +272,24 @@ def test_suite_blames_the_corrupted_stage(corrupt, stage, eps):
 def replayed_checks(mu, qg, model, seed, tol=1e-10):
     """Every check stage of run_suite, called directly in suite order with a
     generator seeded like the suite's; a group model also adds its oracles.
-    With qg None the pair is derived by engine.derive_pair, whose three stages
-    are recorded too."""
+    The pair is derived by engine.derive_pair, whose three stages are recorded
+    too; a given qg is then compared with it (pair-agreement)."""
     rng = np.random.default_rng(seed)
     stages = {"unitarity": engine.check_unitarity(mu), "pentagon": engine.check_pentagon(mu)}
     if mu.is_permutation:
         dense_mu = engine.MultiplicativeUnitary.from_dense(mu.dense)
         stages["pentagon-dense"] = engine.check_pentagon(dense_mu)
-    if qg is None:
-        def record(stage, fn):
-            stages[stage] = fn()
-            return stages[stage].passed
 
-        qg = engine.derive_pair(mu, record, tol)
+    def record(stage, fn):
+        stages[stage] = fn()
+        return stages[stage].passed
+
+    derived = engine.derive_pair(mu, record, tol)
+    if qg is None:
+        qg = derived
+    else:
+        stages["pair-agreement"] = engine.CheckReport(
+            "pair-agreement", engine.pair_deviation(qg, derived), tol)
     stages["w-membership"] = engine.check_w_membership(qg, tol)
     for side, suffix in ((qg, ""), (qg.dual, "-dual")):
         stages["coassociativity" + suffix] = engine.check_coassociativity(side, tol)
@@ -305,7 +316,7 @@ def replayed_checks(mu, qg, model, seed, tol=1e-10):
                                           models.pairing_oracle_deviation(model, rng))
     stages["pairing-axioms"] = ft.check_pairing_axioms(qg, rng, tol)
     stages["ft-pairing"] = ft.check_ft_pairing(qg, rng, tol)
-    stages["pontryagin"] = engine.pontryagin_check(qg, 1e-8)
+    stages["pontryagin"] = engine.pontryagin_check(qg, tol)
     return stages
 
 
@@ -313,18 +324,17 @@ def replayed_checks(mu, qg, model, seed, tol=1e-10):
 def test_run_suite_only_orders_the_checks(label):
     if label == "s3":
         source = model = models.build(groups.symmetric(3))
-        mu, qg, derived = model.qg.mu, model.qg, {"algebra-generation", "haar-weights"}
+        mu, qg = model.qg.mu, model.qg
     else:
         q, _ = np.linalg.qr(random_complex(np.random.default_rng(5), (6, 6)))
         uu = np.kron(q, q)
         source = uu @ models.build(groups.dihedral(3)).qg.w @ uu.conj().T
         model, qg = None, None
-        mu, derived = engine.MultiplicativeUnitary.from_dense(source), set()
+        mu = engine.MultiplicativeUnitary.from_dense(source)
     report = run_suite(source, seed=17)
     assert report.passed
     stages = replayed_checks(mu, qg, model, seed=17)
-    assert [c.name for c in report.checks if c.name not in derived] == list(stages)
+    assert [c.name for c in report.checks] == list(stages)
     for check in report.checks:
-        if check.name in stages:
-            assert check.deviation == stages[check.name].deviation, check.name
-            assert check.tolerance == stages[check.name].tolerance, check.name
+        assert check.deviation == stages[check.name].deviation, check.name
+        assert check.tolerance == stages[check.name].tolerance, check.name
