@@ -18,10 +18,10 @@ calls the `check_*` functions of `engine` and `fourier` in this order.  For a
 group model, `convolution-agreement` and `pairing` also take the model's
 classical oracle (`models.*_oracle_deviation`), drawn after the generic samples.
 
-Stages are bounded by `tol_value`, except unitarity and the pentagons, which keep
-their own bounds.  Randomized stages draw from a generator seeded with the
-recorded seed, so a report is reproducible bit for bit apart from the
-elapsed-time fields.
+Stages are bounded by `tol_value`, except unitarity, the pentagons and
+pontryagin, which keep their own bounds.  Randomized stages draw from a
+generator seeded with the recorded seed, so a report is reproducible bit for
+bit apart from the elapsed-time fields.
 """
 
 from __future__ import annotations
@@ -163,5 +163,5 @@ def run_suite(source, tol_value: float = DEFAULT_TOL, seed: int = DEFAULT_SEED,
                                        models.pairing_oracle_deviation))
     run("pairing-axioms", lambda: fourier.check_pairing_axioms(qg, rng, tol))
     run("ft-pairing", lambda: fourier.check_ft_pairing(qg, rng, tol))
-    run("pontryagin", lambda: engine.pontryagin_check(qg, tol))
+    run("pontryagin", lambda: engine.pontryagin_check(mu))
     return report

@@ -191,12 +191,11 @@ def test_criterion_08_antipode_and_sharp(built):
 def test_criterion_09_pontryagin(built):
     worst = 0.0
     for mdl in built:
-        qg = mdl.qg
-        report = pontryagin_check(qg)
+        report = pontryagin_check(mdl.qg.mu)
         assert report.passed
         worst = max(worst, report.deviation)
-    report_line(9, "pontryagin", worst <= 1e-10, f"max dev {worst:.2e}")
-    assert worst <= 1e-10
+    report_line(9, "pontryagin", worst == 0.0, f"max dev {worst:.2e}")
+    assert worst == 0.0
 
 
 def test_criterion_10_abelian_dft_oracle():

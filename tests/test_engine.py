@@ -526,14 +526,23 @@ def zero_column(mat, j):
     return out
 
 
+def pair_agreement(qg):
+    """The suite's pair-agreement stage: qg against the pair derived from its W."""
+    return engine.CheckReport("pair-agreement", pair_deviation(qg, pair_from_unitary(qg.mu)),
+                              linalg.DEFAULT_TOL)
+
+
 # Swapping two columns of s_mat leaves right invariance at 0, because psi = phi o S
 # is constant on the s3 basis; the suite blames that corruption at pair-agreement.
+# A 3-cycle alpha of three points of s3 is an automorphism of the commutative M, so
+# alpha S stays anti-multiplicative; (alpha S)^2 != id and the Kac law catch it.
 @pytest.mark.parametrize("check, fields, want", [
     (check_coassociativity, dict(m_basis=S3.m_basis[:-1]), 2.45),
     (check_right_invariance, dict(s_mat=zero_column(S3.s_mat, 0)), 1.0),
-    (pontryagin_check, dict(mhat_basis=S3.m_basis), 1.0),
+    (pair_agreement, dict(mhat_basis=S3.m_basis), 1.0),
+    (check_antipode, dict(s_mat=np.eye(S3.n)[[1, 2, 0, 3, 4, 5]] @ S3.s_mat), 1.0),
 ], ids=["coassociativity-dropped-basis-element", "right-invariance-zeroed-s-column",
-        "pontryagin-mhat-replaced-by-m"])
+        "pair-agreement-mhat-replaced-by-m", "antipode-slices-s-twisted-by-a-3-cycle"])
 def test_pair_check_fails_on_a_corrupted_field(check, fields, want):
     report = check(corrupted_s3(**fields))
     assert not report.passed
@@ -605,7 +614,7 @@ def test_antipode_check_group_models():
 
 def loop_antipode_deviation(qg):
     """check_antipode's deviation with anti-multiplicativity and the Kac
-    property checked one basis element, or pair, at a time."""
+    property checked one basis element, or pair, at a time, and S^2 = id."""
     dev = 0.0
     basis = qg.m_basis
     m = basis.shape[0]
@@ -614,10 +623,10 @@ def loop_antipode_deviation(qg):
         for j in range(m):
             diff = qg.apply_s(basis[i] @ basis[j]) - s_on_basis[j] @ s_on_basis[i]
             dev = max(dev, np.max(np.abs(diff)))
-    if np.max(np.abs(qg.s_mat @ qg.s_mat - np.eye(m))) <= 1e-10:
-        for x in basis:
-            diff = qg.apply_s(x.conj().T).conj().T - qg.apply_s_inv(x)
-            dev = max(dev, np.max(np.abs(diff)))
+    dev = max(dev, np.max(np.abs(qg.s_mat @ qg.s_mat - np.eye(m))))
+    for x in basis:
+        diff = qg.apply_s(x.conj().T).conj().T - qg.apply_s_inv(x)
+        dev = max(dev, np.max(np.abs(diff)))
     return float(dev)
 
 
@@ -802,8 +811,24 @@ def test_slice_product_law_functionals_match_einsum_formulas():
 def test_pontryagin_models():
     for g in [groups.cyclic(1), groups.cyclic(2), groups.symmetric(3)]:
         qg = model(g).qg
-        report = pontryagin_check(qg)
-        assert report.passed and report.deviation <= 1e-10
+        report = pontryagin_check(qg.mu)
+        assert report.passed and report.deviation == 0.0
+
+
+@pytest.mark.parametrize("form", ["permutation", "dense"])
+def test_pontryagin_fails_when_the_dual_of_what_is_not_w(form):
+    # s3's W with cyclic:6's What cached as its dual, whose dual is cyclic:6's W
+    c6 = model(groups.cyclic(6)).qg.mu
+    if form == "permutation":
+        mu = MultiplicativeUnitary.from_permutation(*S3.mu.perm)
+        mu.dual = c6.dual
+    else:
+        mu = MultiplicativeUnitary.from_dense(S3.w)
+        mu.dual = MultiplicativeUnitary.from_dense(c6.dual.dense)
+    report = pontryagin_check(mu)
+    assert not report.passed
+    assert report.deviation == 1.0
+    assert (mu.dual.dual._dense is None) == (form == "permutation")
 
 
 @pytest.mark.parametrize("group", [groups.symmetric(3), groups.cyclic(5), groups.dihedral(4)])
@@ -826,10 +851,10 @@ def test_pair_deviation_reads_one_when_m_and_mhat_are_swapped():
 
 
 @pytest.mark.parametrize("eps", [1e-6, 1e-4])
-def test_pontryagin_fails_on_a_tilted_phihat(eps):
+def test_pair_agreement_fails_on_a_tilted_phihat(eps):
     # xi_phihat + eps e_1 leaves the dual pair's phi off the Haar line
     tilted = corrupted_s3(phihat=Weight(S3.phihat.xi + eps * np.eye(S3.n)[1]))
-    report = pontryagin_check(tilted)
+    report = pair_agreement(tilted)
     assert not report.passed
     assert report.deviation == pytest.approx(eps, rel=1e-3)
 

@@ -33,10 +33,13 @@ def test_suite_passes_on_models(group):
 
 
 def test_suite_passes_on_s4():
-    report = run_suite(models.build(groups.symmetric(4)))
+    model = models.build(groups.symmetric(4))
+    report = run_suite(model)
     assert report.first_failed is None
     # dense pentagon is skipped above the dimension cap
     assert "pentagon-dense" not in {c.name for c in report.checks}
+    # pontryagin compares index maps and leaves the dual of What without a dense copy
+    assert model.qg.mu.dual.dual._dense is None
 
 
 def test_report_invariants():
@@ -66,8 +69,8 @@ def test_suite_on_generic_dense_unitary():
 
 @pytest.mark.parametrize("source", ["dense", "model"])
 def test_suite_fits_each_antipode_once(source, monkeypatch):
-    # antipode-assembly fits both antipodes of W, and pontryagin both of What;
-    # antipode-slices fits none
+    # antipode-assembly fits both antipodes of W; antipode-slices and pontryagin
+    # fit none
     mdl = models.build(groups.dihedral(3))
     fit, calls = engine.antipode_from_slices, []
 
@@ -78,9 +81,9 @@ def test_suite_fits_each_antipode_once(source, monkeypatch):
     monkeypatch.setattr(engine, "antipode_from_slices", counted)
     report = run_suite(np.asarray(mdl.qg.w) if source == "dense" else mdl)
     assert report.first_failed is None
-    assert len(calls) == 4
+    assert len(calls) == 2
     engine.check_antipode(mdl.qg)
-    assert len(calls) == 4
+    assert len(calls) == 2
 
 
 def test_suite_on_transported_unitary():
@@ -196,8 +199,8 @@ def test_run_suite_rejects_a_bad_tolerance(tol_value):
 
 # Stages with their own fixed bound; every other stage reads tol_value.
 FIXED_BOUNDS = {
-    "model": {"unitarity": 0.0, "pentagon": 0.0, "pentagon-dense": 1e-12},
-    "dense": {"unitarity": 1e-12, "pentagon": 1e-12},
+    "model": {"unitarity": 0.0, "pentagon": 0.0, "pentagon-dense": 1e-12, "pontryagin": 0.0},
+    "dense": {"unitarity": 1e-12, "pentagon": 1e-12, "pontryagin": 0.0},
 }
 
 
@@ -316,7 +319,7 @@ def replayed_checks(mu, qg, model, seed, tol=1e-10):
                                           models.pairing_oracle_deviation(model, rng))
     stages["pairing-axioms"] = ft.check_pairing_axioms(qg, rng, tol)
     stages["ft-pairing"] = ft.check_ft_pairing(qg, rng, tol)
-    stages["pontryagin"] = engine.pontryagin_check(qg, tol)
+    stages["pontryagin"] = engine.pontryagin_check(mu)
     return stages
 
 

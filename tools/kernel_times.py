@@ -11,11 +11,11 @@ same file from a copy of another commit measures that commit.  The kernels are
   the dual's (side Mhat);
 * `check_pairing_axioms` on each group SPEC's pair, with a generator seeded
   at the suite seed on every call, after the first call has filled the
-  pair's caches, and `pontryagin_check` on that pair;
+  pair's caches, and `pontryagin_check` on its W;
 * `check_pentagon`, `slice_span_m`, `slice_span_mhat` and `pair_from_unitary`
   on the two n = 12 dense unitaries of the verify-dense benchmark workload
-  (workload seed 11), and `check_antipode` and `pontryagin_check` on the pair
-  derived from each;
+  (workload seed 11), then `check_antipode` on the pair derived from each and
+  `pontryagin_check` on W;
 * `run_suite` on each group SPEC at suite seed 11, on a freshly built model
   per call, so no cached table carries over from one call to the next.
 """
@@ -72,7 +72,7 @@ def kernels(groups: list):
                    lambda pair=pair: engine.comult_coeff_tensor(pair.mu, pair.m_basis))
         yield ("check_pairing_axioms", spec, "",
                lambda qg=qg: check_pairing_axioms(qg, np.random.default_rng(SUITE_SEED)))
-        yield "pontryagin_check", spec, "", lambda qg=qg: engine.pontryagin_check(qg)
+        yield "pontryagin_check", spec, "", lambda qg=qg: engine.pontryagin_check(qg.mu)
     for label, w in dense_unitaries(DENSE_SEED):
         mu = engine.MultiplicativeUnitary.from_dense(w)
         yield "check_pentagon", label, "", lambda mu=mu: engine.check_pentagon(mu)
@@ -81,7 +81,7 @@ def kernels(groups: list):
         yield "pair_from_unitary", label, "", lambda w=w: engine.pair_from_unitary(w)
         qg = engine.pair_from_unitary(w)
         yield "check_antipode", label, "", lambda qg=qg: engine.check_antipode(qg)
-        yield "pontryagin_check", label, "", lambda qg=qg: engine.pontryagin_check(qg)
+        yield "pontryagin_check", label, "", lambda mu=mu: engine.pontryagin_check(mu)
     for spec, group in groups:
         yield "run_suite", spec, "", lambda group=group: run_suite(models.build(group),
                                                                    seed=SUITE_SEED)
