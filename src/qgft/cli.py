@@ -63,10 +63,6 @@ def write_json(data: dict, out: str | None):
         sys.stdout.write(text)
 
 
-def complex_pairs(values) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(values).reshape(-1)]
-
-
 def matrix_to_json(w: np.ndarray, n: int) -> dict:
     w = np.asarray(w, dtype=complex)
     return {"n": n, "re": w.real.tolist(), "im": w.imag.tolist()}
@@ -153,7 +149,7 @@ def cmd_fourier(args) -> int:
     else:
         out = ft.fourier(model.qg, models.pi(model, values))
         payload = matrix_to_json(out, model.n)
-        payload["coefficients"] = complex_pairs(models.L_function(model, out))
+        payload["coefficients"] = models.function_to_json(models.L_function(model, out))["values"]
     write_json(payload, args.out)
     return 0
 
@@ -202,8 +198,8 @@ def cmd_dft_compare(args) -> int:
     model = models.build(parse_group_spec(args.group))
     cmp = models.dft_compare(model, models.load_function(args.function, model.n))
     payload = {
-        "diagonal": complex_pairs(cmp.diagonal),
-        "character_sums": complex_pairs(cmp.character_sums),
+        "diagonal": models.function_to_json(cmp.diagonal)["values"],
+        "character_sums": models.function_to_json(cmp.character_sums)["values"],
         "deviation": cmp.deviation,
     }
     write_json(payload, args.out)

@@ -44,7 +44,6 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    RANK_RTOL,
     Functional,
     as_complex_matrix,
     deviation,
@@ -53,7 +52,9 @@ from .linalg import (
     max_abs,
     membership_residual,
     random_complex,
+    rank,
     right_slicer,
+    slice_family,
     slice_left,
     span_basis,
     span_coords,
@@ -275,20 +276,6 @@ def check_pentagon(mu: MultiplicativeUnitary) -> CheckReport:
     return CheckReport("pentagon", _pentagon_dense_deviation(mu.dense, mu.n), DENSE_W_TOL)
 
 
-def slice_family_leg2(w: np.ndarray, n: int) -> np.ndarray:
-    """All leg-2 slices (id (x) theta)(w) over matrix-unit functionals
-    theta = E_kl, stacked in (k, l) order; shape (n^2, n, n)."""
-    w4 = np.asarray(w, dtype=complex).reshape(n, n, n, n)
-    return np.ascontiguousarray(np.transpose(w4, (3, 1, 0, 2)).reshape(n * n, n, n))
-
-
-def slice_family_leg1(w: np.ndarray, n: int) -> np.ndarray:
-    """All leg-1 slices (omega (x) id)(w) over matrix units E_ij, in (i, j)
-    order; shape (n^2, n, n)."""
-    w4 = np.asarray(w, dtype=complex).reshape(n, n, n, n)
-    return np.ascontiguousarray(np.transpose(w4, (2, 0, 1, 3)).reshape(n * n, n, n))
-
-
 def algebra_closure_deviation(basis: np.ndarray) -> float:
     """How far products and adjoints of basis elements leave the span."""
     if basis.shape[0] == 0:
@@ -300,11 +287,11 @@ def algebra_closure_deviation(basis: np.ndarray) -> float:
 
 
 def slice_span_m(mu: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> np.ndarray:
-    return span_basis(slice_family_leg2(mu.dense, mu.n), tol)
+    return span_basis(slice_family(mu.dense, mu.n, 2), tol)
 
 
 def slice_span_mhat(mu: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> np.ndarray:
-    return span_basis(slice_family_leg1(mu.dense, mu.n), tol)
+    return span_basis(slice_family(mu.dense, mu.n, 1), tol)
 
 
 def comultiply(mu: MultiplicativeUnitary, x: np.ndarray) -> np.ndarray:
@@ -465,14 +452,6 @@ class Weight:
         """phi(x_k) for every operator x_k of the stack basis."""
         return flat_rows(basis) @ np.outer(self.xi.conj(), self.xi).reshape(-1)
 
-    def gns_rank(self, basis: np.ndarray) -> int:
-        """Rank of Lambda on the basis; equals len(basis) iff faithful there."""
-        if basis.shape[0] == 0:
-            return 0
-        vectors = basis @ self.xi
-        svals = np.linalg.svd(vectors, compute_uv=False)
-        return int(np.sum(svals > RANK_RTOL * svals[0])) if svals[0] > 0 else 0
-
 
 def check_left_invariance(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckReport:
     """phi((omega (x) id)(delta x)) = phi(x) omega(1) over all matrix-unit
@@ -501,7 +480,7 @@ def _invariance_deviation(qg: QuantumGroupPair, e: np.ndarray, values: np.ndarra
 
 
 def _fit_slice_map(sources: np.ndarray, targets: np.ndarray, basis: np.ndarray,
-                   tol: float, what: str) -> tuple[np.ndarray, float]:
+                   tol: float) -> tuple[np.ndarray, float]:
     """Least-squares linear map on span(basis) sending each source slice to
     its target slice, with the worst operator-level residual."""
     coords_src, mem_src = span_project(sources, basis)                            # [q, k]
@@ -514,7 +493,7 @@ def _fit_slice_map(sources: np.ndarray, targets: np.ndarray, basis: np.ndarray,
     residual = max(fit, mem)
     if residual > tol:
         raise InconsistentSlices(
-            f"{what} is not well defined on the span (residual {residual:.3e})")
+            f"antipode is not well defined on the span (residual {residual:.3e})")
     return s_mat, residual
 
 
@@ -522,10 +501,9 @@ def antipode_from_slices(mu: MultiplicativeUnitary, basis: np.ndarray,
                          tol: float = DEFAULT_TOL) -> tuple[np.ndarray, float]:
     """Antipode on M in basis coordinates, as the unique linear map with
     S((id (x) theta)(W)) = (id (x) theta)(W^*) over all matrix-unit theta."""
-    n = mu.n
-    sources = slice_family_leg2(mu.dense, n)
-    targets = slice_family_leg2(mu.dense.conj().T, n)
-    return _fit_slice_map(sources, targets, basis, tol, "antipode")
+    sources = slice_family(mu.dense, mu.n, 2)
+    targets = slice_family(mu.dense.conj().T, mu.n, 2)
+    return _fit_slice_map(sources, targets, basis, tol)
 
 
 def antipode_hat_from_slices(mu: MultiplicativeUnitary, basis_hat: np.ndarray,
@@ -561,16 +539,14 @@ def fixed_leg_vectors(mu: MultiplicativeUnitary) -> np.ndarray:
     lhs = mu.dense.reshape(n * n * n, n)                    # rows (a,b,i), cols t
     rhs = np.eye(n * n).reshape(n * n * n, n)               # [a,b,i,t] = [a=i][b=t]
     _, svals, vh = np.linalg.svd(lhs - rhs, full_matrices=False)
-    cutoff = max(DEFAULT_TOL, RANK_RTOL * (svals[0] if svals.size else 1.0))
-    null_dim = int(np.sum(svals <= cutoff)) + (n - svals.size)
-    return vh[n - null_dim:].conj() if null_dim else np.zeros((0, n), dtype=complex)
+    return vh[rank(svals):].conj()
 
 
 def _gns_duality_sides(w: np.ndarray, n: int, m_basis: np.ndarray, xi_phi: np.ndarray,
                        xi_phihat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both sides of <Lambda_hat((omega (x) id)(W)), Lambda(x)> = omega(x^*)
     over matrix-unit omega = E_uv (rows, (u, v) order) and M-basis x (columns)."""
-    lhs = (slice_family_leg1(w, n) @ xi_phihat) @ (m_basis @ xi_phi).conj().T
+    lhs = (slice_family(w, n, 1) @ xi_phihat) @ (m_basis @ xi_phi).conj().T
     return lhs, m_basis.conj().reshape(m_basis.shape[0], n * n).T
 
 
@@ -658,11 +634,11 @@ class QuantumGroupPair:
     def coords_m(self, x: np.ndarray) -> np.ndarray:
         return span_coords(x, self.m_basis)
 
-    def require_in_m(self, x: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    def require_in_m(self, x: np.ndarray) -> np.ndarray:
         """Coordinates of x in the M basis; NotInAlgebra if x is off the span by
-        more than tol * (1 + max|x|)."""
+        more than DEFAULT_TOL * (1 + max|x|)."""
         coords, res = span_project(x, self.m_basis)
-        if res > tol * (1.0 + max_abs(x)):
+        if res > DEFAULT_TOL * (1.0 + max_abs(x)):
             raise NotInAlgebra(f"operand lies outside the algebra (residual {res:.3e})")
         return coords
 
@@ -790,7 +766,7 @@ def check_gns_consistency(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> Che
         prods = basis.conj().transpose(0, 2, 1)[:, None] @ basis[None, :]   # [y, x] = y^* x
         phivals = weight.values_on(prods).T
         dev = max(dev, deviation(gram, phivals))
-        if weight.gns_rank(basis) < m:
+        if rank(np.linalg.svd(vectors, compute_uv=False)) < m:
             dev = max(dev, 1.0)
     return CheckReport("gns-consistency", dev, tol)
 

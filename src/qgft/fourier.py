@@ -162,10 +162,6 @@ class PairingValue:
         vals = (self.via_inverse, self.via_forward, self.via_w)
         return max(abs(x - y) for x in vals for y in vals)
 
-    @property
-    def value(self) -> complex:
-        return self.via_inverse
-
 
 def pairing(qg: QuantumGroupPair, b, a) -> PairingValue:
     """Evaluate <b|a> for b in Mhat, a in M, independently along all three

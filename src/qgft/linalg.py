@@ -1,7 +1,7 @@
 """Dense complex tensor kernel: Kronecker products, leg embeddings, the flip,
-the one slice kernel (left_slicer/right_slicer, which lay an operator out once
-for many functionals, and slice_left/slice_right, one application each), seeded
-complex Gaussian draws, and numerically robust span/membership tests.
+the one slice kernel (one layout per leg, `slice_family`, which left_slicer/
+right_slicer apply to many functionals and slice_left/slice_right to one),
+seeded complex Gaussian draws, and numerically robust span/membership tests.
 
 Index convention (normative for the whole package): an operator ``X`` on the
 two-fold tensor square of an n-dimensional space is an n^2 x n^2 matrix whose
@@ -22,7 +22,8 @@ gemm, so ``apply_s`` of one operator and of a stack holding it can differ in
 the last bit (the Kac law of the transported dihedral:3 pair: 5.4e-16, 6.1e-16).
 
 A tolerance is one float: an absolute bound on a deviation, DEFAULT_TOL
-unless given.
+unless given.  Every rank is `rank(svals, tol)`, which counts no singular
+value below the floor tol.
 """
 
 from __future__ import annotations
@@ -146,6 +147,16 @@ def _legs(x: np.ndarray, n: int, axes: tuple[int, ...]) -> np.ndarray:
     return np.ascontiguousarray(x.reshape(n, n, n, n).transpose(axes)).reshape(n * n, n * n)
 
 
+def slice_family(x: np.ndarray, n: int, leg: int) -> np.ndarray:
+    """The slices of x by the matrix units E_ab on one leg, (E_ab (x) id)(x)
+    for leg 1 and (id (x) E_ab)(x) for leg 2, stacked in (a, b) order; shape
+    (n^2, n, n).  The slice by a density rho is flat_rows(rho) @
+    flat_rows(family)."""
+    if leg not in (1, 2):
+        raise ValueError(f"leg must be 1 or 2; got {leg}")
+    return _legs(x, n, (2, 0, 1, 3) if leg == 1 else (3, 1, 0, 2)).reshape(n * n, n, n)
+
+
 def left_slicer(x: np.ndarray, n: int):
     """The map omega -> (omega (x) id)(x), with x laid out once for every
     functional it is applied to.
@@ -153,20 +164,14 @@ def left_slicer(x: np.ndarray, n: int):
     For x = sum_k a_k (x) b_k the map returns sum_k omega(a_k) b_k, computed
     as the partial trace over leg 1 of (density (x) 1) x.
     """
-    legs1_first = _legs(x, n, (0, 2, 1, 3))                                   # [(i j), (k l)]
-
-    def apply(omega: Functional) -> np.ndarray:
-        return (flat_rows(omega.density.T) @ legs1_first).reshape(n, n)
-    return apply
+    family = flat_rows(slice_family(x, n, 1))
+    return lambda omega: (flat_rows(omega.density) @ family).reshape(n, n)
 
 
 def right_slicer(x: np.ndarray, n: int):
     """The map theta -> (id (x) theta)(x), with x laid out once."""
-    legs2_last = _legs(x, n, (0, 2, 3, 1))                                    # [(i j), (l k)]
-
-    def apply(theta: Functional) -> np.ndarray:
-        return (legs2_last @ flat_rows(theta.density)).reshape(n, n)
-    return apply
+    family = flat_rows(slice_family(x, n, 2))
+    return lambda theta: (flat_rows(theta.density) @ family).reshape(n, n)
 
 
 def slice_left(omega: Functional, x: np.ndarray) -> np.ndarray:
@@ -196,8 +201,7 @@ def span_basis(mats, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis (trace inner product) of the span of the given
     matrices, returned as an array of shape (rank, rows, cols).
 
-    The rank is decided by the singular-value threshold
-    max(tol, RANK_RTOL * largest singular value).
+    The rank is `rank(svals, tol)` of the stacked matrices.
     """
     mats = [np.asarray(m, dtype=complex) for m in mats]
     if not mats:
@@ -208,11 +212,14 @@ def span_basis(mats, tol: float = DEFAULT_TOL) -> np.ndarray:
             raise ValueError("all matrices must share one shape")
     stacked = np.stack([m.reshape(-1) for m in mats])
     _, svals, vh = np.linalg.svd(stacked, full_matrices=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return np.zeros((0,) + shape, dtype=complex)
-    cutoff = max(tol, RANK_RTOL * svals[0])
-    rank = int(np.sum(svals > cutoff))
-    return vh[:rank].reshape((rank,) + shape)
+    r = rank(svals, tol)
+    return vh[:r].reshape((r,) + shape)
+
+
+def rank(svals: np.ndarray, tol: float = DEFAULT_TOL) -> int:
+    """The number of singular values (in descending order) above
+    max(tol, RANK_RTOL * the largest); 0 for none."""
+    return int(np.sum(svals > max(tol, RANK_RTOL * svals[0]))) if len(svals) else 0
 
 
 def flat_rows(stack: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 from .engine import MultiplicativeUnitary, QuantumGroupPair, Weight
 from .fourier import CONVOLUTION_SAMPLES, PAIRING_SAMPLES, convolve, convolve_dual, pairing
 from .groups import FiniteGroup, NonAbelianInput, characters, is_abelian
-from .linalg import DEFAULT_TOL, deviation, max_abs, random_complex
+from .linalg import deviation, max_abs, random_complex
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,6 @@ class DftComparison:
     offdiagonal_deviation: float
     diagonal_deviation: float
     eigenvalue_deviation: float
-    passed: bool
 
     @property
     def deviation(self) -> float:
@@ -158,7 +157,7 @@ class DftComparison:
                    self.eigenvalue_deviation)
 
 
-def dft_compare(model: GroupModel, a, tol: float = DEFAULT_TOL) -> DftComparison:
+def dft_compare(model: GroupModel, a) -> DftComparison:
     """For abelian G, conjugating the transformed operator L_a by the unitary
     character matrix diagonalizes it; the diagonal is the character-sum
     transform and matches the eigenvalues of L_a.
@@ -182,9 +181,7 @@ def dft_compare(model: GroupModel, a, tol: float = DEFAULT_TOL) -> DftComparison
     sums = chars.conj() @ vec
     diag_dev = deviation(diagonal, sums)
     eig_dev = _multiset_deviation(diagonal, np.linalg.eigvals(op))
-    worst = max(offdiag, diag_dev, eig_dev)
-    return DftComparison(diagonal, sums, offdiag, diag_dev, eig_dev,
-                         worst <= tol)
+    return DftComparison(diagonal, sums, offdiag, diag_dev, eig_dev)
 
 
 def _multiset_deviation(xs: np.ndarray, ys: np.ndarray) -> float:

@@ -17,9 +17,9 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qgft"
 EINSUM_ALLOWLIST: list[tuple[str, str, str]] = []
 
 
-def einsum_calls(source: str) -> list[str]:
+def scopes_where(source: str, matches) -> list[str]:
     """Names of the functions (dotted for nested ones, "<module>" at top
-    level) that call einsum or einsum_path, once per call."""
+    level) holding a node for which matches(node) is true, once per node."""
     found = []
 
     def visit(node, scope):
@@ -27,15 +27,27 @@ def einsum_calls(source: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-                if name in ("einsum", "einsum_path"):
-                    found.append(".".join(scope) or "<module>")
+            if matches(child):
+                found.append(".".join(scope) or "<module>")
             visit(child, scope)
 
     visit(ast.parse(source), [])
     return found
+
+
+def calls_to(source: str, names: tuple[str, ...]) -> list[str]:
+    """The scopes of every call of a function or method with one of the names."""
+    def matches(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")) in names
+    return scopes_where(source, matches)
+
+
+def einsum_calls(source: str) -> list[str]:
+    """The scopes of every call of einsum or einsum_path."""
+    return calls_to(source, ("einsum", "einsum_path"))
 
 
 def test_einsum_detector_finds_calls():
@@ -92,3 +104,52 @@ def test_every_check_has_the_one_signature():
     assert {"check_pentagon", "check_unitarity", "check_inversion", "check_plancherel",
             "check_pairing", "check_ft_pairing", "check_w_membership"} <= checked
     assert {fn for fn, _, _ in CHECK_EXTRA_PARAMETERS} <= checked
+
+
+# The Fourier and pairing tables contract W with the weights' implementing
+# vectors, rank one each, by np.tensordot on W's own (n, n, n, n) view.  Routed
+# through a slice family they would lay W out once more (n^4 entries), which
+# raised the transform-stream benchmark's peak RSS from about 64 to 67 MB
+# (2 vCPUs, numpy 2.4, OpenBLAS).
+# Every other contraction is a matmul (see the linalg module docstring).
+TENSORDOT_ALLOWLIST: list[tuple[str, str, str]] = [
+    ("engine.py", "QuantumGroupPair.fourier_table",
+     "rank-one contraction of W's view; a slice family would add an n^4 layout of W"),
+    ("engine.py", "QuantumGroupPair.pairing_table",
+     "rank-one contraction of W's view; a slice family would add an n^4 layout of W"),
+]
+
+
+def test_tensordot_only_in_the_allowed_tables():
+    found = {(path.name, function)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for function in calls_to(path.read_text(), ("tensordot",))}
+    assert found == {(file, function) for file, function, _ in TENSORDOT_ALLOWLIST}
+
+
+def rank_rtol_reads(source: str) -> list[str]:
+    """The scopes that read or import RANK_RTOL (its assignment is not a read)."""
+    def matches(node):
+        if isinstance(node, ast.Name):
+            return node.id == "RANK_RTOL" and not isinstance(node.ctx, ast.Store)
+        if isinstance(node, ast.Attribute):
+            return node.attr == "RANK_RTOL"
+        if isinstance(node, ast.ImportFrom):
+            return any(alias.name == "RANK_RTOL" for alias in node.names)
+        return False
+    return scopes_where(source, matches)
+
+
+def test_rank_rtol_detector_finds_reads():
+    source = ("from .linalg import RANK_RTOL\nRANK_RTOL = 1e-8\n"
+              "def f(s):\n    return s > linalg.RANK_RTOL\n"
+              "class A:\n    def g(self, s):\n        return RANK_RTOL * s\n")
+    assert rank_rtol_reads(source) == ["<module>", "f", "A.g"]
+
+
+def test_rank_rtol_is_read_only_by_linalg_rank():
+    # every rank decision goes through linalg.rank, so its floor always applies
+    reads = [(path.name, function)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for function in rank_rtol_reads(path.read_text())]
+    assert reads == [("linalg.py", "rank")]

@@ -45,8 +45,6 @@ from qgft.engine import (
     pair_from_unitary,
     pontryagin_check,
     sharp,
-    slice_family_leg1,
-    slice_family_leg2,
     slice_span_m,
     slice_span_mhat,
 )
@@ -59,6 +57,7 @@ from qgft.linalg import (
     leg_embed,
     matrix_unit_functional,
     membership_residual,
+    slice_family,
     slice_left,
     slice_right,
     span_basis,
@@ -227,7 +226,7 @@ def test_slice_families_match_single_slice_kernel(n):
     # by the matrix unit E_ij through the one single-functional kernel
     rng = np.random.default_rng(40 + n)
     w = rng.standard_normal((n * n, n * n)) + 1j * rng.standard_normal((n * n, n * n))
-    leg1, leg2 = slice_family_leg1(w, n), slice_family_leg2(w, n)
+    leg1, leg2 = slice_family(w, n, 1), slice_family(w, n, 2)
     for i in range(n):
         for j in range(n):
             unit = matrix_unit_functional(n, i, j)
@@ -532,21 +531,44 @@ def pair_agreement(qg):
                               linalg.DEFAULT_TOL)
 
 
+def seeded(check):
+    """A sampled check run on draws seeded by 0."""
+    return lambda qg: check(qg, np.random.default_rng(0))
+
+
+def column_phased(w, j, angle):
+    out = w.copy()
+    out[:, j] *= np.exp(1j * angle)
+    return out
+
+
+TWISTED_S = np.eye(S3.n)[[1, 2, 0, 3, 4, 5]] @ S3.s_mat
+
+
 # Swapping two columns of s_mat leaves right invariance at 0, because psi = phi o S
 # is constant on the s3 basis; the suite blames that corruption at pair-agreement.
 # A 3-cycle alpha of three points of s3 is an automorphism of the commutative M, so
 # alpha S stays anti-multiplicative; (alpha S)^2 != id and the Kac law catch it.
+# phi's vector scaled by 1e-12 has GNS singular values below the rank floor.
 @pytest.mark.parametrize("check, fields, want", [
     (check_coassociativity, dict(m_basis=S3.m_basis[:-1]), 2.45),
     (check_right_invariance, dict(s_mat=zero_column(S3.s_mat, 0)), 1.0),
     (pair_agreement, dict(mhat_basis=S3.m_basis), 1.0),
-    (check_antipode, dict(s_mat=np.eye(S3.n)[[1, 2, 0, 3, 4, 5]] @ S3.s_mat), 1.0),
+    (check_antipode, dict(s_mat=TWISTED_S), 1.0),
+    (seeded(check_sharp_involution), dict(s_mat=TWISTED_S), 4.36),
+    (seeded(check_slice_product_laws),
+     dict(mu=MultiplicativeUnitary.from_dense(column_phased(S3.mu.dense, 0, 1e-4))), 9.4e-4),
+    (seeded(check_pairing_axioms), dict(s_mat=TWISTED_S), 14.82),
+    (check_gns_consistency, dict(phi=Weight(S3.phi.xi * 1e-12)), 1.0),
 ], ids=["coassociativity-dropped-basis-element", "right-invariance-zeroed-s-column",
-        "pair-agreement-mhat-replaced-by-m", "antipode-slices-s-twisted-by-a-3-cycle"])
+        "pair-agreement-mhat-replaced-by-m", "antipode-slices-s-twisted-by-a-3-cycle",
+        "sharp-involution-s-twisted-by-a-3-cycle", "slice-product-laws-w-column-phased",
+        "pairing-axioms-s-twisted-by-a-3-cycle", "gns-consistency-phi-below-rank-floor"])
 def test_pair_check_fails_on_a_corrupted_field(check, fields, want):
     report = check(corrupted_s3(**fields))
     assert not report.passed
-    assert report.deviation == pytest.approx(want, abs=0.01)
+    # within 0.01, and within 1% of a deviation below 1
+    assert report.deviation == pytest.approx(want, abs=min(0.01, want / 100))
 
 
 # --------------------------------------------------------------- antipodes

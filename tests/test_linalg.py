@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from qgft.linalg import (
+    DEFAULT_TOL,
+    RANK_RTOL,
     Functional,
     as_complex_matrix,
     flip,
@@ -15,7 +17,9 @@ from qgft.linalg import (
     membership_residual,
     random_complex,
     random_element,
+    rank,
     right_slicer,
+    slice_family,
     slice_left,
     slice_right,
     span_basis,
@@ -245,6 +249,12 @@ def test_slicers_reject_mismatched_dimensions():
         right_slicer(random_matrix(4), 2)(Functional(random_matrix(3)))
 
 
+@pytest.mark.parametrize("leg", [0, 3, "1"])
+def test_slice_family_rejects_other_legs(leg):
+    with pytest.raises(ValueError, match="leg must be 1 or 2"):
+        slice_family(random_matrix(4), 2, leg)
+
+
 # ---------------------------------------------------------------- spans
 
 def test_span_collinear():
@@ -272,6 +282,25 @@ def test_span_diagonal_units():
 
 def test_span_empty():
     assert span_basis([]).shape[0] == 0
+
+
+def test_rank_empty_is_zero():
+    assert rank(np.zeros(0)) == 0
+
+
+def test_rank_counts_nothing_below_the_floor():
+    assert rank(np.array([0.5, 0.1]) * DEFAULT_TOL) == 0
+    assert rank(np.zeros(3)) == 0
+    assert rank(np.array([1e-3, 1e-6]), tol=1e-2) == 0
+
+
+def test_rank_relative_cutoff():
+    # above the floor, a value counts iff it exceeds RANK_RTOL times the largest
+    svals = np.array([1e4, 2 * RANK_RTOL * 1e4, 0.5 * RANK_RTOL * 1e4, 0.0])
+    assert rank(svals) == 2
+    assert rank(np.array([1.0, 1e-9, 1e-11])) == 1
+    assert rank(np.array([1.0, 1e-9]), tol=0.0) == 1
+    assert rank(np.array([1.0, 1e-7]), tol=0.0) == 2
 
 
 def test_span_idempotent():
