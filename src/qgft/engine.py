@@ -19,14 +19,17 @@ function here is the M-side function applied to the dual.
 Heavy identities on the generated algebras (coassociativity, invariance) are
 checked in coefficient space, on the pair's cached tensor `qg.delta_coeffs`:
 with orthonormal algebra bases it reproduces the operator-level Frobenius
-deviations exactly, up to the separately reported span-membership residual,
-and never materializes operators on the tensor cube.  For a permutation W the
-tensor is read from W's inverse index maps in O(m^2 n^3), with no operator on
-the tensor square; its membership residual still covers every entry of every
-delta(x_i).  A check of a built pair is `check_*(qg, tol)`, or
-`check_*(qg, rng, tol)` on its *_SAMPLES random draws; `tol` is one float
-absolute bound.  `check_unitarity(mu)` and `check_pentagon(mu)` bound by 0,
-or by DENSE_W_TOL for a dense W.  The pair caches no dense W.
+deviations exactly, up to the separately reported span-membership residual
+`qg.delta_residual`, and never materializes operators on the tensor cube.
+Two kernels build them: `comult_coeff_tensor` the tensor, which the
+transforms and the pairing axioms also read, and `comult_residual` the
+residual, which only those checks read.  For a permutation W the tensor is
+read from W's inverse index maps in O(m^2 n^3), with no operator on the tensor
+square; the residual covers every entry of every delta(x_i) on both routes.
+A check of a built pair is `check_*(qg, tol)`, or `check_*(qg, rng, tol)` on
+its *_SAMPLES random draws; `tol` is one float absolute bound.
+`check_unitarity(mu)` and `check_pentagon(mu)` bound by 0, or by DENSE_W_TOL
+for a dense W.  The pair caches no dense W.
 
 A pair is derived from W only by `derive_pair`, in three stages handed to a
 runner: `verify.run_suite` records each, `pair_from_unitary` raises at the
@@ -320,45 +323,71 @@ def _swap_legs(x: np.ndarray, n: int) -> np.ndarray:
     return x.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
 
 
-def comult_coeff_tensor(mu: MultiplicativeUnitary, basis: np.ndarray) -> tuple[np.ndarray, float]:
+def comult_coeff_tensor(mu: MultiplicativeUnitary, basis: np.ndarray) -> np.ndarray:
     """Coefficient tensor D of delta = comultiply(mu, .) over an orthonormal
-    basis: delta(x_i) = sum_{k,l} D[k, l, i] x_k (x) x_l, plus the largest
-    membership residual of any delta(x_i) in span (x) span.  The residual
-    covers every one of the n^4 entries of every delta(x_i), on both routes.
+    basis: delta(x_i) = sum_{k,l} D[k, l, i] x_k (x) x_l up to the part of
+    delta(x_i) outside span (x) span, which `comult_residual` measures.
 
     With the flat basis B[k, (a c)] = x_k[a, c] and T[(a c), (b d)] =
-    delta(x_i)[(a b), (c d)], D[:, :, i] = (conj(B) @ T) @ conj(B)^T, and the
-    residual compares T with B^T @ (D[:, :, i] @ B).  A permutation W reads D
-    from its index maps in O(m^2 n^3) (`_gathered_coeff_tensor`); a dense W
-    forms T and takes two products per element, n rows of the residual at a
-    time."""
+    delta(x_i)[(a b), (c d)], D[:, :, i] = (conj(B) @ T) @ conj(B)^T.  A
+    permutation W reads D from its index maps in O(m^2 n^3)
+    (`_gathered_coeff_tensor`); a dense W forms T and takes two products per
+    element."""
     m = basis.shape[0]
     if m == 0:
-        return np.zeros((0, 0, 0), dtype=complex), 0.0
-    n = mu.n
-    if basis.shape[1:] != (n, n):
-        raise ValueError(f"basis shape {basis.shape} does not match leg dimension {n}")
+        return np.zeros((0, 0, 0), dtype=complex)
+    _require_leg_dimension(mu, basis)
     if mu.is_permutation:
         return _gathered_coeff_tensor(mu, np.ascontiguousarray(basis, dtype=complex))
-    n2 = n * n
-    flat = basis.reshape(m, n2)
-    flat_conj = flat.conj()
+    flat_conj = basis.reshape(m, -1).conj()
     coeffs = np.empty((m, m, m), dtype=complex)
-    t4 = np.empty((n, n, n, n), dtype=complex)
-    t = t4.reshape(n2, n2)
-    recon, mag = np.empty((n, n2), dtype=complex), np.empty((n, n2))
+    for i, t in enumerate(_comult_blocks(mu, basis)):
+        coeffs[:, :, i] = (flat_conj @ t) @ flat_conj.T
+    return coeffs
+
+
+def comult_residual(mu: MultiplicativeUnitary, basis: np.ndarray, coeffs: np.ndarray) -> float:
+    """Largest entry of delta(x_i) - sum_{k,l} D[k, l, i] x_k (x) x_l over every
+    one of the n^4 entries of every delta(x_i), for D = coeffs: the membership
+    residual of delta(span) in span (x) span when D is `comult_coeff_tensor`.
+
+    It compares T with B^T @ (D[:, :, i] @ B), in the notation of
+    `comult_coeff_tensor`.  A permutation W builds the reconstruction in blocks
+    of rows and subtracts the n^3 nonzeros of delta(x_i) by index
+    (`_gathered_residual`); a dense W forms T again, n rows at a time."""
+    m = basis.shape[0]
+    if m == 0:
+        return 0.0
+    _require_leg_dimension(mu, basis)
+    if mu.is_permutation:
+        return _gathered_residual(mu, np.ascontiguousarray(basis, dtype=complex), coeffs)
+    n, flat = mu.n, basis.reshape(m, -1)
+    recon, mag = np.empty((n, n * n), dtype=complex), np.empty((n, n * n))
     residual = 0.0
-    for i in range(m):
-        np.copyto(t4, comultiply(mu, basis[i]).reshape(n, n, n, n).transpose(0, 2, 1, 3))
-        c = coeffs[:, :, i] = (flat_conj @ t) @ flat_conj.T
-        cb = c @ flat
-        for r in range(0, n2, n):
+    for i, t in enumerate(_comult_blocks(mu, basis)):
+        cb = coeffs[:, :, i] @ flat
+        for r in range(0, n * n, n):
             np.subtract(np.matmul(flat.T[r:r + n], cb, out=recon), t[r:r + n], out=recon)
             residual = max(residual, float(np.abs(recon, out=mag).max()))
-    return coeffs, residual
+    return residual
 
 
-def _gathered_coeff_tensor(mu: MultiplicativeUnitary, basis: np.ndarray) -> tuple[np.ndarray, float]:
+def _require_leg_dimension(mu: MultiplicativeUnitary, basis: np.ndarray) -> None:
+    if basis.shape[1:] != (mu.n, mu.n):
+        raise ValueError(f"basis shape {basis.shape} does not match leg dimension {mu.n}")
+
+
+def _comult_blocks(mu: MultiplicativeUnitary, basis: np.ndarray):
+    """T = delta(x_i) in [(a c), (b d)] order for each basis element x_i of a
+    dense W, each written into one reused n^4 buffer."""
+    n = mu.n
+    t4 = np.empty((n, n, n, n), dtype=complex)
+    for x in basis:
+        np.copyto(t4, comultiply(mu, x).reshape(n, n, n, n).transpose(0, 2, 1, 3))
+        yield t4.reshape(n * n, n * n)
+
+
+def _gathered_coeff_tensor(mu: MultiplicativeUnitary, basis: np.ndarray) -> np.ndarray:
     """comult_coeff_tensor of a permutation W, with no operator on the tensor square.
 
     With (s, t) = (s_of, t_of)[sig, tau] the pair that W sends to (sig, tau),
@@ -367,11 +396,8 @@ def _gathered_coeff_tensor(mu: MultiplicativeUnitary, basis: np.ndarray) -> tupl
       D[k, l, i] = sum_{tau, tau'} Z[k, l, tau, tau'] x_i[tau, tau'],
       Z[k, l, tau, tau'] = sum_sig conj(x_k[s(sig, tau), s(sig, tau')] x_l[t(sig, tau), t(sig, tau')]):
     for each tau, one batch of n (m x n)(n x m) products over tau' and one
-    (m^2 x n)(n x m) product, O(m^2 n^3) in all.  The residual builds
-    B^T @ (D[:, :, i] @ B) in blocks of rows of T and subtracts the n^3
-    nonzeros of delta(x_i), placed by `mu.comult_gather`, in place."""
+    (m^2 x n)(n x m) product, O(m^2 n^3) in all."""
     m, n = basis.shape[:2]
-    n2 = n * n
     s_of, t_of = mu.inverse_perm
     conj_cols = np.ascontiguousarray(basis.conj().transpose(1, 2, 0))           # [a, c, k]
     d = np.zeros((m * m, m), dtype=complex)                                     # [(k l), i]
@@ -380,8 +406,15 @@ def _gathered_coeff_tensor(mu: MultiplicativeUnitary, basis: np.ndarray) -> tupl
         xt = conj_cols[t_of[:, tau][None, :], t_of.T]                           # [tau', sig, l]
         z = np.matmul(xs.transpose(0, 2, 1), xt).reshape(n, m * m)              # [tau', (k l)]
         d += z.T @ basis[:, tau, :].T
-    coeffs = d.reshape(m, m, m)
+    return d.reshape(m, m, m)
 
+
+def _gathered_residual(mu: MultiplicativeUnitary, basis: np.ndarray, coeffs: np.ndarray) -> float:
+    """comult_residual of a permutation W: B^T @ (D[:, :, i] @ B) in blocks of
+    rows of T, minus the n^3 nonzeros of delta(x_i), placed by
+    `mu.comult_gather`, in place."""
+    m, n = basis.shape[:2]
+    n2 = n * n
     dst, src = mu.comult_gather
     a, b, c, e = np.unravel_index(dst, (n, n, n, n))
     t_dst = (a * n + c) * n2 + b * n + e                                        # into T[(a c), (b e)]
@@ -403,7 +436,7 @@ def _gathered_coeff_tensor(mu: MultiplicativeUnitary, basis: np.ndarray) -> tupl
             lo, hi = bounds[j], bounds[j + 1]
             block.reshape(-1)[t_dst[lo:hi] - r * n2] -= x[src[lo:hi]]
             residual = max(residual, float(np.abs(block, out=mag[:len(block)]).max()))
-    return coeffs, residual
+    return residual
 
 
 def check_coassociativity(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -411,9 +444,10 @@ def check_coassociativity(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> Che
 
     Evaluated in coefficient space (`qg.delta_coeffs`), where the orthonormal
     basis makes the coefficient norm equal the operator Frobenius norm; the
-    reported deviation includes the span-membership residual of delta itself.
+    reported deviation includes the span-membership residual of delta itself
+    (`qg.delta_residual`).
     """
-    d, residual = qg.delta_coeffs
+    d = qg.delta_coeffs
     m = d.shape[0]
     d_rows = d.reshape(m * m, m)                                                  # [(k l), a]
     lhs = (d_rows @ d.reshape(m, m * m)).reshape(m, m, m, m)                      # [k, l, b, i]
@@ -421,7 +455,7 @@ def check_coassociativity(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> Che
     rhs = (d_ai_b @ d_rows.T).reshape(m, m, m, m)                                 # [a, i, l, m']
     diff = lhs - rhs.transpose(0, 2, 3, 1)
     per_input = np.sqrt(np.sum(np.abs(diff) ** 2, axis=(0, 1, 2)))
-    dev = max(float(np.max(per_input)) if per_input.size else 0.0, residual)
+    dev = max(float(np.max(per_input)) if per_input.size else 0.0, qg.delta_residual)
     return CheckReport("coassociativity", dev, tol)
 
 
@@ -456,19 +490,18 @@ class Weight:
 def check_left_invariance(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckReport:
     """phi((omega (x) id)(delta x)) = phi(x) omega(1) over all matrix-unit
     functionals omega and M-basis elements x."""
-    d, residual = qg.delta_coeffs
     f = qg.phi_values
-    dev = max(_invariance_deviation(qg, f @ d, f), residual)                      # f @ d: [k, i]
+    dev = max(_invariance_deviation(qg, f @ qg.delta_coeffs, f), qg.delta_residual)  # f @ D: [k, i]
     return CheckReport("left-invariance", dev, tol)
 
 
 def check_right_invariance(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckReport:
     """psi((id (x) omega)(delta x)) = psi(x) omega(1) for psi = phi o S, the
     right-invariant weight, with values s_mat^T phi on the M basis."""
-    d, residual = qg.delta_coeffs
-    g = qg.s_mat.T @ qg.phi_values
+    d, g = qg.delta_coeffs, qg.s_mat.T @ qg.phi_values
     m = d.shape[0]
-    dev = max(_invariance_deviation(qg, (g @ d.reshape(m, m * m)).reshape(m, m), g), residual)
+    dev = max(_invariance_deviation(qg, (g @ d.reshape(m, m * m)).reshape(m, m), g),
+              qg.delta_residual)
     return CheckReport("right-invariance", dev, tol)
 
 
@@ -588,10 +621,13 @@ class QuantumGroupPair:
     carrier space; the object all Fourier and pairing operations consume.
 
     Instances are immutable after construction; cached derived data
-    (comultiplication coefficient tensors, the dual pair, and the tables of the
-    Fourier transform, convolution and pairing on the bases) is computed once on
-    first use.  No dense W is cached here: `w` and `w4` read `mu.dense`.  `dual`
-    is the pair of What with M and Mhat exchanged; it holds no reference back.
+    (the comultiplication coefficient tensor, the dual pair, and the tables of
+    the Fourier transform, convolution and pairing on the bases) is computed
+    once on first use.  The membership residual of that tensor,
+    `delta_residual`, is cached apart, and only the coassociativity and
+    invariance checks read it; the transforms read `delta_coeffs` alone.  No
+    dense W is cached here: `w` and `w4` read `mu.dense`.  `dual` is the pair
+    of What with M and Mhat exchanged; it holds no reference back.
     """
 
     def __init__(self, mu: MultiplicativeUnitary, m_basis: np.ndarray,
@@ -620,11 +656,15 @@ class QuantumGroupPair:
                                 self.phihat, self.phi, self.shat_mat, self.s_mat)
 
     @cached_property
-    def delta_coeffs(self) -> tuple[np.ndarray, float]:
+    def delta_coeffs(self) -> np.ndarray:
         return comult_coeff_tensor(self.mu, self.m_basis)
 
+    @cached_property
+    def delta_residual(self) -> float:
+        return comult_residual(self.mu, self.m_basis, self.delta_coeffs)
+
     @property
-    def delta_hat_coeffs(self) -> tuple[np.ndarray, float]:
+    def delta_hat_coeffs(self) -> np.ndarray:
         return self.dual.delta_coeffs
 
     @cached_property

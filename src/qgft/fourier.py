@@ -121,7 +121,7 @@ def convolve_direct(qg: QuantumGroupPair, a, c) -> np.ndarray:
     operands must lie in M."""
     alpha = qg.require_in_m(as_complex_matrix(a, qg.n, qg.n))
     gamma = qg.require_in_m(as_complex_matrix(c, qg.n, qg.n))
-    coeffs = (qg.convolution_table @ alpha) @ (qg.delta_coeffs[0] @ gamma)
+    coeffs = (qg.convolution_table @ alpha) @ (qg.delta_coeffs @ gamma)
     return span_reconstruct(coeffs, qg.m_basis)
 
 
@@ -206,8 +206,7 @@ def check_pairing_axioms(qg: QuantumGroupPair, rng: np.random.Generator,
     of W is held at a time.
     """
     n = qg.n
-    d, _ = qg.delta_coeffs
-    dh, _ = qg.dual.delta_coeffs
+    d, dh = qg.delta_coeffs, qg.dual.delta_coeffs
     m, mhat = d.shape[0], dh.shape[0]
     draws = [[Functional(random_complex(rng, (n, n))) for _ in range(4)]
              for _ in range(PAIRING_AXIOM_SAMPLES)]

@@ -35,6 +35,7 @@ from qgft.engine import (
     check_slice_product_laws,
     check_w_membership,
     comult_coeff_tensor,
+    comult_residual,
     comultiply,
     derive_haar_vectors,
     derive_pair,
@@ -63,6 +64,7 @@ from qgft.linalg import (
     span_basis,
     subspace_equal,
 )
+from qgft.verify import run_suite
 
 RNG = np.random.default_rng(11)
 
@@ -412,7 +414,8 @@ def test_coeff_tensor_matches_einsum_formulas(label, side):
         else model(parse_group_spec(label)).qg
     qg = qg.dual if side == "dual" else qg
     basis = qg.m_basis[:-1] if side == "dropped" else qg.m_basis
-    coeffs, residual = comult_coeff_tensor(qg.mu, basis)
+    coeffs = comult_coeff_tensor(qg.mu, basis)
+    residual = comult_residual(qg.mu, basis, coeffs)
     want_coeffs, want_residual = einsum_coeff_tensor(qg.mu, basis)
     assert np.max(np.abs(coeffs - want_coeffs)) <= 1e-13
     assert residual == pytest.approx(want_residual, abs=1e-13)
@@ -435,9 +438,11 @@ def test_permutation_coeff_tensor_matches_the_dense_route(spec, side, kind):
     qg = qg.dual if side == "dual" else qg
     basis = rotated(qg.m_basis, 3) if kind.startswith("rotated") else qg.m_basis
     basis = basis[:-1] if kind.endswith("dropped") else basis
-    coeffs, residual = comult_coeff_tensor(qg.mu, basis)
-    want_coeffs, want_residual = comult_coeff_tensor(
-        MultiplicativeUnitary.from_dense(qg.mu.dense), basis)
+    coeffs = comult_coeff_tensor(qg.mu, basis)
+    residual = comult_residual(qg.mu, basis, coeffs)
+    dense_mu = MultiplicativeUnitary.from_dense(qg.mu.dense)
+    want_coeffs = comult_coeff_tensor(dense_mu, basis)
+    want_residual = comult_residual(dense_mu, basis, want_coeffs)
     assert np.max(np.abs(coeffs - want_coeffs)) <= 1e-13
     assert abs(residual - want_residual) <= 1e-13
     # delta(L_g) = L_g (x) L_g on the dual's exact basis, so dropping one of
@@ -455,7 +460,8 @@ def permutation_and_dense(spec):
 def test_coeff_tensor_of_an_empty_basis(route):
     mu = permutation_and_dense("s3")[route]
     for basis in (np.zeros((0, 6, 6), dtype=complex), np.zeros((0, 0, 0), dtype=complex)):
-        coeffs, residual = comult_coeff_tensor(mu, basis)
+        coeffs = comult_coeff_tensor(mu, basis)
+        residual = comult_residual(mu, basis, coeffs)
         assert coeffs.shape == (0, 0, 0) and residual == 0.0
 
 
@@ -471,19 +477,46 @@ def test_permutation_coeff_tensor_memory_peak_on_s4(side):
     # the dense route holds two n^4 operators per element, 11.3 MiB at n = 24
     qg = model(groups.symmetric(4)).qg
     pair = qg.dual if side == "dual" else qg
-    tracemalloc.start()
-    try:
-        comult_coeff_tensor(pair.mu, pair.m_basis)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 10 * 2 ** 20
+
+    def traced(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2 ** 20
+        return result
+
+    coeffs = traced(lambda: comult_coeff_tensor(pair.mu, pair.m_basis))
+    traced(lambda: comult_residual(pair.mu, pair.m_basis, coeffs))
 
 
 def test_coeff_tensors_of_a_permutation_w_build_no_dense_w():
     qg = model(groups.symmetric(4)).qg
-    qg.delta_coeffs, qg.dual.delta_coeffs
+    qg.delta_coeffs, qg.dual.delta_coeffs, qg.delta_residual, qg.dual.delta_residual
     assert qg.mu._dense is None and qg.mu.dual._dense is None
+
+
+def test_only_the_checks_build_the_coeff_residual(monkeypatch):
+    calls = []
+    residual = engine.comult_residual
+    monkeypatch.setattr(engine, "comult_residual",
+                        lambda *args: calls.append(args) or residual(*args))
+    rng = np.random.default_rng(9)
+    for qg in (model(groups.symmetric(4)).qg, pair_from_unitary(transported_dihedral3())):
+        a, c = (linalg.random_element(rng, qg.m_basis) for _ in range(2))
+        b, d = (linalg.random_element(rng, qg.mhat_basis) for _ in range(2))
+        ft.fourier(qg, a), ft.inverse_fourier(qg, b), ft.pairing(qg, b, a)
+        ft.convolve(qg, a, c), ft.convolve_direct(qg, a, c)
+        ft.convolve_dual(qg, b, d), ft.convolve_dual_direct(qg, b, d)
+    assert calls == []
+
+    mdl = model(groups.symmetric(4))
+    assert run_suite(mdl).passed
+    assert len(calls) == 2                                  # once per side
+    mdl.qg.delta_residual, mdl.qg.dual.delta_residual
+    assert len(calls) == 2
 
 
 # ------------------------------------------------------------- invariance

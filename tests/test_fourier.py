@@ -426,7 +426,7 @@ def reference_convolve_direct(qg, a, c):
     """(phi (x) id)([(S^{-1} (x) id)(delta c)](a (x) 1)), with S^{-1} applied
     to the whole basis and phi evaluated on the operator S^{-1}(x_k) a."""
     basis, xi = qg.m_basis, qg.phi.xi
-    pair_coeffs = np.einsum("kli,i->kl", qg.delta_coeffs[0], qg.coords_m(c))
+    pair_coeffs = np.einsum("kli,i->kl", qg.delta_coeffs, qg.coords_m(c))
     sinv_on_basis = np.einsum("pk,pab->kab", qg.s_inv_mat, basis)
     vals = np.einsum("kuv,v,u->k", sinv_on_basis, a @ xi, xi.conj())
     return np.einsum("kl,k,lab->ab", pair_coeffs, vals, basis)

@@ -8,7 +8,8 @@ from the repository root; it imports the package from `src/`, so running the
 same file from a copy of another commit measures that commit.  The kernels are
 
 * `comult_coeff_tensor` on each group SPEC, on its M basis (side M) and on
-  the dual's (side Mhat);
+  the dual's (side Mhat), each followed by `comult_residual` of that side's
+  tensor;
 * `check_pairing_axioms` on each group SPEC's pair, with a generator seeded
   at the suite seed on every call, after the first call has filled the
   pair's caches, and `pontryagin_check` on its W;
@@ -70,6 +71,9 @@ def kernels(groups: list):
         for side, pair in (("M", qg), ("Mhat", qg.dual)):
             yield ("comult_coeff_tensor", spec, side,
                    lambda pair=pair: engine.comult_coeff_tensor(pair.mu, pair.m_basis))
+            yield ("comult_residual", spec, side,
+                   lambda pair=pair, d=pair.delta_coeffs:
+                   engine.comult_residual(pair.mu, pair.m_basis, d))
         yield ("check_pairing_axioms", spec, "",
                lambda qg=qg: check_pairing_axioms(qg, np.random.default_rng(SUITE_SEED)))
         yield "pontryagin_check", spec, "", lambda qg=qg: engine.pontryagin_check(qg.mu)
