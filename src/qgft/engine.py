@@ -29,7 +29,9 @@ square; the residual covers every entry of every delta(x_i) on both routes.
 A check of a built pair is `check_*(qg, tol)`, or `check_*(qg, rng, tol)` on
 its *_SAMPLES random draws; `tol` is one float absolute bound.
 `check_unitarity(mu)` and `check_pentagon(mu)` bound by 0, or by DENSE_W_TOL
-for a dense W.  The pair caches no dense W.
+for a dense W.  The pair caches no dense W, and its Fourier and pairing tables
+start from `leg1_contraction`, which places n^2 entries for a permutation W:
+the transforms, convolutions and pairing of a group model never build one.
 
 A pair is derived from W only by `derive_pair`, in three stages handed to a
 runner: `verify.run_suite` records each, `pair_from_unitary` raises at the
@@ -115,8 +117,9 @@ class MultiplicativeUnitary:
     The permutation form stores index maps (s, t) -> (sig[s, t], tau[s, t]),
     W e_(s,t) = e_(sig, tau).  The kernels that use it are exact index
     computations: unitarity and the pentagon compare index tables, `dual`
-    returns the permutation form of What, `comultiply` is a gather, and
-    `comult_coeff_tensor` reads its coefficients from `inverse_perm`.
+    returns the permutation form of What, `comultiply` is a gather,
+    `comult_coeff_tensor` reads its coefficients from `inverse_perm`, and
+    `leg1_contraction` places W's n^2 entries.
     """
 
     def __init__(self, n: int, dense: np.ndarray | None = None,
@@ -311,6 +314,21 @@ def comultiply(mu: MultiplicativeUnitary, x: np.ndarray) -> np.ndarray:
     w = mu.dense
     x_on_leg2 = (x @ w.reshape(n, n, n * n)).reshape(n * n, n * n)
     return w.conj().T @ x_on_leg2
+
+
+def leg1_contraction(mu: MultiplicativeUnitary, v: np.ndarray) -> np.ndarray:
+    """sum_j v[j] W[(j k), (p l)] as a [k, p, l] array: W's first output leg
+    contracted with v.  A permutation W places its n^2 entries,
+    out[tau[p, l], p, l] = v[sig[p, l]], and builds no dense W; a dense W
+    contracts its own (n, n, n, n) view (n^4)."""
+    n = mu.n
+    if mu.is_permutation:
+        sig, tau = mu.perm
+        p, l = np.indices((n, n))
+        out = np.zeros((n, n, n), dtype=complex)
+        out[tau, p, l] = v[sig]
+        return out
+    return np.tensordot(v, mu.dense.reshape(n, n, n, n), axes=(0, 0))
 
 
 def dual_comultiply(mu: MultiplicativeUnitary, y: np.ndarray) -> np.ndarray:
@@ -626,8 +644,10 @@ class QuantumGroupPair:
     once on first use.  The membership residual of that tensor,
     `delta_residual`, is cached apart, and only the coassociativity and
     invariance checks read it; the transforms read `delta_coeffs` alone.  No
-    dense W is cached here: `w` and `w4` read `mu.dense`.  `dual` is the pair
-    of What with M and Mhat exchanged; it holds no reference back.
+    dense W is cached here: `w` and `w4` read `mu.dense`, and the Fourier and
+    pairing tables read W through `leg1_contraction`, so on a permutation W
+    they build no dense W.  `dual` is the pair of What with M and Mhat
+    exchanged; it holds no reference back.
     """
 
     def __init__(self, mu: MultiplicativeUnitary, m_basis: np.ndarray,
@@ -706,9 +726,12 @@ class QuantumGroupPair:
     @cached_property
     def fourier_table(self) -> np.ndarray:
         """Rows F(x_k) on the M basis, flattened, so F(a) = coords(a) @ table:
-        xi_phi-bar contracted with W (n^4), then with each x_k xi_phi (m n^3)."""
-        half = np.tensordot(self.phi.xi.conj(), self.w4, axes=(0, 0))   # [k, p, l]
-        return np.tensordot(self.m_basis @ self.phi.xi, half, axes=(1, 1)).reshape(-1, self.n ** 2)
+        xi_phi-bar contracted with W's first leg (`leg1_contraction`: n^2
+        writes for a permutation W, n^4 for a dense one), then with each
+        x_k xi_phi (m n^3)."""
+        n = self.n
+        half = leg1_contraction(self.mu, self.phi.xi.conj())                # [k, p, l]
+        return (self.m_basis @ self.phi.xi) @ half.transpose(1, 0, 2).reshape(n, n * n)
 
     @cached_property
     def convolution_table(self) -> np.ndarray:
@@ -719,9 +742,10 @@ class QuantumGroupPair:
     @cached_property
     def pairing_table(self) -> np.ndarray:
         """P[j, l] = (phi (x) phihat)[(x_j (x) 1) W^* (1 (x) y_l)] on the bases, from
-        one n^4 contraction of W^*[(p, k), (j, q)] = conj W[(j, q), (p, k)]."""
+        xi_phi-bar contracted with W's first leg (`leg1_contraction`), then with
+        xi_phihat, as W^*[(p, k), (j, q)] = conj W[(j, q), (p, k)]."""
         xi, xihat = self.phi.xi, self.phihat.xi
-        w_star_mid = (np.tensordot(xi.conj(), self.w4, axes=(0, 0)) @ xihat).T.conj()
+        w_star_mid = (leg1_contraction(self.mu, xi.conj()) @ xihat).T.conj()
         return (xi.conj() @ self.m_basis) @ w_star_mid @ (self.mhat_basis @ xihat).T
 
 

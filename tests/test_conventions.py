@@ -106,17 +106,16 @@ def test_every_check_has_the_one_signature():
     assert {fn for fn, _, _ in CHECK_EXTRA_PARAMETERS} <= checked
 
 
-# The Fourier and pairing tables contract W with the weights' implementing
-# vectors, rank one each, by np.tensordot on W's own (n, n, n, n) view.  Routed
-# through a slice family they would lay W out once more (n^4 entries), which
-# raised the transform-stream benchmark's peak RSS from about 64 to 67 MB
-# (2 vCPUs, numpy 2.4, OpenBLAS).
+# The Fourier and pairing tables contract W's first leg with a Haar vector
+# through `engine.leg1_contraction`.  For a dense W it is a rank-one
+# np.tensordot on W's own (n, n, n, n) view: routed through a slice family it
+# would lay W out once more (n^4 entries), which raised the transform-stream
+# benchmark's peak RSS from about 64 to 67 MB (2 vCPUs, numpy 2.4, OpenBLAS).
+# A permutation W places n^2 entries instead.
 # Every other contraction is a matmul (see the linalg module docstring).
 TENSORDOT_ALLOWLIST: list[tuple[str, str, str]] = [
-    ("engine.py", "QuantumGroupPair.fourier_table",
-     "rank-one contraction of W's view; a slice family would add an n^4 layout of W"),
-    ("engine.py", "QuantumGroupPair.pairing_table",
-     "rank-one contraction of W's view; a slice family would add an n^4 layout of W"),
+    ("engine.py", "leg1_contraction",
+     "rank-one contraction of a dense W's view; a slice family would add an n^4 layout of W"),
 ]
 
 

@@ -3,8 +3,10 @@ invariance, antipodes, sharp, GNS duality, pair comparison and Pontryagin dualit
 exercised on group models (exact) and on generic dense unitaries (derived)."""
 
 import gc
+import importlib.util
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +43,7 @@ from qgft.engine import (
     derive_pair,
     dual_comultiply,
     lam,
+    leg1_contraction,
     lam_hat,
     pair_deviation,
     pair_from_unitary,
@@ -67,6 +70,11 @@ from qgft.linalg import (
 from qgft.verify import run_suite
 
 RNG = np.random.default_rng(11)
+
+SNAPSHOT = importlib.util.spec_from_file_location(
+    "suite_snapshot", Path(__file__).resolve().parent.parent / "tools" / "suite_snapshot.py")
+suite_snapshot = importlib.util.module_from_spec(SNAPSHOT)
+SNAPSHOT.loader.exec_module(suite_snapshot)
 
 
 def model(group):
@@ -496,6 +504,43 @@ def test_coeff_tensors_of_a_permutation_w_build_no_dense_w():
     qg = model(groups.symmetric(4)).qg
     qg.delta_coeffs, qg.dual.delta_coeffs, qg.delta_residual, qg.dual.delta_residual
     assert qg.mu._dense is None and qg.mu.dual._dense is None
+
+
+def test_transform_ops_of_a_permutation_w_build_no_dense_w():
+    rng = np.random.default_rng(4)
+    for group in (groups.symmetric(4), groups.dihedral(3)):
+        qg = model(group).qg
+        for _ in range(2):
+            a, c = (linalg.random_element(rng, qg.m_basis) for _ in range(2))
+            b, d = (linalg.random_element(rng, qg.mhat_basis) for _ in range(2))
+            ft.fourier(qg, a), ft.inverse_fourier(qg, b), ft.pairing(qg, b, a)
+            ft.convolve(qg, a, c), ft.convolve_direct(qg, a, c)
+            ft.convolve_dual(qg, b, d), ft.convolve_dual_direct(qg, b, d)
+        assert qg.mu._dense is None and qg.mu.dual._dense is None
+
+
+def group_sides():
+    for spec in suite_snapshot.GROUP_SPECS:
+        qg = model(parse_group_spec(spec)).qg
+        yield from ((spec, qg), (f"{spec}/dual", qg.dual))
+
+
+def test_leg1_contraction_of_a_permutation_w_equals_the_dense_tensordot():
+    rng = np.random.default_rng(6)
+    for label, qg in group_sides():
+        n = qg.n
+        w4 = qg.mu.dense.reshape(n, n, n, n)
+        for v in (qg.phi.xi.conj(), linalg.random_complex(rng, (n,))):
+            got = leg1_contraction(qg.mu, v)
+            assert np.array_equal(got, np.tensordot(v, w4, axes=(0, 0))), label
+
+
+def test_tables_of_a_permutation_w_equal_those_of_its_dense_w():
+    for label, qg in group_sides():
+        dense = QuantumGroupPair(MultiplicativeUnitary.from_dense(qg.mu.dense), qg.m_basis,
+                                 qg.mhat_basis, qg.phi, qg.phihat, qg.s_mat, qg.shat_mat)
+        assert np.array_equal(qg.fourier_table, dense.fourier_table), label
+        assert np.array_equal(qg.pairing_table, dense.pairing_table), label
 
 
 def test_only_the_checks_build_the_coeff_residual(monkeypatch):

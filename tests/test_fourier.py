@@ -500,18 +500,22 @@ def test_pairing_rejects_off_algebra_operands():
 
 
 def test_pairing_allocates_no_operator_on_the_tensor_square():
-    # a per-call contraction of the s4 W^* holds an n^4 intermediate (5.3 MiB)
+    # a per-call contraction of the s4 W^* holds an n^4 intermediate (5.3 MiB);
+    # the first call builds the tables from W's index maps, with no dense W
     mdl = model(groups.symmetric(4))
     rng = np.random.default_rng(3)
     a, b = models.pi(mdl, rng.standard_normal(24)), models.L(mdl, rng.standard_normal(24))
-    pairing(mdl.qg, b, a)
-    tracemalloc.start()
-    try:
-        pairing(mdl.qg, b, a)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 ** 20
+
+    def peak_of(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_of(lambda: pairing(mdl.qg, b, a)) < 2 * 2 ** 20
+    assert peak_of(lambda: pairing(mdl.qg, b, a)) < 2 ** 20
 
 
 def test_transform_and_inverse_do_not_call_each_other(monkeypatch):

@@ -18,8 +18,10 @@ def test_kernel_times_on_s3(monkeypatch, capsys):
     dense = [(kernel, label, "") for label in ("transported-dihedral6", "dual-cyclic12")
              for kernel in ("check_pentagon", "slice_span_m", "slice_span_mhat",
                             "pair_from_unitary", "check_antipode", "pontryagin_check")]
-    assert names == [("comult_coeff_tensor", "s3", "M"), ("comult_residual", "s3", "M"),
-                     ("comult_coeff_tensor", "s3", "Mhat"), ("comult_residual", "s3", "Mhat"),
+    sides = [(kernel, "s3", side) for side in ("M", "Mhat")
+             for kernel in ("comult_coeff_tensor", "comult_residual", "fourier_table",
+                            "pairing_table")]
+    assert names == [*sides,
                      ("check_pairing_axioms", "s3", ""), ("pontryagin_check", "s3", ""),
                      *dense, ("run_suite", "s3", "")]
     for record in out["kernels"]:

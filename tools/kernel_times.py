@@ -9,7 +9,9 @@ same file from a copy of another commit measures that commit.  The kernels are
 
 * `comult_coeff_tensor` on each group SPEC, on its M basis (side M) and on
   the dual's (side Mhat), each followed by `comult_residual` of that side's
-  tensor;
+  tensor, then the `fourier_table` and `pairing_table` of that side, each
+  built on a fresh `QuantumGroupPair` of the side's fields, so no call finds
+  the table cached;
 * `check_pairing_axioms` on each group SPEC's pair, with a generator seeded
   at the suite seed on every call, after the first call has filled the
   pair's caches, and `pontryagin_check` on its W;
@@ -63,6 +65,12 @@ def measure(call) -> dict:
     return {"best_ms": min(times) * 1e3, "peak_mib": peak / 2 ** 20}
 
 
+def fresh(qg: engine.QuantumGroupPair) -> engine.QuantumGroupPair:
+    """A pair of qg's fields with every cache empty."""
+    return engine.QuantumGroupPair(qg.mu, qg.m_basis, qg.mhat_basis, qg.phi, qg.phihat,
+                                   qg.s_mat, qg.shat_mat)
+
+
 def kernels(groups: list):
     """(kernel, source, side, call) for every measured kernel, given
     (spec, FiniteGroup) pairs."""
@@ -74,6 +82,8 @@ def kernels(groups: list):
             yield ("comult_residual", spec, side,
                    lambda pair=pair, d=pair.delta_coeffs:
                    engine.comult_residual(pair.mu, pair.m_basis, d))
+            for table in ("fourier_table", "pairing_table"):
+                yield table, spec, side, lambda pair=pair, table=table: getattr(fresh(pair), table)
         yield ("check_pairing_axioms", spec, "",
                lambda qg=qg: check_pairing_axioms(qg, np.random.default_rng(SUITE_SEED)))
         yield "pontryagin_check", spec, "", lambda qg=qg: engine.pontryagin_check(qg.mu)
