@@ -5,8 +5,8 @@ Exit codes: 0 success, 1 a check failed (the first failing check is named on
 stderr), 2 the source failed to load or validate.
 
 JSON numbers are written with 17 significant digits so doubles round-trip
-losslessly; reports are deterministic for a given seed apart from the
-elapsed-time fields.
+losslessly, a row of Python floats through one % template; reports are
+deterministic for a given seed apart from the elapsed-time fields.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ def _fmt_json(value, indent: int = 0) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
+        if all(type(v) is float for v in value):  # not bool, int or numpy scalars
+            return ("[" + "%.17g, " * (len(value) - 1) + "%.17g]") % tuple(value)
         flat = all(isinstance(v, (bool, int, float, np.integer, np.floating))
                    for v in value)
         if flat:

@@ -60,7 +60,7 @@ def inner(u: np.ndarray, v: np.ndarray) -> complex:
 
 def max_abs(x) -> float:
     x = np.asarray(x)
-    return float(np.max(np.abs(x))) if x.size else 0.0
+    return float(np.abs(x).max()) if x.size else 0.0
 
 
 def deviation(x, y) -> float:
@@ -231,9 +231,10 @@ def flat_rows(stack: np.ndarray) -> np.ndarray:
 
 def span_project(x: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float]:
     """Coordinates of x, or of each operator of a stack x, in an orthonormal
-    basis, and the largest entry of x minus its orthogonal projection."""
-    coeffs = span_coords(x, basis)
-    return coeffs, max_abs(np.asarray(x, dtype=complex) - span_reconstruct(coeffs, basis))
+    basis, and the largest entry of x minus its orthogonal projection: the
+    products of `span_coords` and `span_reconstruct`, on one layout."""
+    rows, b_flat, coeffs = _flat_coords(x, basis)
+    return coeffs.reshape(np.shape(x)[:-2] + (len(b_flat),)), max_abs(rows - coeffs @ b_flat)
 
 
 def membership_residual(x: np.ndarray, basis: np.ndarray) -> float:
@@ -246,11 +247,18 @@ def span_coords(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Coefficients of x, or of each operator of a stack x, in an orthonormal
     basis (projection coordinates): conj(conj(x) @ B^T) on the flat rows B of
     the basis, so the operand is conjugated and the basis is not."""
+    _, b_flat, coeffs = _flat_coords(x, basis)
+    return coeffs.reshape(np.shape(x)[:-2] + (len(b_flat),))
+
+
+def _flat_coords(x, basis):
+    """x's flat rows as a matrix, the basis's flat rows, and x's coordinates,
+    one row per operator."""
     if np.shape(x)[-2:] != np.shape(basis)[1:]:
         raise ValueError(f"operand shape {np.shape(x)} does not match basis {np.shape(basis)}")
-    x_flat, b_flat = flat_rows(x), flat_rows(basis)
-    coeffs = (x_flat.reshape(-1, x_flat.shape[-1]).conj() @ b_flat.T).conj()
-    return coeffs.reshape(x_flat.shape[:-1] + (len(b_flat),))
+    b_flat = flat_rows(basis)
+    rows = flat_rows(x).reshape(-1, b_flat.shape[-1])
+    return rows, b_flat, (rows.conj() @ b_flat.T).conj()
 
 
 def span_reconstruct(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:

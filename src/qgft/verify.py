@@ -72,9 +72,10 @@ class VerificationReport:
 def run_suite(source, tol_value: float = DEFAULT_TOL, seed: int = DEFAULT_SEED,
               model_name: str | None = None) -> VerificationReport:
     """Run every check on a GroupModel, QuantumGroupPair, MultiplicativeUnitary
-    or dense unitary matrix.  Structural failures abort the remaining stages;
-    the first failing check is recorded by name.  ValueError if tol_value is
-    negative, infinite or NaN."""
+    or dense unitary matrix.  A stage that raises or has a non-finite deviation
+    fails.  Structural failures abort the remaining stages; the first failing
+    check is recorded by name.  ValueError if tol_value is negative, infinite
+    or NaN."""
     if not 0.0 <= tol_value < float("inf"):  # also rejects NaN
         raise ValueError(f"tol_value must be finite and non-negative, got {tol_value}")
     model: models.GroupModel | None = None
@@ -98,14 +99,16 @@ def run_suite(source, tol_value: float = DEFAULT_TOL, seed: int = DEFAULT_SEED,
     tol, rng = tol_value, np.random.default_rng(seed)
 
     def run(stage: str, fn) -> bool:
-        """Time fn() into the report as `stage`; an exception fails the stage.
-        Returns whether the stage passed."""
+        """Time fn() into the report as `stage`; an exception or a non-finite
+        deviation fails the stage.  Returns whether the stage passed."""
         start = time.perf_counter()
         try:
             check = fn()
             check.name = stage
         except Exception as exc:
             check = CheckReport(stage, 1.0, 0.0, note=f"{type(exc).__name__}: {exc}")
+        if not np.isfinite(check.deviation):  # JSON has no inf or nan
+            check = CheckReport(stage, 1.0, 0.0, note=f"non-finite deviation: {check.deviation}")
         check.elapsed_ms = (time.perf_counter() - start) * 1e3
         report.checks.append(check)
         if not check.passed and report.first_failed is None:

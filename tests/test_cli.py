@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qgft import groups, models
-from qgft.cli import main, matrix_to_json, parse_group_spec
+from qgft.cli import _fmt_json, load_unitary, main, matrix_to_json, parse_group_spec, write_json
 from qgft.linalg import flip
 
 Z2 = models.build(groups.cyclic(2))
@@ -106,6 +106,19 @@ def test_verify_valid_dense_unitary(tmp_path):
     path = write_unitary(tmp_path, "w.json", mdl.qg.w, 3)
     out = tmp_path / "report.json"
     assert main(["verify", "--unitary", path, "--out", str(out)]) == 0
+
+
+def test_verify_non_finite_deviation_fails_the_stage(tmp_path, capsys):
+    # W = 1e200 I is finite, but W W^* overflows: the report must still be JSON
+    path = write_unitary(tmp_path, "big.json", 1e200 * np.eye(4), 2)
+    out = tmp_path / "report.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["verify", "--unitary", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "unitarity" in err and "non-finite deviation: inf" in err
+    (check,) = json.loads(out.read_text())["checks"]
+    assert (check["name"], check["pass"], check["deviation"], check["tolerance"]) == \
+        ("unitarity", False, 1.0, 0.0)
 
 
 def test_verify_bad_group_file_exits_2(tmp_path, capsys):
@@ -357,3 +370,30 @@ def test_stdout_output(capsys):
     captured = capsys.readouterr()
     report = json.loads(captured.out)
     assert report["model"] == "cyclic:2"
+
+
+def test_float_rows_match_per_value_format():
+    rng = np.random.default_rng(3)
+    row = (rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200)).tolist()
+    row += [-0.0, 5e-324, 1e308, 1.0, 0.1]
+    assert _fmt_json(row) == "[" + ", ".join(format(v, ".17g") for v in row) + "]"
+
+
+@pytest.mark.parametrize("row, text", [
+    ([0.5, True, False], "[0.5, true, false]"),
+    ([0.5, 2, -3], "[0.5, 2, -3]"),
+    ([np.int64(4), 0.25], "[4, 0.25]"),
+    ([0.5, np.float64(0.1)], "[0.5, 0.10000000000000001]"),
+])
+def test_rows_with_other_scalars_keep_their_text(row, text):
+    assert _fmt_json(row) == text
+
+
+def test_dense_unitary_round_trips_through_the_writer(tmp_path):
+    u, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((6, 6))
+                        + 1j * np.random.default_rng(6).standard_normal((6, 6)))
+    uu = np.kron(u, u)
+    w = uu @ models.build(groups.dihedral(3)).qg.w @ uu.conj().T
+    path = tmp_path / "w.json"
+    write_json(matrix_to_json(w, 6), str(path))
+    assert np.array_equal(load_unitary(path), w)

@@ -16,8 +16,9 @@ def test_kernel_times_on_s3(monkeypatch, capsys):
     out = json.loads(capsys.readouterr().out)
     names = [(r["kernel"], r["source"], r["side"]) for r in out["kernels"]]
     dense = [(kernel, label, "") for label in ("transported-dihedral6", "dual-cyclic12")
-             for kernel in ("check_pentagon", "slice_span_m", "slice_span_mhat",
-                            "pair_from_unitary", "check_antipode", "pontryagin_check")]
+             for kernel in ("write_json", "load_unitary", "check_pentagon", "slice_span_m",
+                            "slice_span_mhat", "pair_from_unitary", "check_antipode",
+                            "pontryagin_check")]
     sides = [(kernel, "s3", side) for side in ("M", "Mhat")
              for kernel in ("comult_coeff_tensor", "comult_residual", "fourier_table",
                             "pairing_table")]

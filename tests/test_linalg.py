@@ -24,6 +24,7 @@ from qgft.linalg import (
     slice_right,
     span_basis,
     span_coords,
+    span_project,
     span_reconstruct,
     subspace_equal,
     trace_functional,
@@ -381,6 +382,7 @@ def test_kernels_do_not_depend_on_memory_layout():
                         span_reconstruct(layout(coeffs), b),
                         span_reconstruct(layout(coeffs[0]), b),
                         membership_residual(layout(stack), b),
+                        *span_project(layout(stack), b), *span_project(layout(x), b),
                         slice_left(f, layout(w)), slice_right(f, layout(w)),
                         f(layout(x)), f.values_on(b)))
     for other in results[1:]:

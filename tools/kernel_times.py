@@ -15,10 +15,11 @@ same file from a copy of another commit measures that commit.  The kernels are
 * `check_pairing_axioms` on each group SPEC's pair, with a generator seeded
   at the suite seed on every call, after the first call has filled the
   pair's caches, and `pontryagin_check` on its W;
-* `check_pentagon`, `slice_span_m`, `slice_span_mhat` and `pair_from_unitary`
-  on the two n = 12 dense unitaries of the verify-dense benchmark workload
-  (workload seed 11), then `check_antipode` on the pair derived from each and
-  `pontryagin_check` on W;
+* on the two n = 12 dense unitaries of the verify-dense benchmark workload
+  (workload seed 11): `cli.write_json` of each one's `matrix_to_json` to a
+  temporary file and `cli.load_unitary` of that file, then `check_pentagon`,
+  `slice_span_m`, `slice_span_mhat` and `pair_from_unitary`, then
+  `check_antipode` on the pair derived from each and `pontryagin_check` on W;
 * `run_suite` on each group SPEC at suite seed 11, on a freshly built model
   per call, so no cached table carries over from one call to the next.
 """
@@ -29,6 +30,7 @@ import json
 import os
 import platform
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -87,15 +89,19 @@ def kernels(groups: list):
         yield ("check_pairing_axioms", spec, "",
                lambda qg=qg: check_pairing_axioms(qg, np.random.default_rng(SUITE_SEED)))
         yield "pontryagin_check", spec, "", lambda qg=qg: engine.pontryagin_check(qg.mu)
-    for label, w in dense_unitaries(DENSE_SEED):
-        mu = engine.MultiplicativeUnitary.from_dense(w)
-        yield "check_pentagon", label, "", lambda mu=mu: engine.check_pentagon(mu)
-        yield "slice_span_m", label, "", lambda mu=mu: engine.slice_span_m(mu)
-        yield "slice_span_mhat", label, "", lambda mu=mu: engine.slice_span_mhat(mu)
-        yield "pair_from_unitary", label, "", lambda w=w: engine.pair_from_unitary(w)
-        qg = engine.pair_from_unitary(w)
-        yield "check_antipode", label, "", lambda qg=qg: engine.check_antipode(qg)
-        yield "pontryagin_check", label, "", lambda mu=mu: engine.pontryagin_check(mu)
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, w in dense_unitaries(DENSE_SEED):
+            path, data = str(Path(tmp) / f"{label}.json"), cli.matrix_to_json(w, 12)
+            yield "write_json", label, "", lambda data=data, path=path: cli.write_json(data, path)
+            yield "load_unitary", label, "", lambda path=path: cli.load_unitary(path)
+            mu = engine.MultiplicativeUnitary.from_dense(w)
+            yield "check_pentagon", label, "", lambda mu=mu: engine.check_pentagon(mu)
+            yield "slice_span_m", label, "", lambda mu=mu: engine.slice_span_m(mu)
+            yield "slice_span_mhat", label, "", lambda mu=mu: engine.slice_span_mhat(mu)
+            yield "pair_from_unitary", label, "", lambda w=w: engine.pair_from_unitary(w)
+            qg = engine.pair_from_unitary(w)
+            yield "check_antipode", label, "", lambda qg=qg: engine.check_antipode(qg)
+            yield "pontryagin_check", label, "", lambda mu=mu: engine.pontryagin_check(mu)
     for spec, group in groups:
         yield "run_suite", spec, "", lambda group=group: run_suite(models.build(group),
                                                                    seed=SUITE_SEED)
