@@ -47,9 +47,8 @@ def _fmt_json(value, indent: int = 0) -> str:
             return "[]"
         if all(type(v) is float for v in value):  # not bool, int or numpy scalars
             return ("[" + "%.17g, " * (len(value) - 1) + "%.17g]") % tuple(value)
-        flat = all(isinstance(v, (bool, int, float, np.integer, np.floating))
-                   for v in value)
-        if flat:
+        if all(isinstance(v, (bool, int, float, np.bool_, np.integer, np.floating))
+               for v in value):
             return "[" + ", ".join(_fmt_json(v) for v in value) + "]"
         rows = [f"{pad}  {_fmt_json(v, indent + 1)}" for v in value]
         return "[\n" + ",\n".join(rows) + f"\n{pad}]"

@@ -210,7 +210,8 @@ class MultiplicativeUnitary:
             return 0.0 if np.array_equal(flat, np.arange(self.n * self.n)) else 1.0
         w = self.dense
         eye = np.eye(w.shape[0])
-        return max(deviation(w @ w.conj().T, eye), deviation(w.conj().T @ w, eye))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan fails the stage
+            return max(deviation(w @ w.conj().T, eye), deviation(w.conj().T @ w, eye))
 
 
 def check_unitarity(mu: MultiplicativeUnitary) -> CheckReport:
@@ -817,22 +818,6 @@ def check_w_membership(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckR
     t = np.ascontiguousarray(qg.w4.transpose(0, 2, 1, 3)).reshape(n2, n2)         # [(a c), (b d)]
     coeffs = (ma.conj() @ t) @ mb.conj().T
     return CheckReport("w-membership", max_abs(t - ma.T @ (coeffs @ mb)), tol)
-
-
-def check_gns_consistency(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckReport:
-    """<Lambda(x), Lambda(y)> = phi(y^* x) on all basis pairs, on both sides,
-    plus faithfulness (full GNS rank) of both weights."""
-    dev = 0.0
-    for basis, weight in ((qg.m_basis, qg.phi), (qg.mhat_basis, qg.phihat)):
-        vectors = basis @ weight.xi
-        gram = vectors @ vectors.conj().T                   # [x, y] = <L(x), L(y)>
-        m = basis.shape[0]
-        prods = basis.conj().transpose(0, 2, 1)[:, None] @ basis[None, :]   # [y, x] = y^* x
-        phivals = weight.values_on(prods).T
-        dev = max(dev, deviation(gram, phivals))
-        if rank(np.linalg.svd(vectors, compute_uv=False)) < m:
-            dev = max(dev, 1.0)
-    return CheckReport("gns-consistency", dev, tol)
 
 
 def _gns_duality(name: str, qg: QuantumGroupPair, tol: float) -> CheckReport:

@@ -17,8 +17,8 @@ exact because every operand must pass the span membership precondition
 F^{-1} is the transform of the dual pair (What = Sigma W^* Sigma), and every
 Mhat-side function here is its M-side twin applied to `qg.dual`.
 
-Each result is one check: `check_gns_transport(qg, tol)` on the full bases,
-and the sampled `check_*(qg, rng, tol)`, each on its *_SAMPLES random draws.
+Each result is one check: `check_plancherel(qg, tol)` on the full bases, and
+the sampled `check_*(qg, rng, tol)`, each on its *_SAMPLES random draws.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .linalg import (
 
 # Random draws of each sampled check.
 INVERSION_SAMPLES = 10
-PLANCHEREL_SAMPLES = 50
 CONVOLUTION_SAMPLES = 20
 PAIRING_SAMPLES = 50
 PAIRING_AXIOM_SAMPLES = 20
@@ -83,27 +82,14 @@ def check_inversion(qg: QuantumGroupPair, rng: np.random.Generator,
     return CheckReport("fourier-inversion", dev, tol)
 
 
-def check_gns_transport(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckReport:
-    """The transform is isometric on GNS vectors: Lambda_hat(F(a)) = Lambda(a)
-    and Lambda(F^{-1}(b)) = Lambda_hat(b) on full bases."""
+def check_plancherel(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckReport:
+    """Plancherel: the transform is isometric on GNS vectors,
+    Lambda_hat(F(a)) = Lambda(a) and Lambda(F^{-1}(b)) = Lambda_hat(b), on the
+    full bases."""
     dev = 0.0
     for side in (qg, qg.dual):
         for a in side.m_basis:
             dev = max(dev, deviation(side.phihat.gns(fourier(side, a)), side.phi.gns(a)))
-    return CheckReport("gns-transport", dev, tol)
-
-
-def check_plancherel(qg: QuantumGroupPair, rng: np.random.Generator,
-                     tol: float = DEFAULT_TOL) -> CheckReport:
-    """phihat(F(a)^* F(a)) = phi(a^* a), both real, for PLANCHEREL_SAMPLES
-    random a in M."""
-    dev = 0.0
-    for _ in range(PLANCHEREL_SAMPLES):
-        a = random_element(rng, qg.m_basis)
-        fa = fourier(qg, a)
-        lhs = qg.phihat.value(fa.conj().T @ fa)
-        rhs = qg.phi.value(a.conj().T @ a)
-        dev = max(dev, abs(lhs - rhs), abs(lhs.imag), abs(rhs.imag))
     return CheckReport("plancherel", dev, tol)
 
 

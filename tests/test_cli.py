@@ -112,10 +112,10 @@ def test_verify_non_finite_deviation_fails_the_stage(tmp_path, capsys):
     # W = 1e200 I is finite, but W W^* overflows: the report must still be JSON
     path = write_unitary(tmp_path, "big.json", 1e200 * np.eye(4), 2)
     out = tmp_path / "report.json"
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["verify", "--unitary", path, "--out", str(out)]) == 1
+    assert main(["verify", "--unitary", path, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "unitarity" in err and "non-finite deviation: inf" in err
+    assert "Warning" not in err
     (check,) = json.loads(out.read_text())["checks"]
     assert (check["name"], check["pass"], check["deviation"], check["tolerance"]) == \
         ("unitarity", False, 1.0, 0.0)
@@ -384,6 +384,7 @@ def test_float_rows_match_per_value_format():
     ([0.5, 2, -3], "[0.5, 2, -3]"),
     ([np.int64(4), 0.25], "[4, 0.25]"),
     ([0.5, np.float64(0.1)], "[0.5, 0.10000000000000001]"),
+    ([np.bool_(True), 1.5], "[true, 1.5]"),
 ])
 def test_rows_with_other_scalars_keep_their_text(row, text):
     assert _fmt_json(row) == text

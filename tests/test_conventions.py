@@ -104,6 +104,8 @@ def test_every_check_has_the_one_signature():
     assert {"check_pentagon", "check_unitarity", "check_inversion", "check_plancherel",
             "check_pairing", "check_ft_pairing", "check_w_membership"} <= checked
     assert {fn for fn, _, _ in CHECK_EXTRA_PARAMETERS} <= checked
+    # Plancherel is the GNS isometry on the full bases: it draws nothing
+    assert list(inspect.signature(fourier.check_plancherel).parameters) == ["qg", "tol"]
 
 
 # The Fourier and pairing tables contract W's first leg with a Haar vector

@@ -9,10 +9,9 @@ import pytest
 
 from qgft import fourier as ft
 from qgft import groups, models
-from qgft.engine import NotInAlgebra, pair_from_unitary
+from qgft.engine import NotInAlgebra, QuantumGroupPair, pair_from_unitary
 from qgft.fourier import (
     check_ft_pairing,
-    check_gns_transport,
     check_inversion,
     check_pairing,
     check_pairing_axioms,
@@ -25,7 +24,7 @@ from qgft.fourier import (
     inverse_fourier,
     pairing,
 )
-from qgft.linalg import deviation, inner, kron, random_element
+from qgft.linalg import deviation, inner, kron, random_complex, random_element
 
 RNG = np.random.default_rng(23)
 
@@ -146,7 +145,7 @@ def test_convolution_linear_in_each_slot():
 @pytest.mark.parametrize("group", [groups.cyclic(2), groups.cyclic(5),
                                    groups.symmetric(3)])
 def test_gns_transport(group):
-    report = check_gns_transport(model(group).qg)
+    report = check_plancherel(model(group).qg)
     assert report.passed and report.deviation <= 1e-10
 
 
@@ -207,8 +206,25 @@ def test_plancherel_matches_norm_squared(group):
         lhs, _ = plancherel_sides(mdl.qg, models.pi(mdl, a))
         assert lhs == pytest.approx(np.sum(np.abs(a) ** 2), abs=1e-10)
         assert abs(lhs.imag) < 1e-12 and lhs.real >= 0
-    report = check_plancherel(mdl.qg, np.random.default_rng(6))
+    report = check_plancherel(mdl.qg)
     assert report.passed and report.deviation <= 1e-10
+
+
+def test_plancherel_catches_a_norm_preserving_wrong_transform():
+    # F followed by a random unitary of M's coordinates keeps every norm
+    # ||Lambda_hat(F(a))|| = ||Lambda(a)||, but not the GNS vectors themselves
+    qg = model(groups.symmetric(3)).qg
+    qg = QuantumGroupPair(qg.mu, qg.m_basis, qg.mhat_basis, qg.phi, qg.phihat,
+                          qg.s_mat, qg.shat_mat)
+    m = len(qg.m_basis)
+    u, _ = np.linalg.qr(random_complex(np.random.default_rng(3), (m, m)))
+    qg.fourier_table = u @ qg.fourier_table   # sets the cached property's value
+    for a in qg.m_basis:
+        lhs, rhs = plancherel_sides(qg, a)
+        assert lhs == pytest.approx(rhs, abs=1e-12)
+    report = check_plancherel(qg)
+    assert not report.passed
+    assert report.deviation == pytest.approx(1.56, abs=0.01)
 
 
 # -------------------------------------------------------------- convolution

@@ -13,9 +13,9 @@ EXPECTED_MODEL_CHECKS = {
     "unitarity", "pentagon", "algebra-generation", "haar-weights",
     "antipode-assembly", "pair-agreement", "w-membership", "coassociativity", "coassociativity-dual",
     "left-invariance", "right-invariance", "left-invariance-dual",
-    "right-invariance-dual", "gns-consistency", "gns-duality-phihat",
+    "right-invariance-dual", "gns-duality-phihat",
     "gns-duality-phihatdual", "antipode-slices", "sharp-involution",
-    "slice-product-laws", "gns-transport", "fourier-inversion", "plancherel",
+    "slice-product-laws", "fourier-inversion", "plancherel",
     "convolution-agreement", "pairing", "pairing-axioms", "ft-pairing",
     "pontryagin",
 }
@@ -139,6 +139,15 @@ def test_suite_aborts_on_non_unitary():
     report = run_suite(np.diag([2.0, 1.0, 1.0, 1.0]))
     assert report.first_failed == "unitarity"
     assert [c.name for c in report.checks] == ["unitarity"]
+
+
+def test_overflowing_dense_unitarity_fails_without_a_warning():
+    # W W^* overflows for a finite W = 1e200 I; under the error filter a numpy
+    # warning would fail the stage through the exception path instead
+    report = run_suite(1e200 * np.eye(4))
+    (check,) = report.checks
+    assert report.first_failed == "unitarity"
+    assert check.note == "non-finite deviation: inf"
 
 
 def test_suite_fails_weights_off_gns_position():
@@ -299,15 +308,13 @@ def replayed_checks(mu, qg, model, seed, tol=1e-10):
     for side, suffix in ((qg, ""), (qg.dual, "-dual")):
         stages["left-invariance" + suffix] = engine.check_left_invariance(side, tol)
         stages["right-invariance" + suffix] = engine.check_right_invariance(side, tol)
-    stages["gns-consistency"] = engine.check_gns_consistency(qg, tol)
     stages["gns-duality-phihat"] = engine.check_gns_duality_phihat(qg, tol)
     stages["gns-duality-phihatdual"] = engine.check_gns_duality_phihatdual(qg, tol)
     stages["antipode-slices"] = engine.check_antipode(qg, tol)
     stages["sharp-involution"] = engine.check_sharp_involution(qg, rng, tol)
     stages["slice-product-laws"] = engine.check_slice_product_laws(qg, rng, tol)
-    stages["gns-transport"] = ft.check_gns_transport(qg, tol)
     stages["fourier-inversion"] = ft.check_inversion(qg, rng, tol)
-    stages["plancherel"] = ft.check_plancherel(qg, rng, tol)
+    stages["plancherel"] = ft.check_plancherel(qg, tol)
     stages["convolution-agreement"] = ft.check_convolution(qg, rng, tol)
     if model is not None:
         stages["convolution-agreement"].deviation = max(
