@@ -50,21 +50,18 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     Functional,
+    SpanKernel,
     as_complex_matrix,
     deviation,
     flat_rows,
     left_slicer,
     max_abs,
-    membership_residual,
     random_complex,
     rank,
     right_slicer,
     slice_family,
     slice_left,
     span_basis,
-    span_coords,
-    span_project,
-    span_reconstruct,
     subspace_equal,
 )
 
@@ -289,8 +286,8 @@ def algebra_closure_deviation(basis: np.ndarray) -> float:
         return 0.0
     basis = np.ascontiguousarray(basis, dtype=complex)
     adjoints = basis.conj().transpose(0, 2, 1)
-    return max(membership_residual(basis[:, None] @ basis[None, :], basis),
-               membership_residual(adjoints, basis))
+    span = SpanKernel(basis)
+    return max(span.project(basis[:, None] @ basis[None, :])[1], span.project(adjoints)[1])
 
 
 def slice_span_m(mu: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -535,8 +532,9 @@ def _fit_slice_map(sources: np.ndarray, targets: np.ndarray, basis: np.ndarray,
                    tol: float) -> tuple[np.ndarray, float]:
     """Least-squares linear map on span(basis) sending each source slice to
     its target slice, with the worst operator-level residual."""
-    coords_src, mem_src = span_project(sources, basis)                            # [q, k]
-    coords_tgt, mem_tgt = span_project(targets, basis)
+    span = SpanKernel(basis)
+    coords_src, mem_src = span.project(sources)                                   # [q, k]
+    coords_tgt, mem_tgt = span.project(targets)
     # Solve coords_src @ S^T = coords_tgt in the least-squares sense.
     s_mat_t, *_ = np.linalg.lstsq(coords_src, coords_tgt, rcond=None)
     s_mat = s_mat_t.T
@@ -577,11 +575,11 @@ def lam_hat(mu: MultiplicativeUnitary, theta: Functional) -> np.ndarray:
     return lam(mu.dual, theta)
 
 
-def sharp(omega: Functional, s_mat: np.ndarray, basis: np.ndarray) -> Functional:
+def sharp(omega: Functional, s_mat: np.ndarray, span: SpanKernel) -> Functional:
     """The sharp of a functional, omega_sharp(x) = conj(omega(S(x)^*)),
-    re-encoded as a density supported on the span."""
-    f = s_mat.T @ span_coords(omega.density, basis).conj()
-    return Functional(span_reconstruct(f.conj(), basis).conj().T)
+    re-encoded as a density supported on the span (a pair's cached `span`)."""
+    f = s_mat.T @ span.coords(omega.density).conj()
+    return Functional(span.reconstruct(f.conj()).conj().T)
 
 
 def fixed_leg_vectors(mu: MultiplicativeUnitary) -> np.ndarray:
@@ -648,7 +646,11 @@ class QuantumGroupPair:
     dense W is cached here: `w` and `w4` read `mu.dense`, and the Fourier and
     pairing tables read W through `leg1_contraction`, so on a permutation W
     they build no dense W.  `dual` is the pair of What with M and Mhat
-    exchanged; it holds no reference back.
+    exchanged; it holds no reference back.  `span` is the projection onto M
+    (`linalg.SpanKernel`), laid out once and read by `require_in_m`,
+    `coords_m`, `apply_s`/`apply_s_inv` and every reconstruction on M, and
+    handed to `sharp` and `linalg.random_element`; `dual.span` projects onto
+    Mhat.
     """
 
     def __init__(self, mu: MultiplicativeUnitary, m_basis: np.ndarray,
@@ -692,15 +694,27 @@ class QuantumGroupPair:
     def phi_values(self) -> np.ndarray:
         return self.phi.values_on(self.m_basis)
 
+    @cached_property
+    def span(self) -> SpanKernel:
+        """The projection onto M, laid out once; `dual.span` projects onto Mhat."""
+        return SpanKernel(self.m_basis)
+
     def coords_m(self, x: np.ndarray) -> np.ndarray:
-        return span_coords(x, self.m_basis)
+        return self.span.coords(x)
 
     def require_in_m(self, x: np.ndarray) -> np.ndarray:
-        """Coordinates of x in the M basis; NotInAlgebra if x is off the span by
-        more than DEFAULT_TOL * (1 + max|x|)."""
-        coords, res = span_project(x, self.m_basis)
-        if res > DEFAULT_TOL * (1.0 + max_abs(x)):
-            raise NotInAlgebra(f"operand lies outside the algebra (residual {res:.3e})")
+        """Coordinates of x in the M basis; ValueError if an entry of x is NaN or
+        infinite, NotInAlgebra if x is off the span by more than
+        DEFAULT_TOL * (1 + max|x|).  A non-finite entry leaves a non-finite
+        residual, so max|x| is read only for a residual above DEFAULT_TOL."""
+        with np.errstate(invalid="ignore"):
+            coords, res = self.span.project(x)
+        if not res <= DEFAULT_TOL:
+            bound = max_abs(x)
+            if not math.isfinite(bound):
+                raise ValueError("operand entries must be finite (no NaN/Inf)")
+            if res > DEFAULT_TOL * (1.0 + bound):
+                raise NotInAlgebra(f"operand lies outside the algebra (residual {res:.3e})")
         return coords
 
     @cached_property
@@ -716,7 +730,7 @@ class QuantumGroupPair:
 
     def _map_m(self, mat: np.ndarray, x: np.ndarray) -> np.ndarray:
         """A map on M, in basis coordinates, applied to x or to each of a stack x."""
-        return span_reconstruct(self.coords_m(x) @ mat.T, self.m_basis)
+        return self.span.reconstruct(self.span.coords(x) @ mat.T)
 
     def apply_s(self, x: np.ndarray) -> np.ndarray:
         return self._map_m(self.s_mat, x)
@@ -841,7 +855,7 @@ def check_antipode(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckRepor
     SingularAntipode for a singular S); antipode-assembly bounds slice consistency."""
     # Each law on the whole basis at once: [i, j] stacks hold x_i x_j and S(x_j) S(x_i).
     basis = qg.m_basis
-    s_on_basis = span_reconstruct(qg.s_mat.T, basis)
+    s_on_basis = qg.span.reconstruct(qg.s_mat.T)
     dev = deviation(qg.apply_s(basis[:, None] @ basis[None, :]),
                     s_on_basis[None, :] @ s_on_basis[:, None])
 
@@ -859,9 +873,9 @@ def check_sharp_involution(qg: QuantumGroupPair, rng: np.random.Generator,
     lam_w, dev = left_slicer(qg.w, qg.n), 0.0                 # lam(mu, .), W laid out once
     for _ in range(SHARP_SAMPLES):
         omega = Functional(random_complex(rng, (qg.n, qg.n)))
-        omega_sharp = sharp(omega, qg.s_mat, qg.m_basis)
+        omega_sharp = sharp(omega, qg.s_mat, qg.span)
         dev = max(dev, deviation(lam_w(omega).conj().T, lam_w(omega_sharp)))
-        twice = sharp(omega_sharp, qg.s_mat, qg.m_basis)
+        twice = sharp(omega_sharp, qg.s_mat, qg.span)
         dev = max(dev, deviation(omega.values_on(qg.m_basis), twice.values_on(qg.m_basis)))
     return CheckReport("sharp-involution", dev, tol)
 

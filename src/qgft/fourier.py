@@ -10,9 +10,13 @@ with the sliced leg contracted against the weight's implementing vector.
 F, the direct convolution and the pairing are (bi)linear maps between the
 algebras, so each is tabulated once per pair on the orthonormal bases
 (`QuantumGroupPair.fourier_table`, `convolution_table`, `pairing_table`), and
-a call is a projection onto the basis plus an O(m n^2) product.  This is
-exact because every operand must pass the span membership precondition
-(`require_in_m`, NotInAlgebra otherwise), so it equals its projection.
+a call is a projection onto the basis by the pair's cached span kernel
+(`qg.span`: O(n^2) gathers on the indicator bases of a group model, two
+O(m n^2) products on any other basis) plus an O(m n^2) product with a table.
+This is exact because every operand must pass the span membership
+precondition (`require_in_m`, NotInAlgebra otherwise), so it equals its
+projection.  An operand is not copied or scanned beforehand: `require_in_m`
+rejects a non-finite entry, and the kernel lays it out C-contiguous.
 
 F^{-1} is the transform of the dual pair (What = Sigma W^* Sigma), and every
 Mhat-side function here is its M-side twin applied to `qg.dual`.
@@ -30,14 +34,12 @@ import numpy as np
 from .engine import CheckReport, Functional, QuantumGroupPair, sharp
 from .linalg import (
     DEFAULT_TOL,
-    as_complex_matrix,
     deviation,
     inner,
     left_slicer,
     random_complex,
     random_element,
     right_slicer,
-    span_reconstruct,
 )
 
 # Random draws of each sampled check.
@@ -52,8 +54,17 @@ def _from_table(qg: QuantumGroupPair, coords: np.ndarray) -> np.ndarray:
     return (coords @ qg.fourier_table).reshape(qg.n, qg.n)
 
 
+def _operand(qg: QuantumGroupPair, x) -> np.ndarray:
+    """x as a complex n x n array; ValueError for another shape.  Its entries
+    are checked by `require_in_m`."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape != (qg.n, qg.n):
+        raise ValueError(f"operand shape {x.shape} is not {(qg.n, qg.n)}")
+    return x
+
+
 def _transform(qg: QuantumGroupPair, a) -> np.ndarray:
-    return _from_table(qg, qg.require_in_m(as_complex_matrix(a, qg.n, qg.n)))
+    return _from_table(qg, qg.require_in_m(_operand(qg, a)))
 
 
 def fourier(qg: QuantumGroupPair, a) -> np.ndarray:
@@ -72,7 +83,7 @@ def check_inversion(qg: QuantumGroupPair, rng: np.random.Generator,
     """Both composites of F and F^{-1} deviate from the identity by at most
     tol, on the full algebra bases and on INVERSION_SAMPLES random elements of
     each algebra."""
-    samples = [(random_element(rng, qg.m_basis), random_element(rng, qg.mhat_basis))
+    samples = [(random_element(rng, qg.span), random_element(rng, qg.dual.span))
                for _ in range(INVERSION_SAMPLES)]
     dev = 0.0
     for a in [*qg.m_basis, *(a for a, _ in samples)]:
@@ -105,10 +116,10 @@ def convolve_direct(qg: QuantumGroupPair, a, c) -> np.ndarray:
     comultiplication coefficient tensor and G[k, j] = phi(S^{-1}(x_k) x_j),
     a * c has coordinates (G @ alpha) @ (D @ gamma).  Exact because both
     operands must lie in M."""
-    alpha = qg.require_in_m(as_complex_matrix(a, qg.n, qg.n))
-    gamma = qg.require_in_m(as_complex_matrix(c, qg.n, qg.n))
+    alpha = qg.require_in_m(_operand(qg, a))
+    gamma = qg.require_in_m(_operand(qg, c))
     coeffs = (qg.convolution_table @ alpha) @ (qg.delta_coeffs @ gamma)
-    return span_reconstruct(coeffs, qg.m_basis)
+    return qg.span.reconstruct(coeffs)
 
 
 def convolve_dual(qg: QuantumGroupPair, b, d) -> np.ndarray:
@@ -128,9 +139,9 @@ def check_convolution(qg: QuantumGroupPair, rng: np.random.Generator,
     random pairs."""
     dev = 0.0
     for _ in range(CONVOLUTION_SAMPLES):
-        a, c = random_element(rng, qg.m_basis), random_element(rng, qg.m_basis)
+        a, c = random_element(rng, qg.span), random_element(rng, qg.span)
         dev = max(dev, deviation(convolve(qg, a, c), convolve_direct(qg, a, c)))
-        b, e = random_element(rng, qg.mhat_basis), random_element(rng, qg.mhat_basis)
+        b, e = random_element(rng, qg.dual.span), random_element(rng, qg.dual.span)
         dev = max(dev, deviation(convolve_dual(qg, b, e), convolve_dual_direct(qg, b, e)))
     return CheckReport("convolution-agreement", dev, tol)
 
@@ -154,8 +165,7 @@ def pairing(qg: QuantumGroupPair, b, a) -> PairingValue:
     Haar-weight descriptions, each tabulated on the bases: via_inverse from
     the F^{-1} table, via_forward from the F table and via_w = alpha @ P @ beta
     from the W^* `pairing_table`.  Exact because a must lie in M and b in Mhat."""
-    a = as_complex_matrix(a, qg.n, qg.n)
-    b = as_complex_matrix(b, qg.n, qg.n)
+    a, b = _operand(qg, a), _operand(qg, b)
     alpha = qg.require_in_m(a)
     beta = qg.dual.require_in_m(b)
     via_inverse = qg.phi.value(a @ _from_table(qg.dual, beta))
@@ -170,8 +180,8 @@ def check_pairing(qg: QuantumGroupPair, rng: np.random.Generator,
     PAIRING_SAMPLES random b in Mhat and a in M."""
     dev = 0.0
     for _ in range(PAIRING_SAMPLES):
-        a = random_element(rng, qg.m_basis)
-        b = random_element(rng, qg.mhat_basis)
+        a = random_element(rng, qg.span)
+        b = random_element(rng, qg.dual.span)
         dev = max(dev, pairing(qg, b, a).spread)
     return CheckReport("pairing", dev, tol)
 
@@ -197,7 +207,7 @@ def check_pairing_axioms(qg: QuantumGroupPair, rng: np.random.Generator,
     draws = [[Functional(random_complex(rng, (n, n))) for _ in range(4)]
              for _ in range(PAIRING_AXIOM_SAMPLES)]
     # (3) takes omega = (omega2)^sharp to exercise the sharp construction.
-    sharps = [sharp(w2, qg.s_mat, qg.m_basis) for _, w2, _, _ in draws]
+    sharps = [sharp(w2, qg.s_mat, qg.span) for _, w2, _, _ in draws]
     w_left = left_slicer(qg.w, n)
     lefts = [(w_left(w1), w_left(w2), w_left(omega))
              for (w1, w2, _, _), omega in zip(draws, sharps)]
@@ -234,8 +244,8 @@ def check_ft_pairing(qg: QuantumGroupPair, rng: np.random.Generator,
     Mhat and a in M."""
     dev = 0.0
     for _ in range(FT_PAIRING_SAMPLES):
-        a = random_element(rng, qg.m_basis)
-        b = random_element(rng, qg.mhat_basis)
+        a = random_element(rng, qg.span)
+        b = random_element(rng, qg.dual.span)
         lhs = pairing(qg, b, a).via_inverse
         dev = max(dev, abs(lhs - inner(qg.phihat.gns(b), qg.phi.gns(a.conj().T))))
     return CheckReport("ft-pairing", dev, tol)

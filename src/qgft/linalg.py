@@ -1,7 +1,8 @@
 """Dense complex tensor kernel: Kronecker products, leg embeddings, the flip,
 the one slice kernel (one layout per leg, `slice_family`, which left_slicer/
 right_slicer apply to many functionals and slice_left/slice_right to one),
-seeded complex Gaussian draws, and numerically robust span/membership tests.
+seeded complex Gaussian draws, and numerically robust span/membership tests
+(`SpanKernel`, one projection onto an orthonormal basis).
 
 Index convention (normative for the whole package): an operator ``X`` on the
 two-fold tensor square of an n-dimensional space is an n^2 x n^2 matrix whose
@@ -15,11 +16,17 @@ and matrices carry the trace inner product ``<X, Y> = trace(Y^* X)``.
 Contraction convention: every contraction is a reshape or transpose of its
 operands followed by one matmul, on operands made C-contiguous at the kernel
 boundary.  A stack of matrices is contracted as its flat rows (``flat_rows``),
-and a small operand is conjugated rather than a large one.  The summation order
-is fixed by the shapes alone, so a result does not depend on memory layout; it
-can depend on batch size: a one-row product goes to gemv and a stacked one to
-gemm, so ``apply_s`` of one operator and of a stack holding it can differ in
-the last bit (the Kac law of the transported dihedral:3 pair: 5.4e-16, 6.1e-16).
+and a small operand is conjugated rather than a large one; a `SpanKernel`
+holds its basis's conjugate rows, laid out once, so a projection conjugates
+nothing per call: x @ conj(B)^T.  On a basis of scaled indicators of disjoint
+supports of one size (both bases of every group model) the kernel takes its
+index layout instead: coordinates are gathered support sums, O(n^2) per
+operator, with no product.  The layout is chosen from the basis values alone.
+The summation order is fixed by the shapes alone, so a result does not depend
+on memory layout; it can depend on batch size: a one-row product goes to gemv
+and a stacked one to gemm, so ``apply_s`` of one operator and of a stack
+holding it can differ in the last bit (the Kac law of the transported
+dihedral:3 pair: 5.4e-16, 6.1e-16).
 
 A tolerance is one float: an absolute bound on a deviation, DEFAULT_TOL
 unless given.  Every rank is `rank(svals, tol)`, which counts no singular
@@ -59,8 +66,8 @@ def inner(u: np.ndarray, v: np.ndarray) -> complex:
 
 
 def max_abs(x) -> float:
-    x = np.asarray(x)
-    return float(np.abs(x).max()) if x.size else 0.0
+    """Largest absolute entry of x; 0 for an empty x."""
+    return float(np.maximum.reduce(np.abs(x), axis=None, initial=0.0))
 
 
 def deviation(x, y) -> float:
@@ -192,9 +199,10 @@ def random_complex(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def random_element(rng: np.random.Generator, basis: np.ndarray) -> np.ndarray:
-    """Random element of span(basis) with complex Gaussian coefficients."""
-    return span_reconstruct(random_complex(rng, basis.shape[0]), basis)
+def random_element(rng: np.random.Generator, span: SpanKernel) -> np.ndarray:
+    """Random element of a span (a pair's cached `span`) with complex Gaussian
+    coefficients."""
+    return span.reconstruct(random_complex(rng, span.dim))
 
 
 def span_basis(mats, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -229,12 +237,114 @@ def flat_rows(stack: np.ndarray) -> np.ndarray:
     return stack.reshape(stack.shape[:-2] + (stack.shape[-2] * stack.shape[-1],))
 
 
+class SpanKernel:
+    """Projection onto the span of an orthonormal basis (shape (m, rows,
+    cols)), laid out once for every operand it is applied to.
+
+    The layout is chosen from the basis values alone:
+
+    * index layout: each basis element is one nonzero constant c_k on a
+      support S_k and 0 elsewhere, the supports pairwise disjoint and of one
+      size (both bases of every group model).  A coordinate is conj(c_k)
+      times the operand's sum over S_k, and the projection is c_k times it
+      on S_k: the support mean.  The residual is the largest deviation from
+      a support mean or entry off all supports, from one gather of the
+      operand, O(n^2) with no product.
+    * dense layout: every other basis.  The flat rows B and their conjugates
+      are held C-contiguous, so the coordinates are one product x @ conj(B)^T
+      and the residual one more, x - coeffs @ B.
+    """
+
+    def __init__(self, basis: np.ndarray):
+        basis = np.asarray(basis, dtype=complex)
+        self.shape = basis.shape[1:]
+        self.rows = flat_rows(basis)
+        self.dim = self.rows.shape[0]
+        indicators = _indicator_layout(self.rows)
+        if indicators is None:
+            self.support = None
+            self.conj_rows = np.ascontiguousarray(self.rows.conj())
+        else:
+            self.support, self.values, off_support = indicators
+            self.conj_values = self.values.conj()
+            self.order = np.concatenate([self.support.ravel(), off_support])
+
+    @property
+    def layout(self) -> str:
+        return "dense" if self.support is None else "index"
+
+    def _flat(self, x) -> tuple[np.ndarray, tuple]:
+        """x's flat rows, C-contiguous, one per operator, and the shape of its
+        stack."""
+        x = np.asarray(x)
+        if x.shape[-2:] != self.shape:
+            raise ValueError(f"operand shape {x.shape} does not match basis "
+                             f"{(self.dim,) + self.shape}")
+        return np.ascontiguousarray(x, dtype=complex).reshape(-1, self.rows.shape[1]), x.shape[:-2]
+
+    def coords(self, x) -> np.ndarray:
+        """Coordinates of x, or of each operator of a stack x."""
+        rows, stack = self._flat(x)
+        if self.support is None:
+            coeffs = rows @ self.conj_rows.T
+        else:
+            coeffs = np.add.reduce(rows.take(self.support, axis=1), axis=-1) * self.conj_values
+        return coeffs.reshape(stack + (self.dim,))
+
+    def project(self, x) -> tuple[np.ndarray, float]:
+        """Coordinates of x, or of each operator of a stack x, and the largest
+        entry of x minus its orthogonal projection."""
+        rows, stack = self._flat(x)
+        if self.support is None:
+            coeffs = rows @ self.conj_rows.T
+            residual = max_abs(rows - coeffs @ self.rows)
+        else:
+            gathered = rows.take(self.order, axis=1)
+            on = gathered[:, :self.support.size].reshape((-1,) + self.support.shape)
+            coeffs = np.add.reduce(on, axis=-1) * self.conj_values
+            on -= (coeffs * self.values)[..., None]
+            residual = max_abs(gathered)
+        return coeffs.reshape(stack + (self.dim,)), residual
+
+    def reconstruct(self, coeffs) -> np.ndarray:
+        """The operator, or stack of operators, with the given coordinates."""
+        coeffs = np.ascontiguousarray(coeffs, dtype=complex)
+        if coeffs.shape[-1:] != (self.dim,):
+            raise ValueError(f"{coeffs.shape[-1:]} coordinates for a basis of {self.dim}")
+        flat = coeffs.reshape(-1, self.dim)
+        if self.support is None:
+            out = flat @ self.rows
+        else:
+            out = np.zeros((flat.shape[0], self.rows.shape[1]), dtype=complex)
+            out[:, self.support] = (flat * self.values)[..., None]
+        return out.reshape(coeffs.shape[:-1] + self.shape)
+
+
+def _indicator_layout(rows: np.ndarray):
+    """(support, values, off_support) when each row is one nonzero constant on
+    a support of its own and all supports have one size: support[k] holds row
+    k's flat indices, values[k] its constant, off_support the indices in no
+    support.  None otherwise."""
+    m, size = rows.shape
+    nonzero = rows != 0
+    count = np.count_nonzero(nonzero)
+    if m == 0 or count == 0 or count > size or count % m:
+        return None
+    if (np.count_nonzero(nonzero, axis=1) != count // m).any() \
+            or (np.count_nonzero(nonzero, axis=0) > 1).any():
+        return None
+    support = np.nonzero(nonzero)[1].reshape(m, count // m)
+    on = np.take_along_axis(rows, support, axis=1)
+    if (on != on[:, :1]).any():
+        return None
+    return support, on[:, 0].copy(), np.flatnonzero(~nonzero.any(axis=0))
+
+
 def span_project(x: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float]:
     """Coordinates of x, or of each operator of a stack x, in an orthonormal
-    basis, and the largest entry of x minus its orthogonal projection: the
-    products of `span_coords` and `span_reconstruct`, on one layout."""
-    rows, b_flat, coeffs = _flat_coords(x, basis)
-    return coeffs.reshape(np.shape(x)[:-2] + (len(b_flat),)), max_abs(rows - coeffs @ b_flat)
+    basis, and the largest entry of x minus its orthogonal projection
+    (`SpanKernel.project`)."""
+    return SpanKernel(basis).project(x)
 
 
 def membership_residual(x: np.ndarray, basis: np.ndarray) -> float:
@@ -245,28 +355,14 @@ def membership_residual(x: np.ndarray, basis: np.ndarray) -> float:
 
 def span_coords(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Coefficients of x, or of each operator of a stack x, in an orthonormal
-    basis (projection coordinates): conj(conj(x) @ B^T) on the flat rows B of
-    the basis, so the operand is conjugated and the basis is not."""
-    _, b_flat, coeffs = _flat_coords(x, basis)
-    return coeffs.reshape(np.shape(x)[:-2] + (len(b_flat),))
-
-
-def _flat_coords(x, basis):
-    """x's flat rows as a matrix, the basis's flat rows, and x's coordinates,
-    one row per operator."""
-    if np.shape(x)[-2:] != np.shape(basis)[1:]:
-        raise ValueError(f"operand shape {np.shape(x)} does not match basis {np.shape(basis)}")
-    b_flat = flat_rows(basis)
-    rows = flat_rows(x).reshape(-1, b_flat.shape[-1])
-    return rows, b_flat, (rows.conj() @ b_flat.T).conj()
+    basis (projection coordinates, `SpanKernel.coords`)."""
+    return SpanKernel(basis).coords(x)
 
 
 def span_reconstruct(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """The operator, or stack of operators, with the given coordinates in an
     orthonormal basis."""
-    coeffs = np.ascontiguousarray(coeffs, dtype=complex)
-    flat = coeffs.reshape(-1, coeffs.shape[-1]) @ flat_rows(basis)
-    return flat.reshape(coeffs.shape[:-1] + np.shape(basis)[1:])
+    return SpanKernel(basis).reconstruct(coeffs)
 
 
 def subspace_equal(basis1: np.ndarray, basis2: np.ndarray) -> float:

@@ -184,7 +184,7 @@ def test_criterion_08_antipode_and_sharp(built):
             density = rng.standard_normal((mdl.n, mdl.n)) \
                 + 1j * rng.standard_normal((mdl.n, mdl.n))
             omega = Functional(density)
-            omega_sharp = sharp(omega, qg.s_mat, qg.m_basis)
+            omega_sharp = sharp(omega, qg.s_mat, qg.span)
             lhs = np.einsum("ij,jkil->kl", density, qg.w4).conj().T
             rhs = np.einsum("ij,jkil->kl", omega_sharp.density, qg.w4)
             worst = max(worst, np.max(np.abs(lhs - rhs)))

@@ -510,8 +510,8 @@ def test_transform_ops_of_a_permutation_w_build_no_dense_w():
     for group in (groups.symmetric(4), groups.dihedral(3)):
         qg = model(group).qg
         for _ in range(2):
-            a, c = (linalg.random_element(rng, qg.m_basis) for _ in range(2))
-            b, d = (linalg.random_element(rng, qg.mhat_basis) for _ in range(2))
+            a, c = (linalg.random_element(rng, qg.span) for _ in range(2))
+            b, d = (linalg.random_element(rng, qg.dual.span) for _ in range(2))
             ft.fourier(qg, a), ft.inverse_fourier(qg, b), ft.pairing(qg, b, a)
             ft.convolve(qg, a, c), ft.convolve_direct(qg, a, c)
             ft.convolve_dual(qg, b, d), ft.convolve_dual_direct(qg, b, d)
@@ -549,8 +549,8 @@ def test_only_the_checks_build_the_coeff_residual(monkeypatch):
                         lambda *args: calls.append(args) or residual(*args))
     rng = np.random.default_rng(9)
     for qg in (model(groups.symmetric(4)).qg, pair_from_unitary(transported_dihedral3())):
-        a, c = (linalg.random_element(rng, qg.m_basis) for _ in range(2))
-        b, d = (linalg.random_element(rng, qg.mhat_basis) for _ in range(2))
+        a, c = (linalg.random_element(rng, qg.span) for _ in range(2))
+        b, d = (linalg.random_element(rng, qg.dual.span) for _ in range(2))
         ft.fourier(qg, a), ft.inverse_fourier(qg, b), ft.pairing(qg, b, a)
         ft.convolve(qg, a, c), ft.convolve_direct(qg, a, c)
         ft.convolve_dual(qg, b, d), ft.convolve_dual_direct(qg, b, d)
@@ -783,7 +783,7 @@ def test_antipode_singularity_cutoff_edge(ratio, singular):
 def test_sharp_identity_evaluation_z2():
     qg = z2().qg
     omega = matrix_unit_functional(2, 0, 0)  # evaluation at the identity element
-    out = sharp(omega, qg.s_mat, qg.m_basis)
+    out = sharp(omega, qg.s_mat, qg.span)
     vals = [omega(x) for x in qg.m_basis]
     vals_sharp = [out(x) for x in qg.m_basis]
     np.testing.assert_allclose(vals, vals_sharp, atol=1e-14)
@@ -793,7 +793,7 @@ def test_sharp_delta_evaluation_moves_to_inverse():
     g = groups.cyclic(3)
     qg = model(g).qg
     omega = matrix_unit_functional(3, 1, 1)  # delta evaluation at g = 1
-    out = sharp(omega, qg.s_mat, qg.m_basis)
+    out = sharp(omega, qg.s_mat, qg.span)
     e22 = np.zeros((3, 3)); e22[2, 2] = 1.0  # inverse of 1 is 2 in Z/3
     assert out(e22) == pytest.approx(1.0)
     e11 = np.zeros((3, 3)); e11[1, 1] = 1.0
@@ -811,9 +811,9 @@ def test_sharp_functional_bundle():
     qg = model(groups.cyclic(4)).qg
     density = RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4))
     omega = Functional(density)
-    omega_sharp = sharp(omega, qg.s_mat, qg.m_basis)
+    omega_sharp = sharp(omega, qg.s_mat, qg.span)
     assert deviation(lam(qg.mu, omega).conj().T, lam(qg.mu, omega_sharp)) < 1e-12
-    twice = sharp(omega_sharp, qg.s_mat, qg.m_basis)
+    twice = sharp(omega_sharp, qg.s_mat, qg.span)
     vals = [omega(x) for x in qg.m_basis]
     vals_twice = [twice(x) for x in qg.m_basis]
     np.testing.assert_allclose(vals, vals_twice, atol=1e-12)

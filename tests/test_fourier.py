@@ -477,8 +477,8 @@ def test_tables_agree_with_contractions(label):
     qg = TABLE_PAIRS[label]()
     rng = np.random.default_rng(7)
     for _ in range(5):
-        a, c = (random_element(rng, qg.m_basis) for _ in range(2))
-        b, d = (random_element(rng, qg.mhat_basis) for _ in range(2))
+        a, c = (random_element(rng, qg.span) for _ in range(2))
+        b, d = (random_element(rng, qg.dual.span) for _ in range(2))
         np.testing.assert_allclose(fourier(qg, a), reference_transform(qg, a),
                                    rtol=0, atol=1e-13)
         np.testing.assert_allclose(inverse_fourier(qg, b), reference_transform(qg.dual, b),
@@ -549,3 +549,104 @@ def test_transform_and_inverse_do_not_call_each_other(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(ft, "inverse_fourier", forbidden)
         fourier(mdl.qg, a)
+
+
+# Operand contract of the seven ops, on both span layouts: the s4 model's
+# indicator bases take the index layout, the SVD bases of a derived pair the
+# dense one.
+
+CONTRACT_PAIRS = {
+    "s4": (lambda: model(groups.symmetric(4)).qg, "index"),
+    "transported-dihedral3": (transported_dihedral3_pair, "dense"),
+}
+
+# The algebra of each operand slot, by op.
+SLOTS = {"fourier": ("M",), "inverse_fourier": ("Mhat",), "convolve": ("M", "M"),
+         "convolve_direct": ("M", "M"), "convolve_dual": ("Mhat", "Mhat"),
+         "convolve_dual_direct": ("Mhat", "Mhat"), "pairing": ("Mhat", "M")}
+
+
+@pytest.fixture(scope="module", params=sorted(CONTRACT_PAIRS))
+def contract_pair(request):
+    build, layout = CONTRACT_PAIRS[request.param]
+    qg = build()
+    assert qg.span.layout == qg.dual.span.layout == layout
+    return qg
+
+
+def contract_operands(qg, op, rng):
+    bases = {"M": qg.m_basis, "Mhat": qg.mhat_basis}
+    return [np.einsum("k,kab->ab", random_complex(rng, len(bases[s])), bases[s])
+            for s in SLOTS[op]]
+
+
+def einsum_oracle(qg, op, args):
+    """The op's output from whole-W contractions (`reference_transform`,
+    `reference_convolve_direct`, `reference_via_w`)."""
+    fwd, inv = (lambda x: reference_transform(qg, x)), (lambda y: reference_transform(qg.dual, y))
+    if op == "fourier":
+        return fwd(*args)
+    if op == "inverse_fourier":
+        return inv(*args)
+    if op == "convolve":
+        return inv(fwd(args[0]) @ fwd(args[1]))
+    if op == "convolve_dual":
+        return fwd(inv(args[0]) @ inv(args[1]))
+    if op == "convolve_direct":
+        return reference_convolve_direct(qg, *args)
+    if op == "convolve_dual_direct":
+        return reference_convolve_direct(qg.dual, *args)
+    b, a = args
+    return (qg.phi.value(a @ inv(b)), qg.phihat.value(fwd(a.conj().T).conj().T @ b),
+            reference_via_w(qg, b, a))
+
+
+@pytest.mark.parametrize("op", sorted(SLOTS))
+def test_ops_match_the_einsum_oracle(contract_pair, op):
+    rng = np.random.default_rng(29)
+    for _ in range(2):
+        args = contract_operands(contract_pair, op, rng)
+        got, want = getattr(ft, op)(contract_pair, *args), einsum_oracle(contract_pair, op, args)
+        if op == "pairing":
+            got = (got.via_inverse, got.via_forward, got.via_w)
+        assert np.abs(np.subtract(got, want)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("op", sorted(SLOTS))
+def test_ops_reject_non_finite_operands(contract_pair, op):
+    # no op scans its operands beforehand, so require_in_m must catch a
+    # non-finite entry through its residual, in either memory layout
+    rng = np.random.default_rng(31)
+    fn = getattr(ft, op)
+    for slot in range(len(SLOTS[op])):
+        for bad in (np.nan, np.inf, complex(0, -np.inf)):
+            for layout in (np.ascontiguousarray, np.asfortranarray):
+                args = contract_operands(contract_pair, op, rng)
+                args[slot] = layout(args[slot])
+                args[slot][1, 0] = bad
+                with pytest.raises(ValueError, match="finite") as info:
+                    fn(contract_pair, *args)
+                assert not isinstance(info.value, NotInAlgebra)
+
+
+@pytest.mark.parametrize("op", sorted(SLOTS))
+def test_ops_reject_operands_off_their_span(contract_pair, op):
+    rng = np.random.default_rng(37)
+    n, fn = contract_pair.n, getattr(ft, op)
+    for slot in range(len(SLOTS[op])):
+        args = contract_operands(contract_pair, op, rng)
+        args[slot] = args[slot] + 1e-6 * random_complex(rng, (n, n))
+        with pytest.raises(NotInAlgebra):
+            fn(contract_pair, *args)
+
+
+@pytest.mark.parametrize("op", sorted(SLOTS))
+def test_ops_reject_operands_of_the_wrong_shape(contract_pair, op):
+    rng = np.random.default_rng(41)
+    n, fn = contract_pair.n, getattr(ft, op)
+    for slot in range(len(SLOTS[op])):
+        for shape in ((n + 1, n + 1), (n, n - 1), (1, n, n), (n * n,)):
+            args = contract_operands(contract_pair, op, rng)
+            args[slot] = np.zeros(shape, dtype=complex)
+            with pytest.raises(ValueError):
+                fn(contract_pair, *args)

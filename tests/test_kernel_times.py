@@ -15,13 +15,17 @@ def test_kernel_times_on_s3(monkeypatch, capsys):
     assert kernel_times.main(["s3"]) == 0
     out = json.loads(capsys.readouterr().out)
     names = [(r["kernel"], r["source"], r["side"]) for r in out["kernels"]]
-    dense = [(kernel, label, "") for label in ("transported-dihedral6", "dual-cyclic12")
-             for kernel in ("write_json", "load_unitary", "check_pentagon", "slice_span_m",
-                            "slice_span_mhat", "pair_from_unitary", "check_antipode",
-                            "pontryagin_check")]
+    projections = ("require_in_m", "fourier")
+    dense = []
+    for label in ("transported-dihedral6", "dual-cyclic12"):
+        dense += [(kernel, label, "") for kernel in (
+            "write_json", "load_unitary", "check_pentagon", "slice_span_m", "slice_span_mhat",
+            "pair_from_unitary", "check_antipode")]
+        dense += [(kernel, label, side) for side in ("M", "Mhat") for kernel in projections]
+        dense.append(("pontryagin_check", label, ""))
     sides = [(kernel, "s3", side) for side in ("M", "Mhat")
              for kernel in ("comult_coeff_tensor", "comult_residual", "fourier_table",
-                            "pairing_table")]
+                            "pairing_table", *projections)]
     assert names == [*sides,
                      ("check_pairing_axioms", "s3", ""), ("pontryagin_check", "s3", ""),
                      *dense, ("run_suite", "s3", "")]

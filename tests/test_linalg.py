@@ -4,10 +4,14 @@ functional slices and span machinery, each against brute-force oracles."""
 import numpy as np
 import pytest
 
+from qgft import linalg, models
+from qgft.cli import parse_group_spec
+from qgft.engine import pair_from_unitary
 from qgft.linalg import (
     DEFAULT_TOL,
     RANK_RTOL,
     Functional,
+    SpanKernel,
     as_complex_matrix,
     flip,
     kron,
@@ -355,7 +359,7 @@ def test_random_draws_take_the_real_part_first():
     basis = span_basis([random_matrix(2) for _ in range(3)])
     fresh = np.random.default_rng(6)
     coeffs = fresh.standard_normal(3) + 1j * fresh.standard_normal(3)
-    np.testing.assert_array_equal(random_element(np.random.default_rng(6), basis),
+    np.testing.assert_array_equal(random_element(np.random.default_rng(6), SpanKernel(basis)),
                                   (coeffs.reshape(1, 3) @ basis.reshape(3, 4)).reshape(2, 2))
 
 
@@ -368,26 +372,100 @@ LAYOUTS = (np.ascontiguousarray, np.asfortranarray, reversed_strides)
 
 
 def test_kernels_do_not_depend_on_memory_layout():
-    # operands are made C-contiguous before each product, so every layout of
-    # the same entries sums in the same order
+    # operands are made C-contiguous before each product or gather, so every
+    # layout of the same entries sums in the same order, on both span layouts
     n = 3
-    basis = span_basis([random_matrix(n) for _ in range(5)])
+    bases = {"dense": span_basis([random_matrix(n) for _ in range(5)]),
+             "index": group_pair(f"cyclic:{n}").mhat_basis}
     x, density, w = random_matrix(n), random_matrix(n), random_matrix(n * n)
-    stack, coeffs = np.stack([random_matrix(n) for _ in range(4)]), random_matrix(4, len(basis))
-    results = []
-    for layout in LAYOUTS:
-        b, f = layout(basis), Functional(layout(density))
-        assert layout is np.ascontiguousarray or not b.flags.c_contiguous
-        results.append((span_coords(layout(x), b), span_coords(layout(stack), b),
-                        span_reconstruct(layout(coeffs), b),
-                        span_reconstruct(layout(coeffs[0]), b),
-                        membership_residual(layout(stack), b),
-                        *span_project(layout(stack), b), *span_project(layout(x), b),
-                        slice_left(f, layout(w)), slice_right(f, layout(w)),
-                        f(layout(x)), f.values_on(b)))
-    for other in results[1:]:
-        for got, want in zip(other, results[0]):
-            np.testing.assert_array_equal(got, want)
+    stack = np.stack([random_matrix(n) for _ in range(4)])
+    for expected, basis in bases.items():
+        coeffs = random_matrix(4, len(basis))
+        results = []
+        for layout in LAYOUTS:
+            b, f = layout(basis), Functional(layout(density))
+            assert layout is np.ascontiguousarray or not b.flags.c_contiguous
+            assert SpanKernel(b).layout == expected
+            results.append((span_coords(layout(x), b), span_coords(layout(stack), b),
+                            span_reconstruct(layout(coeffs), b),
+                            span_reconstruct(layout(coeffs[0]), b),
+                            membership_residual(layout(stack), b),
+                            *span_project(layout(stack), b), *span_project(layout(x), b),
+                            slice_left(f, layout(w)), slice_right(f, layout(w)),
+                            f(layout(x)), f.values_on(b)))
+        for other in results[1:]:
+            for got, want in zip(other, results[0]):
+                np.testing.assert_array_equal(got, want)
+
+
+# ------------------------------------------------------------- span layouts
+
+INDEX_LAYOUT_SPECS = ("cyclic:1", "cyclic:6", "s3", "dihedral:4", "s4")
+
+
+def group_pair(spec):
+    return models.build(parse_group_spec(spec)).qg
+
+
+def dense_layout(basis, monkeypatch):
+    """The kernel of basis with the index layout switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_indicator_layout", lambda rows: None)
+        return SpanKernel(basis)
+
+
+@pytest.mark.parametrize("spec", INDEX_LAYOUT_SPECS)
+def test_group_model_bases_take_the_index_layout(spec):
+    qg = group_pair(spec)
+    assert qg.span.layout == "index" and qg.dual.span.layout == "index"
+    for basis in (qg.m_basis, qg.mhat_basis):
+        assert SpanKernel(basis).layout == "index"
+
+
+@pytest.mark.parametrize("spec", INDEX_LAYOUT_SPECS)
+def test_index_layout_matches_the_dense_layout(spec, monkeypatch):
+    rng = np.random.default_rng(17)
+    qg = group_pair(spec)
+    for basis in (qg.m_basis, qg.mhat_basis):
+        index, dense = SpanKernel(basis), dense_layout(basis, monkeypatch)
+        assert (index.layout, dense.layout) == ("index", "dense")
+        m, n = basis.shape[0], basis.shape[1]
+        coeffs = random_complex(rng, (3, m))
+        in_span = span_reconstruct(coeffs, basis)
+        off_span = in_span + 1e-6 * random_complex(rng, (3, n, n))
+        for x in (in_span[0], in_span, off_span[0], off_span):
+            got, want = index.project(x), dense.project(x)
+            assert np.abs(got[0] - want[0]).max() <= 1e-14
+            assert abs(got[1] - want[1]) <= 1e-14
+            assert np.abs(index.coords(x) - dense.coords(x)).max() <= 1e-14
+        assert index.project(in_span)[1] <= 1e-14
+        if m < n * n:   # on cyclic:1 the span is all of B(C^1)
+            assert index.project(off_span)[1] >= 1e-7
+        for c in (coeffs[0], coeffs):
+            assert np.abs(index.reconstruct(c) - dense.reconstruct(c)).max() <= 1e-14
+
+
+def test_other_bases_take_the_dense_layout():
+    s3 = group_pair("s3")
+    derived = pair_from_unitary(s3.w)
+    assert SpanKernel(derived.m_basis).layout == "dense"
+    assert SpanKernel(derived.mhat_basis).layout == "dense"
+    assert derived.span.layout == derived.dual.span.layout == "dense"
+
+    one_ulp = s3.mhat_basis.copy()
+    k = np.flatnonzero(one_ulp[0])[1]
+    one_ulp[0].flat[k] = np.nextafter(one_ulp[0].flat[k].real, 1.0)
+    assert SpanKernel(one_ulp).layout == "dense"
+
+    e = np.eye(3, dtype=complex)
+    overlapping = np.stack([np.diag(e[0] + e[1]), np.diag(e[1] + e[2])]) / np.sqrt(2)
+    unequal = np.stack([np.diag(e[0]), np.diag(e[1] + e[2]) / np.sqrt(2)])
+    for basis in (overlapping, unequal):
+        kernel = SpanKernel(basis)
+        assert kernel.layout == "dense"
+        x = random_matrix(3)
+        np.testing.assert_allclose(kernel.coords(x), np.einsum("kab,ab->k", basis.conj(), x),
+                                   rtol=0, atol=1e-14)
 
 
 def test_flat_kernels_match_einsum_oracles():
@@ -411,3 +489,9 @@ def test_flat_kernels_reject_mismatched_shapes():
         span_coords(random_matrix(1, 4), basis)
     with pytest.raises(ValueError):
         Functional(random_matrix(2))(random_matrix(1, 4))
+    # and a coordinate vector must have one entry per basis element, on both
+    # span layouts
+    for b in (basis, group_pair("cyclic:2").mhat_basis):
+        for coeffs in (random_matrix(1, 4), random_matrix(2, 1), random_matrix(1, 1)[0]):
+            with pytest.raises(ValueError):
+                span_reconstruct(coeffs, b)

@@ -11,7 +11,9 @@ same file from a copy of another commit measures that commit.  The kernels are
   the dual's (side Mhat), each followed by `comult_residual` of that side's
   tensor, then the `fourier_table` and `pairing_table` of that side, each
   built on a fresh `QuantumGroupPair` of the side's fields, so no call finds
-  the table cached;
+  the table cached, then one `require_in_m` and one `fourier` call of the
+  side (the span kernel and the table built before timing) on a seeded
+  random element of its algebra;
 * `check_pairing_axioms` on each group SPEC's pair, with a generator seeded
   at the suite seed on every call, after the first call has filled the
   pair's caches, and `pontryagin_check` on its W;
@@ -19,7 +21,8 @@ same file from a copy of another commit measures that commit.  The kernels are
   (workload seed 11): `cli.write_json` of each one's `matrix_to_json` to a
   temporary file and `cli.load_unitary` of that file, then `check_pentagon`,
   `slice_span_m`, `slice_span_mhat` and `pair_from_unitary`, then
-  `check_antipode` on the pair derived from each and `pontryagin_check` on W;
+  `check_antipode` on the pair derived from each, `require_in_m` and
+  `fourier` on its M and Mhat sides as above, and `pontryagin_check` on W;
 * `run_suite` on each group SPEC at suite seed 11, on a freshly built model
   per call, so no cached table carries over from one call to the next.
 """
@@ -42,7 +45,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench.workloads import dense_unitaries
 from qgft import cli, engine, models
-from qgft.fourier import check_pairing_axioms
+from qgft.fourier import check_pairing_axioms, fourier
+from qgft.linalg import random_element
 from qgft.verify import run_suite
 
 REPEATS = 5
@@ -73,6 +77,15 @@ def fresh(qg: engine.QuantumGroupPair) -> engine.QuantumGroupPair:
                                    qg.s_mat, qg.shat_mat)
 
 
+def projections(pair: engine.QuantumGroupPair, source: str, side: str):
+    """(kernel, source, side, call) for one `require_in_m` and one `fourier`
+    call on pair, the pair of one side, with its caches filled first."""
+    a = random_element(np.random.default_rng(SUITE_SEED), pair.span)
+    fourier(pair, a)
+    yield "require_in_m", source, side, lambda: pair.require_in_m(a)
+    yield "fourier", source, side, lambda: fourier(pair, a)
+
+
 def kernels(groups: list):
     """(kernel, source, side, call) for every measured kernel, given
     (spec, FiniteGroup) pairs."""
@@ -86,6 +99,7 @@ def kernels(groups: list):
                    engine.comult_residual(pair.mu, pair.m_basis, d))
             for table in ("fourier_table", "pairing_table"):
                 yield table, spec, side, lambda pair=pair, table=table: getattr(fresh(pair), table)
+            yield from projections(pair, spec, side)
         yield ("check_pairing_axioms", spec, "",
                lambda qg=qg: check_pairing_axioms(qg, np.random.default_rng(SUITE_SEED)))
         yield "pontryagin_check", spec, "", lambda qg=qg: engine.pontryagin_check(qg.mu)
@@ -101,6 +115,8 @@ def kernels(groups: list):
             yield "pair_from_unitary", label, "", lambda w=w: engine.pair_from_unitary(w)
             qg = engine.pair_from_unitary(w)
             yield "check_antipode", label, "", lambda qg=qg: engine.check_antipode(qg)
+            for side, pair in (("M", qg), ("Mhat", qg.dual)):
+                yield from projections(pair, label, side)
             yield "pontryagin_check", label, "", lambda mu=mu: engine.pontryagin_check(mu)
     for spec, group in groups:
         yield "run_suite", spec, "", lambda group=group: run_suite(models.build(group),
