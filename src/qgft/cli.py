@@ -20,7 +20,6 @@ import numpy as np
 
 from . import fourier as ft
 from . import models
-from .engine import DENSE_PENTAGON_MAX_DIM
 from .groups import FiniteGroup, cyclic, dihedral, direct_product, load_group, symmetric
 from .linalg import DEFAULT_TOL, as_complex_matrix
 from .verify import DEFAULT_SEED, run_suite
@@ -80,9 +79,6 @@ def load_unitary(path) -> np.ndarray:
     n = data["n"]
     if type(n) is not int or n < 1:  # bool is an int subclass; JSON true is not a dimension
         raise ValueError(f"{path}: field 'n' must be a positive integer, got {n!r}")
-    if n > DENSE_PENTAGON_MAX_DIM:
-        raise ValueError(f"{path}: dense unitaries support leg dimension "
-                         f"<= {DENSE_PENTAGON_MAX_DIM}, got {n}")
     for key in ("re", "im"):  # JSON numbers only: true is a bool, an object a dict
         rows = data[key]      # and rows of one length, so numpy sees a matrix
         if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)

@@ -16,27 +16,34 @@ The Mhat side is the M side of the dual unitary What = Sigma W^* Sigma
 (`MultiplicativeUnitary.dual`, `QuantumGroupPair.dual`), so each hat-side
 function here is the M-side function applied to the dual.
 
-Heavy identities on the generated algebras (coassociativity, invariance) are
-checked in coefficient space, on the pair's cached tensor `qg.delta_coeffs`:
+Heavy identities on the generated algebras (the pentagon of a dense W,
+coassociativity, invariance) are checked in coefficient space, on the tensor
+D that the pair caches as `qg.delta_coeffs`:
 with orthonormal algebra bases it reproduces the operator-level Frobenius
 deviations exactly, up to the separately reported span-membership residual
 `qg.delta_residual`, and never materializes operators on the tensor cube.
 Two kernels build them: `comult_coeff_tensor` the tensor, which the
 transforms and the pairing axioms also read, and `comult_residual` the
-residual, which only those checks read.  For a permutation W the tensor is
-read from W's inverse index maps in O(m^2 n^3), with no operator on the tensor
-square; the residual covers every entry of every delta(x_i) on both routes.
+residual rho_delta, which only those checks read.  For a permutation W the
+tensor is read from W's inverse index maps in O(m^2 n^3), with no operator on
+the tensor square; the residual covers every entry of every delta(x_i) on both
+routes.
 A check of a built pair is `check_*(qg, tol)`, or `check_*(qg, rng, tol)` on
 its *_SAMPLES random draws; `tol` is one float absolute bound.
-`check_unitarity(mu)` and `check_pentagon(mu)` bound by 0, or by DENSE_W_TOL
-for a dense W.  The pair caches no dense W, and its Fourier and pairing tables
-start from `leg1_contraction`, which places n^2 entries for a permutation W:
-the transforms, convolutions and pairing of a group model never build one.
+`check_unitarity(mu)` and `check_pentagon(mu, tol)` bound by 0, or by
+DENSE_W_TOL for a dense W.  The pentagon of a dense W is the identity
+(delta (x) id)(W) = W13 W23 on the M basis, bounded entrywise from D and
+rho_delta in O(n^7), with no operator on the tensor cube and no cap on n.
+The pair caches no dense W, and its Fourier and pairing tables start from
+`leg1_contraction`, which places n^2 entries for a permutation W: the
+transforms, convolutions and pairing of a group model never build one.
 
-A pair is derived from W only by `derive_pair`, in three stages handed to a
-runner: `verify.run_suite` records each, `pair_from_unitary` raises at the
-first that fails.  `pair_deviation` compares a given pair with it, and
-`pontryagin_check(mu)` bounds by 0 that the dual of What is W.
+A pair is derived from W only by `derive_pair`, in four stages handed to a
+runner, the pentagon first: `verify.run_suite` records each,
+`pair_from_unitary` raises at the first that fails.  A dense W's pentagon
+hands its M span, D and rho_delta on, so nothing is built twice.
+`pair_deviation` compares a given pair with it, and `pontryagin_check(mu)`
+bounds by 0 that the dual of What is W.
 """
 
 from __future__ import annotations
@@ -65,7 +72,6 @@ from .linalg import (
     subspace_equal,
 )
 
-DENSE_PENTAGON_MAX_DIM = 12
 # Bound of the unitarity and pentagon checks of a dense W.
 DENSE_W_TOL = 1e-12
 # The antipode matrix is singular when its smallest singular value is at most
@@ -237,47 +243,59 @@ def _pentagon_permutation_deviation(mu: MultiplicativeUnitary) -> float:
     return 0.0 if same else 1.0
 
 
-def _pentagon_dense_deviation(w: np.ndarray, n: int) -> float:
-    """Largest entry of W12 W13 W23 - W23 W12 on the tensor cube [a,b,c; x,y,z],
-    as matrix products on blocks of fixed x and c, with W[a,b; x,y] = w[(a b), (x y)]:
-      (W12 W13) W23 = (A3 @ B[x,c]).reshape(n^2, n^2) @ W   in [(a b), (y z)],
-        A3[(a b y'), a'] = W[a,b; a',y'],  B[x,c][a', z'] = W[a',c; x,z'];
-      W23 W12 = F[x] @ G[c]                                 in [(a y), (b z)],
-        F[x][(a y), e] = W[a,e; x,y],      G[c][e, (b z)] = W[b,c; e,z].
-    The work is n^8; every operand and buffer holds n^4 entries."""
-    w4, n2 = w.reshape(n, n, n, n), n * n
-    a3 = w4.transpose(0, 1, 3, 2).reshape(n2 * n, n)
-    b = np.ascontiguousarray(w4.transpose(2, 1, 0, 3))
-    f = w4.transpose(2, 0, 3, 1).reshape(n, n2, n)
-    g = w4.transpose(1, 2, 0, 3).reshape(n, n, n2)
-    t, mag = np.empty((n2 * n, n), dtype=complex), np.empty((n2, n2))
-    lhs, rhs = np.empty((2, n2, n2), dtype=complex)
-    lhs4, rhs4 = lhs.reshape(n, n, n, n), rhs.reshape(n, n, n, n).transpose(0, 2, 1, 3)
-    dev = 0.0
-    for x in range(n):
-        for c in range(n):
-            np.matmul(a3, b[x, c], out=t)
-            np.matmul(t.reshape(n2, n2), w, out=lhs)
-            np.matmul(f[x], g[c], out=rhs)
-            np.subtract(lhs4, rhs4, out=lhs4)
-            dev = max(dev, float(np.abs(lhs, out=mag).max()))
-    return dev
+def _coefficient_pentagon_deviation(mu: MultiplicativeUnitary, basis: np.ndarray,
+                                    coeffs: np.ndarray, residual: float) -> float:
+    """Entrywise bound on (delta (x) id)(W) - W13 W23 for a dense W, from its
+    orthonormal M basis, D = comult_coeff_tensor and rho_delta = comult_residual.
+
+    With B[k, (a x)] = x_k[a, x] and T[(a x), (c z)] = W[(a c), (x z)],
+    Z = conj(B) @ T writes W = sum_i x_i (x) z_i up to rho_W = max|T - B^T Z|.
+    Then (delta (x) id)(W) - W13 W23 = sum_{k,k'} x_k (x) x_k' (x) F[(k k')]
+    + sum_i R_i (x) z_i, with F = D @ Z - [z_k z_k'] and R_i the part of
+    delta(x_i) off M (x) M.  Cauchy-Schwarz over (k, k') bounds each entry of
+    the first sum by kappa^2 max_q |F[:, q]|_2, kappa^2 = max_p sum_k |B[k, p]|^2,
+    and Hoelder over i the second by rho_delta max_q sum_i |Z[i, q]|.  The
+    result is the larger of their sum and rho_W: O(m^2 n^4 + m^3 n^2) work."""
+    n, m = mu.n, basis.shape[0]
+    n2 = n * n
+    flat = basis.reshape(m, n2)
+    t = np.ascontiguousarray(mu.dense.reshape(n, n, n, n).transpose(0, 2, 1, 3)).reshape(n2, n2)
+    z = flat.conj() @ t                                                            # [i, (c z)]
+    rho_w = max_abs(t - flat.T @ z)
+    z_rows = z.reshape(m * n, n)                                                   # [(k c), d]
+    z_cols = z.reshape(m, n, n).transpose(1, 0, 2).reshape(n, m * n)               # [d, (k' e)]
+    products = (z_rows @ z_cols).reshape(m, n, m, n).transpose(0, 2, 1, 3)         # [k, k', c, e]
+    f = coeffs.reshape(m * m, m) @ z - products.reshape(m * m, n2)
+    kappa2 = float(np.max(np.sum(np.abs(flat) ** 2, axis=0)))
+    phi = float(np.max(np.linalg.norm(f, axis=0)))
+    zeta = float(np.max(np.sum(np.abs(z), axis=0)))
+    return max(kappa2 * phi + zeta * residual, rho_w)
 
 
-def check_pentagon(mu: MultiplicativeUnitary) -> CheckReport:
+def _pentagon(mu: MultiplicativeUnitary, tol: float) -> tuple[CheckReport, tuple]:
+    """`check_pentagon`, with what a dense W's route builds on the way: its M
+    basis, D and rho_delta; () for a permutation W."""
+    if mu.is_permutation:
+        return CheckReport("pentagon", _pentagon_permutation_deviation(mu), 0.0, note="exact"), ()
+    basis = slice_span_m(mu, tol)
+    coeffs = comult_coeff_tensor(mu, basis)
+    residual = comult_residual(mu, basis, coeffs)
+    dev = _coefficient_pentagon_deviation(mu, basis, coeffs, residual)
+    return CheckReport("pentagon", dev, DENSE_W_TOL), (basis, coeffs, residual)
+
+
+def check_pentagon(mu: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> CheckReport:
     """Verify W12 W13 W23 = W23 W12.
 
-    Permutation forms are checked exactly on basis triples.  Dense forms are
-    checked on every entry of the tensor cube as products of W, an n^8
-    computation that holds only n^4-sized blocks at a time; they are
-    accepted up to n <= DENSE_PENTAGON_MAX_DIM, within DENSE_W_TOL.
+    Permutation forms are checked exactly on basis triples.  For a unitary W
+    with delta(x) = W^* (1 (x) x) W, the pentagon is exactly
+    (delta (x) id)(W) = W13 W23 (Baaj & Skandalis), and a dense W is checked
+    on that identity in coefficient space, on the M basis spanned at rank
+    cutoff tol: an entrywise bound within DENSE_W_TOL
+    (`_coefficient_pentagon_deviation`), O(n^7) for m = n, with no operator
+    on the tensor cube.
     """
-    if mu.is_permutation:
-        return CheckReport("pentagon", _pentagon_permutation_deviation(mu), 0.0, note="exact")
-    if mu.n > DENSE_PENTAGON_MAX_DIM:
-        raise ValueError(
-            f"dense pentagon check needs n <= {DENSE_PENTAGON_MAX_DIM}, got n = {mu.n}")
-    return CheckReport("pentagon", _pentagon_dense_deviation(mu.dense, mu.n), DENSE_W_TOL)
+    return _pentagon(mu, tol)[0]
 
 
 def algebra_closure_deviation(basis: np.ndarray) -> float:
@@ -640,9 +658,10 @@ class QuantumGroupPair:
     Instances are immutable after construction; cached derived data
     (the comultiplication coefficient tensor, the dual pair, and the tables of
     the Fourier transform, convolution and pairing on the bases) is computed
-    once on first use.  The membership residual of that tensor,
-    `delta_residual`, is cached apart, and only the coassociativity and
-    invariance checks read it; the transforms read `delta_coeffs` alone.  No
+    once on first use, or handed on by `derive_pair`.  The membership residual
+    of that tensor, `delta_residual`, is cached apart, and only the
+    coassociativity and invariance checks read it; the transforms read
+    `delta_coeffs` alone.  No
     dense W is cached here: `w` and `w4` read `mu.dense`, and the Fourier and
     pairing tables read W through `leg1_contraction`, so on a permutation W
     they build no dense W.  `dual` is the pair of What with M and Mhat
@@ -765,15 +784,22 @@ class QuantumGroupPair:
 
 
 def derive_pair(mu: MultiplicativeUnitary, run, tol: float = DEFAULT_TOL) -> QuantumGroupPair | None:
-    """The pair of W, derived in three stages, each run as run(stage, fn): fn()
-    returns the stage's CheckReport, and run returns whether it passed.
-    algebra-generation spans M and Mhat and bounds their closure, haar-weights
-    recovers both implementing vectors, antipode-assembly fits both antipodes.
-    None after the first stage that fails."""
-    spans, weights, fits = [], [], []
+    """The pair of a unitary W, derived in four stages, each run as run(stage,
+    fn): fn() returns the stage's CheckReport, and run returns whether it
+    passed.  pentagon checks W (`check_pentagon`), algebra-generation spans M
+    and Mhat and bounds their closure, haar-weights recovers both implementing
+    vectors, antipode-assembly fits both antipodes.  A dense W's pentagon
+    hands on the M span, D and rho_delta it builds: algebra-generation reuses
+    the span, and the pair starts with `delta_coeffs` and `delta_residual`
+    cached.  None after the first stage that fails."""
+    built, spans, weights, fits = [], [], [], []
+
+    def pentagon() -> CheckReport:
+        report, built[:] = _pentagon(mu, tol)
+        return report
 
     def generation() -> CheckReport:
-        spans[:] = slice_span_m(mu, tol), slice_span_mhat(mu, tol)
+        spans[:] = (built[0] if built else slice_span_m(mu, tol)), slice_span_mhat(mu, tol)
         return CheckReport("algebra-generation", max(map(algebra_closure_deviation, spans)), tol)
 
     def haar_weights() -> CheckReport:
@@ -785,11 +811,15 @@ def derive_pair(mu: MultiplicativeUnitary, run, tol: float = DEFAULT_TOL) -> Qua
                    antipode_hat_from_slices(mu, spans[1], tol))
         return CheckReport("antipode-assembly", max(fits[0][1], fits[1][1]), tol)
 
-    if not (run("algebra-generation", generation) and run("haar-weights", haar_weights)
+    if not (run("pentagon", pentagon) and run("algebra-generation", generation)
+            and run("haar-weights", haar_weights)
             and run("antipode-assembly", antipode_assembly)):
         return None
     (s_mat, _), (shat_mat, _) = fits
-    return QuantumGroupPair(mu, *spans, *weights, s_mat, shat_mat)
+    qg = QuantumGroupPair(mu, *spans, *weights, s_mat, shat_mat)
+    if built:
+        qg.delta_coeffs, qg.delta_residual = built[1:]
+    return qg
 
 
 def _require(stage: str, fn) -> bool:
@@ -802,14 +832,13 @@ def _require(stage: str, fn) -> bool:
 
 
 def pair_from_unitary(w, tol: float = DEFAULT_TOL) -> QuantumGroupPair:
-    """The pair of W, through the suite's structural stages at its bounds:
-    unitarity, the pentagon, then `derive_pair`.  ValueError names the first
-    stage that fails and its deviation (check_pentagon's own for a dense W with
-    n > DENSE_PENTAGON_MAX_DIM); WeightDerivationError and InconsistentSlices
-    propagate from haar-weights and antipode-assembly."""
+    """The pair of W, through the suite's structural stages at their bounds:
+    unitarity, then `derive_pair`, whose first stage is the pentagon.  Each
+    span, D and rho_delta is built at most once.  ValueError names the first
+    stage that fails and its deviation; WeightDerivationError and
+    InconsistentSlices propagate from haar-weights and antipode-assembly."""
     mu = w if isinstance(w, MultiplicativeUnitary) else MultiplicativeUnitary.from_dense(w)
     _require("unitarity", lambda: check_unitarity(mu))
-    _require("pentagon", lambda: check_pentagon(mu))
     return derive_pair(mu, _require, tol)
 
 

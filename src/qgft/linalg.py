@@ -101,16 +101,6 @@ class Functional:
         return flat_rows(basis) @ flat_rows(self.density.T)
 
 
-def matrix_unit_functional(n: int, i: int, j: int) -> Functional:
-    density = np.zeros((n, n), dtype=complex)
-    density[i, j] = 1.0
-    return Functional(density)
-
-
-def trace_functional(n: int) -> Functional:
-    return Functional(np.eye(n, dtype=complex))
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product; (a (x) b)[(i,k),(j,l)] = a[i,j] * b[k,l]."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
@@ -338,31 +328,6 @@ def _indicator_layout(rows: np.ndarray):
     if (on != on[:, :1]).any():
         return None
     return support, on[:, 0].copy(), np.flatnonzero(~nonzero.any(axis=0))
-
-
-def span_project(x: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float]:
-    """Coordinates of x, or of each operator of a stack x, in an orthonormal
-    basis, and the largest entry of x minus its orthogonal projection
-    (`SpanKernel.project`)."""
-    return SpanKernel(basis).project(x)
-
-
-def membership_residual(x: np.ndarray, basis: np.ndarray) -> float:
-    """Largest entry of x, or of any operator of a stack x, minus its
-    orthogonal projection onto span(basis)."""
-    return span_project(x, basis)[1]
-
-
-def span_coords(x: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Coefficients of x, or of each operator of a stack x, in an orthonormal
-    basis (projection coordinates, `SpanKernel.coords`)."""
-    return SpanKernel(basis).coords(x)
-
-
-def span_reconstruct(coeffs: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """The operator, or stack of operators, with the given coordinates in an
-    orthonormal basis."""
-    return SpanKernel(basis).reconstruct(coeffs)
 
 
 def subspace_equal(basis1: np.ndarray, basis2: np.ndarray) -> float:

@@ -98,18 +98,6 @@ def L_function(model: GroupModel, y: np.ndarray) -> np.ndarray:
     return np.asarray(y, dtype=complex)[:, model.group.identity].copy()
 
 
-def pointwise_star(a) -> np.ndarray:
-    """Involution on functions: a^*(x) = conj(a(x)); pi(a)^* = pi(a^*)."""
-    return np.conj(np.asarray(a, dtype=complex))
-
-
-def convolution_star(model: GroupModel, b) -> np.ndarray:
-    """Involution on coefficient functions, b^*(x) = delta(x^{-1}) conj(b(x^{-1}))
-    with delta = 1: L(b)^* = L(b^*)."""
-    vec = as_function(b, model.n)
-    return np.conj(vec[model.group.inv])
-
-
 def classical_convolution(group: FiniteGroup, a, c) -> np.ndarray:
     """(a * c)(y) = sum_x a(x) c(x^{-1} y)."""
     a = as_function(a, group.order)

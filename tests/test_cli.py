@@ -134,12 +134,14 @@ def test_verify_malformed_unitary_exits_2(tmp_path, capsys):
     assert main(["verify", "--unitary", str(path)]) == 2
 
 
-def test_verify_oversized_dense_unitary_exits_2(tmp_path, capsys):
+def test_verify_dense_unitary_past_n12(tmp_path, capsys):
+    # no leg dimension is refused: the identity at n = 13 loads, and fails
+    # only where it is no quantum group in GNS position
     n = 13
     eye = np.eye(n * n)
     path = write_unitary(tmp_path, "big.json", eye, n)
-    assert main(["verify", "--unitary", path]) == 2
-    assert "leg dimension" in capsys.readouterr().err
+    assert main(["verify", "--unitary", path]) == 1
+    assert "first failing check: haar-weights" in capsys.readouterr().err
 
 
 # One-by-one unitaries whose leg dimension field is not a positive JSON integer.

@@ -154,39 +154,3 @@ def test_rank_rtol_is_read_only_by_linalg_rank():
              for path in sorted(PACKAGE.glob("*.py"))
              for function in rank_rtol_reads(path.read_text())]
     assert reads == [("linalg.py", "rank")]
-
-
-# A pair projects onto its own algebras through its cached kernels,
-# `qg.span` and `qg.dual.span`, laid out once per side.  A free span function
-# given a pair's basis would lay the basis out again on every call.
-FREE_SPAN_FUNCTIONS = ("span_project", "span_coords", "span_reconstruct", "membership_residual")
-PAIR_BASES = ("m_basis", "mhat_basis")
-
-
-def pair_basis_span_calls(source: str) -> list[str]:
-    """The scopes of every call of a free span function with an argument that
-    is a pair's basis attribute."""
-    def matches(node):
-        if not isinstance(node, ast.Call):
-            return False
-        func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-        return name in FREE_SPAN_FUNCTIONS and any(
-            isinstance(arg, ast.Attribute) and arg.attr in PAIR_BASES
-            for arg in [*node.args, *(kw.value for kw in node.keywords)])
-    return scopes_where(source, matches)
-
-
-def test_pair_basis_detector_finds_calls():
-    source = ("x = span_coords(a, qg.m_basis)\n"
-              "class A:\n    def f(self):\n        return linalg.span_project(a, self.m_basis)\n"
-              "def g(qg):\n    return membership_residual(x, basis=qg.mhat_basis)\n"
-              "def h(qg, basis):\n    return span_reconstruct(c, basis) + qg.span.coords(qg.m_basis)\n")
-    assert pair_basis_span_calls(source) == ["<module>", "A.f", "g"]
-
-
-def test_no_free_span_call_on_a_pair_basis():
-    offenders = [(path.name, function)
-                 for path in sorted(PACKAGE.glob("*.py"))
-                 for function in pair_basis_span_calls(path.read_text())]
-    assert offenders == []

@@ -58,8 +58,6 @@ from qgft.linalg import (
     flip,
     kron,
     leg_embed,
-    matrix_unit_functional,
-    membership_residual,
     slice_family,
     slice_left,
     slice_right,
@@ -80,15 +78,61 @@ def model(group):
     return models.build(group)
 
 
+def matrix_unit_functional(n, i, j):
+    density = np.zeros((n, n), dtype=complex)
+    density[i, j] = 1.0
+    return Functional(density)
+
+
 def z2():
     return model(groups.cyclic(2))
 
 
 # ---------------------------------------------------------------- pentagon
 
+def dense_pentagon_oracle(w, n):
+    """Largest entry of W12 W13 W23 - W23 W12 on the tensor cube [a,b,c; x,y,z],
+    as matrix products on blocks of fixed x and c, with W[a,b; x,y] = w[(a b), (x y)]:
+      (W12 W13) W23 = (A3 @ B[x,c]).reshape(n^2, n^2) @ W   in [(a b), (y z)],
+        A3[(a b y'), a'] = W[a,b; a',y'],  B[x,c][a', z'] = W[a',c; x,z'];
+      W23 W12 = F[x] @ G[c]                                 in [(a y), (b z)],
+        F[x][(a y), e] = W[a,e; x,y],      G[c][e, (b z)] = W[b,c; e,z].
+    The work is n^8; every operand and buffer holds n^4 entries."""
+    w4, n2 = w.reshape(n, n, n, n), n * n
+    a3 = w4.transpose(0, 1, 3, 2).reshape(n2 * n, n)
+    b = np.ascontiguousarray(w4.transpose(2, 1, 0, 3))
+    f = w4.transpose(2, 0, 3, 1).reshape(n, n2, n)
+    g = w4.transpose(1, 2, 0, 3).reshape(n, n, n2)
+    t, mag = np.empty((n2 * n, n), dtype=complex), np.empty((n2, n2))
+    lhs, rhs = np.empty((2, n2, n2), dtype=complex)
+    lhs4, rhs4 = lhs.reshape(n, n, n, n), rhs.reshape(n, n, n, n).transpose(0, 2, 1, 3)
+    dev = 0.0
+    for x in range(n):
+        for c in range(n):
+            np.matmul(a3, b[x, c], out=t)
+            np.matmul(t.reshape(n2, n2), w, out=lhs)
+            np.matmul(f[x], g[c], out=rhs)
+            np.subtract(lhs4, rhs4, out=lhs4)
+            dev = max(dev, float(np.abs(lhs, out=mag).max()))
+    return dev
+
+
+def assert_bounds_the_oracle(w):
+    """The coefficient-space pentagon reads at least the n^8 oracle, and fails
+    wherever the oracle exceeds DENSE_W_TOL."""
+    n = round(np.sqrt(w.shape[0]))
+    oracle = dense_pentagon_oracle(w, n)
+    report = check_pentagon(MultiplicativeUnitary.from_dense(w))
+    assert report.deviation >= oracle
+    if oracle > engine.DENSE_W_TOL:
+        assert not report.passed
+    return report, oracle
+
+
 def test_pentagon_identity_passes():
+    # the dense route spans M by an SVD, so it reads the identity at rounding
     report = check_pentagon(MultiplicativeUnitary.from_dense(np.eye(4)))
-    assert report.passed and report.deviation == 0.0
+    assert report.passed and report.deviation < 1e-15
 
 
 def test_pentagon_group_w_exact():
@@ -124,10 +168,30 @@ def test_pentagon_structured_matches_dense_for_builtins():
         assert check_pentagon(MultiplicativeUnitary.from_dense(mu.dense)).passed
 
 
-def test_dense_pentagon_dimension_cap():
-    mu = MultiplicativeUnitary.from_dense(np.eye(13 * 13))
-    with pytest.raises(ValueError, match="n <= 12"):
-        check_pentagon(mu)
+@pytest.mark.parametrize("spec", suite_snapshot.GROUP_SPECS)
+def test_snapshot_models_pass_both_pentagon_routes(spec):
+    # the exact route on the model's permutation W, the coefficient route on
+    # its dense copy
+    mu = model(parse_group_spec(spec)).qg.mu
+    exact = check_pentagon(mu)
+    assert exact.deviation == 0.0 and exact.note == "exact"
+    dense = check_pentagon(MultiplicativeUnitary.from_dense(mu.dense))
+    assert dense.passed and dense.tolerance == engine.DENSE_W_TOL
+
+
+def test_suite_passes_dense_transported_dihedral8():
+    # n = 16, a snapshot source past the n <= 12 the n^8 pentagon allowed
+    report = run_suite(suite_snapshot.transported("dihedral:8", 8), seed=7)
+    assert report.passed and report.model == "unitary:16"
+
+
+def test_dense_pentagon_has_no_dimension_cap():
+    # n = 13 has no n^8 kernel to refuse it
+    mu = MultiplicativeUnitary.from_dense(model(groups.cyclic(13)).qg.w)
+    assert check_pentagon(mu).passed
+    phased = np.array(mu.dense)
+    phased[:, 5] *= np.exp(0.3j)
+    assert not check_pentagon(MultiplicativeUnitary.from_dense(phased)).passed
 
 
 def random_unitary(rng, dim):
@@ -139,13 +203,14 @@ def random_unitary(rng, dim):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_dense_pentagon_deviation_matches_leg_embeddings(n):
     # a random unitary violates the pentagon by O(1) in scattered entries;
-    # the contraction must report the same worst entry as the embedded product
+    # the oracle reports the embedded product's worst entry, and the check at
+    # least that
     w = random_unitary(np.random.default_rng(100 + n), n * n)
     brute = np.max(np.abs(leg_embed(w, 12, n) @ leg_embed(w, 13, n) @ leg_embed(w, 23, n)
                           - leg_embed(w, 23, n) @ leg_embed(w, 12, n)))
-    report = check_pentagon(MultiplicativeUnitary.from_dense(w))
+    report, oracle = assert_bounds_the_oracle(w)
     assert not report.passed
-    assert report.deviation == pytest.approx(brute, abs=1e-13)
+    assert oracle == pytest.approx(brute, abs=1e-13)
 
 
 def test_dense_pentagon_memory_at_dimension_cap():
@@ -172,7 +237,8 @@ def transported_dihedral6():
 
 @pytest.mark.parametrize("label", ["transported-dihedral6", "dual-cyclic12"])
 def test_dense_pentagon_memory_stays_at_n4_blocks(label):
-    # the n^4 operands and buffers take 2.5 MiB at n = 12; one n^5 block alone is 3.8 MiB
+    # W, T and one comultiplication block take n^4 entries each, 0.3 MiB at
+    # n = 12; one n^5 block alone is 3.8 MiB
     sigma = flip(12)
     w = transported_dihedral6() if label == "transported-dihedral6" else \
         sigma @ model(groups.cyclic(12)).qg.w.conj().T @ sigma
@@ -206,9 +272,45 @@ def test_dense_pentagon_matches_chunked_contraction_at_dimension_cap():
     # reach of the brute-force leg embeddings
     w = transported_dihedral6()
     w[:, 5] *= np.exp(0.3j)
-    report = check_pentagon(MultiplicativeUnitary.from_dense(w))
+    report, oracle = assert_bounds_the_oracle(w)
     assert not report.passed and report.deviation > 1e-2
-    assert report.deviation == pytest.approx(chunked_pentagon_deviation(w, 12), abs=1e-13)
+    assert oracle == pytest.approx(chunked_pentagon_deviation(w, 12), abs=1e-13)
+
+
+def corrupted_family(w, rng, hermitians):
+    """W exp(i eps H) at eps = 1e-14 ... 1e-3 for each of `hermitians` seeded
+    Hermitian H, then W with its column 5 phased, and W times diagonal phases
+    on leg 1 and on leg 2."""
+    n2 = w.shape[0]
+    n = round(np.sqrt(n2))
+    hs = [h + h.conj().T for h in (random_unitary(rng, n2) for _ in range(hermitians))]
+    for eps in 10.0 ** np.arange(-14, -2):
+        for h in hs:
+            vals, vecs = np.linalg.eigh(h)
+            yield w @ ((vecs * np.exp(1j * eps * vals)) @ vecs.conj().T)
+    phased = np.array(w)
+    phased[:, 5] *= np.exp(0.3j)
+    yield phased
+    phases = np.diag(np.exp(0.3j * rng.standard_normal(n)))
+    yield w @ np.kron(phases, np.eye(n))
+    yield w @ np.kron(np.eye(n), phases)
+
+
+@pytest.mark.parametrize("label, hermitians", [
+    ("transported-dihedral3", 3), ("transported-dihedral6", 1), ("dual-cyclic12", 1)])
+def test_dense_pentagon_fails_every_corruption_the_oracle_fails(label, hermitians):
+    # the full family on n = 6; one H per decade on the two verify-dense
+    # unitaries (workload seed 11), where each oracle call does n^8 = 4e8 work
+    if label == "transported-dihedral3":
+        w = transported_dihedral3()
+    else:
+        w = dict(suite_snapshot.dense_unitaries(11))[label]
+        clean, _ = assert_bounds_the_oracle(w)
+        assert clean.deviation <= 3e-2 * engine.DENSE_W_TOL
+    oracles = [assert_bounds_the_oracle(corrupted)[1]
+               for corrupted in corrupted_family(w, np.random.default_rng(26), hermitians)]
+    # the oracle itself fails every eps from 1e-11 up and the three phasings
+    assert sum(oracle > engine.DENSE_W_TOL for oracle in oracles) >= 9 * hermitians + 3
 
 
 @pytest.mark.parametrize("sig, tau", [
@@ -287,10 +389,16 @@ def test_closure_failure_on_crafted_slices():
                 w4[i, l, j, k] = mat[i, j]
     mu = MultiplicativeUnitary.from_dense(w4.reshape(n * n, n * n))
     assert algebra_closure_deviation(slice_span_m(mu)) > 1e-10
-    # the derivation stops at its first stage
+    # the pentagon makes the slice spaces algebras, so the derivation stops
+    # at its first stage; past a pentagon taken as passed, it stops at closure
     stages = []
     assert derive_pair(mu, lambda stage, fn: stages.append(fn()) or stages[-1].passed) is None
-    assert [(c.name, c.passed) for c in stages] == [("algebra-generation", False)]
+    assert [(c.name, c.passed) for c in stages] == [("pentagon", False)]
+    stages.clear()
+    assert derive_pair(mu, lambda stage, fn: stages.append(fn())
+                       or stages[-1].passed or stage == "pentagon") is None
+    assert [(c.name, c.passed) for c in stages] == [("pentagon", False),
+                                                    ("algebra-generation", False)]
 
 
 # ------------------------------------------------------- comultiplications
@@ -548,7 +656,10 @@ def test_only_the_checks_build_the_coeff_residual(monkeypatch):
     monkeypatch.setattr(engine, "comult_residual",
                         lambda *args: calls.append(args) or residual(*args))
     rng = np.random.default_rng(9)
-    for qg in (model(groups.symmetric(4)).qg, pair_from_unitary(transported_dihedral3())):
+    pairs = model(groups.symmetric(4)).qg, pair_from_unitary(transported_dihedral3())
+    assert len(calls) == 1                                  # the dense W's pentagon
+    calls.clear()
+    for qg in pairs:
         a, c = (linalg.random_element(rng, qg.span) for _ in range(2))
         b, d = (linalg.random_element(rng, qg.dual.span) for _ in range(2))
         ft.fourier(qg, a), ft.inverse_fourier(qg, b), ft.pairing(qg, b, a)
@@ -823,8 +934,8 @@ def test_canonical_embeddings_land_in_the_algebras():
     qg = model(groups.symmetric(3)).qg
     density = RNG.standard_normal((6, 6)) + 1j * RNG.standard_normal((6, 6))
     omega = Functional(density)
-    assert membership_residual(lam(qg.mu, omega), qg.mhat_basis) < 1e-12
-    assert membership_residual(lam_hat(qg.mu, omega), qg.m_basis) < 1e-12
+    assert qg.dual.span.project(lam(qg.mu, omega))[1] < 1e-12
+    assert qg.span.project(lam_hat(qg.mu, omega))[1] < 1e-12
 
 
 # ------------------------------------------------- GNS and duality relations
@@ -1094,6 +1205,6 @@ def test_w_membership_in_m_tensor_mhat():
 
 def test_membership_helpers():
     qg = z2().qg
-    assert membership_residual(np.diag([1.0, 2.0]), qg.m_basis) < 1e-14
+    assert qg.span.project(np.diag([1.0, 2.0]))[1] < 1e-14
     off = np.zeros((2, 2)); off[0, 1] = 1.0
-    assert membership_residual(off, qg.m_basis) == pytest.approx(1.0)
+    assert qg.span.project(off)[1] == pytest.approx(1.0)

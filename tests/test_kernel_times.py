@@ -22,7 +22,7 @@ def test_kernel_times_on_s3(monkeypatch, capsys):
             "write_json", "load_unitary", "check_pentagon", "slice_span_m", "slice_span_mhat",
             "pair_from_unitary", "check_antipode")]
         dense += [(kernel, label, side) for side in ("M", "Mhat") for kernel in projections]
-        dense.append(("pontryagin_check", label, ""))
+        dense += [("pontryagin_check", label, ""), ("run_suite", label, "")]
     sides = [(kernel, "s3", side) for side in ("M", "Mhat")
              for kernel in ("comult_coeff_tensor", "comult_residual", "fourier_table",
                             "pairing_table", *projections)]

@@ -17,8 +17,6 @@ from qgft.linalg import (
     kron,
     left_slicer,
     leg_embed,
-    matrix_unit_functional,
-    membership_residual,
     random_complex,
     random_element,
     rank,
@@ -27,11 +25,7 @@ from qgft.linalg import (
     slice_left,
     slice_right,
     span_basis,
-    span_coords,
-    span_project,
-    span_reconstruct,
     subspace_equal,
-    trace_functional,
 )
 
 RNG = np.random.default_rng(7)
@@ -40,6 +34,16 @@ RNG = np.random.default_rng(7)
 def random_matrix(rows, cols=None):
     cols = rows if cols is None else cols
     return RNG.standard_normal((rows, cols)) + 1j * RNG.standard_normal((rows, cols))
+
+
+def matrix_unit_functional(n, i, j):
+    density = np.zeros((n, n), dtype=complex)
+    density[i, j] = 1.0
+    return Functional(density)
+
+
+def trace_functional(n):
+    return Functional(np.eye(n, dtype=complex))
 
 
 def basis_vector(n, i):
@@ -266,7 +270,7 @@ def test_span_collinear():
     basis = span_basis([np.eye(2), 2 * np.eye(2)])
     assert basis.shape[0] == 1
     # the single element is proportional to the identity
-    assert membership_residual(np.eye(2), basis) < 1e-12
+    assert SpanKernel(basis).project(np.eye(2))[1] < 1e-12
 
 
 def test_span_matrix_units_full():
@@ -385,12 +389,11 @@ def test_kernels_do_not_depend_on_memory_layout():
         for layout in LAYOUTS:
             b, f = layout(basis), Functional(layout(density))
             assert layout is np.ascontiguousarray or not b.flags.c_contiguous
-            assert SpanKernel(b).layout == expected
-            results.append((span_coords(layout(x), b), span_coords(layout(stack), b),
-                            span_reconstruct(layout(coeffs), b),
-                            span_reconstruct(layout(coeffs[0]), b),
-                            membership_residual(layout(stack), b),
-                            *span_project(layout(stack), b), *span_project(layout(x), b),
+            span = SpanKernel(b)
+            assert span.layout == expected
+            results.append((span.coords(layout(x)), span.coords(layout(stack)),
+                            span.reconstruct(layout(coeffs)), span.reconstruct(layout(coeffs[0])),
+                            *span.project(layout(stack)), *span.project(layout(x)),
                             slice_left(f, layout(w)), slice_right(f, layout(w)),
                             f(layout(x)), f.values_on(b)))
         for other in results[1:]:
@@ -431,7 +434,7 @@ def test_index_layout_matches_the_dense_layout(spec, monkeypatch):
         assert (index.layout, dense.layout) == ("index", "dense")
         m, n = basis.shape[0], basis.shape[1]
         coeffs = random_complex(rng, (3, m))
-        in_span = span_reconstruct(coeffs, basis)
+        in_span = index.reconstruct(coeffs)
         off_span = in_span + 1e-6 * random_complex(rng, (3, n, n))
         for x in (in_span[0], in_span, off_span[0], off_span):
             got, want = index.project(x), dense.project(x)
@@ -473,9 +476,10 @@ def test_flat_kernels_match_einsum_oracles():
     basis = span_basis([random_matrix(n) for _ in range(5)])
     stack, coeffs = np.stack([random_matrix(n) for _ in range(4)]), random_matrix(4, len(basis))
     f, w = Functional(random_matrix(n)), random_matrix(n * n)
-    np.testing.assert_allclose(span_coords(stack, basis),
+    span = SpanKernel(basis)
+    np.testing.assert_allclose(span.coords(stack),
                                np.einsum("kab,sab->sk", basis.conj(), stack), atol=1e-13)
-    np.testing.assert_allclose(span_reconstruct(coeffs, basis),
+    np.testing.assert_allclose(span.reconstruct(coeffs),
                                np.einsum("sk,kab->sab", coeffs, basis), atol=1e-13)
     np.testing.assert_allclose(f.values_on(basis),
                                np.einsum("ij,kji->k", f.density, basis), atol=1e-13)
@@ -486,7 +490,7 @@ def test_flat_kernels_reject_mismatched_shapes():
     # a flat product would silently pair entries of operands of equal size
     basis = span_basis([random_matrix(2) for _ in range(3)])
     with pytest.raises(ValueError):
-        span_coords(random_matrix(1, 4), basis)
+        SpanKernel(basis).coords(random_matrix(1, 4))
     with pytest.raises(ValueError):
         Functional(random_matrix(2))(random_matrix(1, 4))
     # and a coordinate vector must have one entry per basis element, on both
@@ -494,4 +498,4 @@ def test_flat_kernels_reject_mismatched_shapes():
     for b in (basis, group_pair("cyclic:2").mhat_basis):
         for coeffs in (random_matrix(1, 4), random_matrix(2, 1), random_matrix(1, 1)[0]):
             with pytest.raises(ValueError):
-                span_reconstruct(coeffs, b)
+                SpanKernel(b).reconstruct(coeffs)

@@ -22,7 +22,8 @@ same file from a copy of another commit measures that commit.  The kernels are
   temporary file and `cli.load_unitary` of that file, then `check_pentagon`,
   `slice_span_m`, `slice_span_mhat` and `pair_from_unitary`, then
   `check_antipode` on the pair derived from each, `require_in_m` and
-  `fourier` on its M and Mhat sides as above, and `pontryagin_check` on W;
+  `fourier` on its M and Mhat sides as above, `pontryagin_check` on W, and
+  `run_suite` on W at suite seed 11;
 * `run_suite` on each group SPEC at suite seed 11, on a freshly built model
   per call, so no cached table carries over from one call to the next.
 """
@@ -118,6 +119,7 @@ def kernels(groups: list):
             for side, pair in (("M", qg), ("Mhat", qg.dual)):
                 yield from projections(pair, label, side)
             yield "pontryagin_check", label, "", lambda mu=mu: engine.pontryagin_check(mu)
+            yield "run_suite", label, "", lambda w=w: run_suite(w, seed=SUITE_SEED)
     for spec, group in groups:
         yield "run_suite", spec, "", lambda group=group: run_suite(models.build(group),
                                                                    seed=SUITE_SEED)

@@ -14,7 +14,9 @@ byte-identical.  A change that moves deviations on purpose is compared with
   seeds 11 and 24;
 * dihedral:3's W transported by u (x) u for a random unitary u (rng seed 5),
   at suite seed 7: as a dense source, as the pair built from it and as that
-  pair's dual.
+  pair's dual;
+* dihedral:8's W transported the same way (rng seed 8), a dense source with
+  n = 16, at suite seed 7.
 """
 
 from __future__ import annotations
@@ -37,11 +39,14 @@ GROUP_SPECS = ("cyclic:1", "cyclic:6", "s3", "dihedral:3", "product:cyclic:2xcyc
                "dihedral:6", "cyclic:12", "s4", "cyclic:24", "dihedral:12")
 
 
-def transported_dihedral3() -> np.ndarray:
-    rng = np.random.default_rng(5)
-    u, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+def transported(spec: str, seed: int) -> np.ndarray:
+    """The group's W conjugated by u (x) u, u the QR unitary of a seeded draw."""
+    w = models.build(cli.parse_group_spec(spec)).qg.w
+    n = round(np.sqrt(w.shape[0]))
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     uu = kron(u, u)
-    return uu @ models.build(cli.parse_group_spec("dihedral:3")).qg.w @ uu.conj().T
+    return uu @ w @ uu.conj().T
 
 
 def sources(tmp: Path):
@@ -53,11 +58,12 @@ def sources(tmp: Path):
         cli.write_json(cli.matrix_to_json(w, 12), str(path))
         for seed in (11, 24):
             yield label, seed, cli.load_unitary(path)
-    w = transported_dihedral3()
+    w = transported("dihedral:3", 5)
     qg = engine.pair_from_unitary(w)
     yield "transported-dihedral3", 7, w
     yield "transported-dihedral3-pair", 7, qg
     yield "transported-dihedral3-dual", 7, qg.dual
+    yield "transported-dihedral8", 7, transported("dihedral:8", 8)
 
 
 def main(argv: list[str]) -> int:
