@@ -2,11 +2,12 @@
 unitary, producing a machine-readable report.
 
 Stage order: unitarity, the derivation of the pair (the pentagon, exact for
-permutation forms and in coefficient space for a dense W; slice-algebra
-generation and closure, Haar weights, antipode assembly), agreement of a given
-pair with it, W membership in M (x) Mhat, coassociativity, invariance (left and
-right, both sides), the two GNS duality relations, the antipode laws, the
-sharp involution, slice product laws, Fourier inversion, Plancherel (the GNS
+permutation forms and in coefficient space for a dense W, or block by block
+when its M spans more than n elements; slice-algebra generation and closure,
+Haar weights, antipode assembly), agreement of a given pair with it, W
+membership in M (x) Mhat, coassociativity, invariance (left and right, both
+sides), the two GNS duality relations, the antipode laws, the sharp
+involution, slice product laws, Fourier inversion, Plancherel (the GNS
 isometry on full bases), convolution agreement, pairing spread and axioms, the
 inner-product pairing description, and Pontryagin duality.
 

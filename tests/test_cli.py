@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +143,26 @@ def test_verify_dense_unitary_past_n12(tmp_path, capsys):
     path = write_unitary(tmp_path, "big.json", eye, n)
     assert main(["verify", "--unitary", path]) == 1
     assert "first failing check: haar-weights" in capsys.readouterr().err
+
+
+def test_verify_random_dense_unitary_at_n24_fails_in_n4_memory(tmp_path, capsys):
+    # its M spans all 576 operators: the pentagon reads one n^4 block of
+    # W12 W13 W23 - W23 W12, which fails, instead of a coefficient tensor of
+    # 576^3 entries (3 GB)
+    n = 24
+    rng = np.random.default_rng(24)
+    w, _ = np.linalg.qr(rng.standard_normal((n * n, n * n))
+                        + 1j * rng.standard_normal((n * n, n * n)))
+    path = write_unitary(tmp_path, "random24.json", w, n)
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--unitary", path, "--out", str(tmp_path / "report.json")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "first failing check: pentagon (M spans 576 > n = 24" in capsys.readouterr().err
+    assert peak < 128 * 2 ** 20
 
 
 # One-by-one unitaries whose leg dimension field is not a positive JSON integer.

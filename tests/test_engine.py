@@ -91,39 +91,26 @@ def z2():
 # ---------------------------------------------------------------- pentagon
 
 def dense_pentagon_oracle(w, n):
-    """Largest entry of W12 W13 W23 - W23 W12 on the tensor cube [a,b,c; x,y,z],
-    as matrix products on blocks of fixed x and c, with W[a,b; x,y] = w[(a b), (x y)]:
-      (W12 W13) W23 = (A3 @ B[x,c]).reshape(n^2, n^2) @ W   in [(a b), (y z)],
-        A3[(a b y'), a'] = W[a,b; a',y'],  B[x,c][a', z'] = W[a',c; x,z'];
-      W23 W12 = F[x] @ G[c]                                 in [(a y), (b z)],
-        F[x][(a y), e] = W[a,e; x,y],      G[c][e, (b z)] = W[b,c; e,z].
-    The work is n^8; every operand and buffer holds n^4 entries."""
-    w4, n2 = w.reshape(n, n, n, n), n * n
-    a3 = w4.transpose(0, 1, 3, 2).reshape(n2 * n, n)
-    b = np.ascontiguousarray(w4.transpose(2, 1, 0, 3))
-    f = w4.transpose(2, 0, 3, 1).reshape(n, n2, n)
-    g = w4.transpose(1, 2, 0, 3).reshape(n, n, n2)
-    t, mag = np.empty((n2 * n, n), dtype=complex), np.empty((n2, n2))
-    lhs, rhs = np.empty((2, n2, n2), dtype=complex)
-    lhs4, rhs4 = lhs.reshape(n, n, n, n), rhs.reshape(n, n, n, n).transpose(0, 2, 1, 3)
-    dev = 0.0
-    for x in range(n):
-        for c in range(n):
-            np.matmul(a3, b[x, c], out=t)
-            np.matmul(t.reshape(n2, n2), w, out=lhs)
-            np.matmul(f[x], g[c], out=rhs)
-            np.subtract(lhs4, rhs4, out=lhs4)
-            dev = max(dev, float(np.abs(lhs, out=mag).max()))
-    return dev
+    """Largest entry of W12 W13 W23 - W23 W12: the engine's exact block
+    kernel read in full, n^8 work in n^4 memory (checked against leg
+    embeddings and a leg-by-leg contraction below)."""
+    return max(engine._pentagon_blocks(MultiplicativeUnitary.from_dense(w)))
 
 
 def assert_bounds_the_oracle(w):
-    """The coefficient-space pentagon reads at least the n^8 oracle, and fails
-    wherever the oracle exceeds DENSE_W_TOL."""
+    """The pentagon fails wherever the n^8 oracle exceeds DENSE_W_TOL.  On
+    the coefficient route (M spans at most n elements) it reads at least the
+    oracle; on the block route (more than n) it reads the oracle's worst
+    entry over the blocks it read, all of them unless it stopped at one
+    above DENSE_W_TOL."""
     n = round(np.sqrt(w.shape[0]))
+    mu = MultiplicativeUnitary.from_dense(w)
     oracle = dense_pentagon_oracle(w, n)
-    report = check_pentagon(MultiplicativeUnitary.from_dense(w))
-    assert report.deviation >= oracle
+    report = check_pentagon(mu)
+    if slice_span_m(mu).shape[0] > n:
+        assert report.deviation == oracle or oracle >= report.deviation > engine.DENSE_W_TOL
+    else:
+        assert report.deviation >= oracle
     if oracle > engine.DENSE_W_TOL:
         assert not report.passed
     return report, oracle
@@ -203,8 +190,8 @@ def random_unitary(rng, dim):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_dense_pentagon_deviation_matches_leg_embeddings(n):
     # a random unitary violates the pentagon by O(1) in scattered entries;
-    # the oracle reports the embedded product's worst entry, and the check at
-    # least that
+    # the oracle reports the embedded product's worst entry, and the check,
+    # whose M spans n^2 > n elements, an entry of it above DENSE_W_TOL
     w = random_unitary(np.random.default_rng(100 + n), n * n)
     brute = np.max(np.abs(leg_embed(w, 12, n) @ leg_embed(w, 13, n) @ leg_embed(w, 23, n)
                           - leg_embed(w, 23, n) @ leg_embed(w, 12, n)))
@@ -269,7 +256,7 @@ def chunked_pentagon_deviation(w, n):
 
 def test_dense_pentagon_matches_chunked_contraction_at_dimension_cap():
     # a phased column breaks the pentagon by about 0.05 at n = 12, beyond the
-    # reach of the brute-force leg embeddings
+    # reach of the brute-force leg embeddings; its M spans 24 > n elements
     w = transported_dihedral6()
     w[:, 5] *= np.exp(0.3j)
     report, oracle = assert_bounds_the_oracle(w)
@@ -311,6 +298,41 @@ def test_dense_pentagon_fails_every_corruption_the_oracle_fails(label, hermitian
                for corrupted in corrupted_family(w, np.random.default_rng(26), hermitians)]
     # the oracle itself fails every eps from 1e-11 up and the three phasings
     assert sum(oracle > engine.DENSE_W_TOL for oracle in oracles) >= 9 * hermitians + 3
+
+
+def failing_w(label):
+    if label == "random":
+        return random_unitary(np.random.default_rng(12), 144)
+    w = transported_dihedral6()
+    w[:, 5] *= np.exp(0.3j)
+    return w
+
+
+@pytest.mark.parametrize("label", ["random", "phased-transported-dihedral6"])
+def test_failing_dense_pentagon_stops_at_its_first_failing_block(label, monkeypatch):
+    # their M spans 144 and 24 > n = 12 elements, where D would take m^3
+    # memory: no D is built, W12 W13 W23 - W23 W12 is read one n^4 block at a
+    # time, and the first block already fails
+    def refuse(*args):
+        raise AssertionError("built D or rho_delta")
+
+    monkeypatch.setattr(engine, "comult_coeff_tensor", refuse)
+    monkeypatch.setattr(engine, "comult_residual", refuse)
+    blocks, kernel = [], engine._pentagon_blocks
+    monkeypatch.setattr(engine, "_pentagon_blocks",
+                        lambda mu: (blocks.append(dev) or dev for dev in kernel(mu)))
+    mu = MultiplicativeUnitary.from_dense(failing_w(label))
+    tracemalloc.start()
+    try:
+        report = check_pentagon(mu)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not report.passed and report.deviation == blocks[0] and len(blocks) == 1
+    assert report.note.startswith("M spans")
+    assert peak < 6 * 2 ** 20
+    with pytest.raises(ValueError, match="pentagon"):
+        pair_from_unitary(mu)
 
 
 @pytest.mark.parametrize("sig, tau", [
