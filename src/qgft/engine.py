@@ -16,18 +16,20 @@ The Mhat side is the M side of the dual unitary What = Sigma W^* Sigma
 (`MultiplicativeUnitary.dual`, `QuantumGroupPair.dual`), so each hat-side
 function here is the M-side function applied to the dual.
 
+Both slice algebras come from one SVD of W's leg-2 slice family
+(`slice_spans`): its right singular vectors span M, its left ones, read as
+transposed matrices, Mhat.
 Heavy identities on the generated algebras (the pentagon of a dense W,
 coassociativity, invariance) are checked in coefficient space, on the tensor
 D that the pair caches as `qg.delta_coeffs`:
 with orthonormal algebra bases it reproduces the operator-level Frobenius
 deviations exactly, up to the separately reported span-membership residual
 `qg.delta_residual`, and never materializes operators on the tensor cube.
-Two kernels build them: `comult_coeff_tensor` the tensor, which the
-transforms and the pairing axioms also read, and `comult_residual` the
-residual rho_delta, which only those checks read.  For a permutation W the
-tensor is read from W's inverse index maps in O(m^2 n^3), with no operator on
-the tensor square; the residual covers every entry of every delta(x_i) on both
-routes.
+One kernel builds both in one pass, `comult_coeff_tensor`, and the pair
+caches the two together as `qg.comult`.  On a permutation W with an
+indicator basis (every group model) it counts index pairs in O(n^3), with no
+product; every other basis forms each delta(x_i) once.  The residual covers
+every entry of every delta(x_i) on both routes.
 A check of a built pair is `check_*(qg, tol)`, or `check_*(qg, rng, tol)` on
 its *_SAMPLES random draws; `tol` is one float absolute bound.
 `check_unitarity(mu)` and `check_pentagon(mu, tol)` bound by 0, or by
@@ -43,8 +45,8 @@ transforms, convolutions and pairing of a group model never build one.
 A pair is derived from W only by `derive_pair`, in four stages handed to a
 runner, the pentagon first: `verify.run_suite` records each,
 `pair_from_unitary` raises at the first that fails.  A dense W's pentagon
-hands its M span, D and rho_delta on, so nothing is built twice; a span of
-more than n elements is handed on alone.
+hands both spans and (D, rho_delta) on, so nothing is built twice; when M
+spans more than n elements the spans are handed on alone.
 `pair_deviation` compares a given pair with it, and `pontryagin_check(mu)`
 bounds by 0 that the dual of What is W.
 """
@@ -72,7 +74,6 @@ from .linalg import (
     right_slicer,
     slice_family,
     slice_left,
-    span_basis,
     subspace_equal,
 )
 
@@ -84,9 +85,6 @@ ANTIPODE_SINGULAR_RTOL = 1e-10
 # Random draws of each sampled check.
 SHARP_SAMPLES = 20
 PRODUCT_LAW_SAMPLES = 5
-# A permutation W's coefficient-tensor residual is reconstructed in blocks of
-# rows holding at most this many entries.
-_RESIDUAL_BLOCK_ENTRIES = 1 << 15
 
 
 class InconsistentSlices(ValueError):
@@ -125,8 +123,8 @@ class MultiplicativeUnitary:
     W e_(s,t) = e_(sig, tau).  The kernels that use it are exact index
     computations: unitarity and the pentagon compare index tables, `dual`
     returns the permutation form of What, `comultiply` is a gather,
-    `comult_coeff_tensor` reads its coefficients from `inverse_perm`, and
-    `leg1_contraction` places W's n^2 entries.
+    `comult_coeff_tensor` counts the gather's entries on an indicator basis,
+    and `leg1_contraction` places W's n^2 entries.
     """
 
     def __init__(self, n: int, dense: np.ndarray | None = None,
@@ -204,10 +202,18 @@ class MultiplicativeUnitary:
         x.ravel()[src] for a permutation W; every other entry of delta(x) is 0.
 
         delta(x)[p, q] = [sig_p = sig_q] x[tau_p, tau_q] for flattened
-        p = s n + t, so only pairs with equal sig carry an entry.
+        p = s n + t, so only pairs with equal sig carry an entry.  The flat
+        indices are grouped by sig, and each p is paired with its own group
+        in ascending order: O(n^3) for a bijective W, with no n^2 x n^2 mask.
         """
         sig, tau = (a.ravel() for a in self.perm)
-        p, q = np.nonzero(sig[:, None] == sig[None, :])
+        members = np.argsort(sig, kind="stable")
+        size = np.bincount(sig, minlength=self.n)
+        first = np.cumsum(size) - size
+        reps = size[sig]
+        p = np.repeat(np.arange(sig.size), reps)
+        offset = np.arange(p.size) - np.repeat(np.cumsum(reps) - reps, reps)
+        q = members[first[sig[p]] + offset]
         return p * sig.size + q, tau[p] * self.n + tau[q]
 
     def unitarity_deviation(self) -> float:
@@ -250,7 +256,7 @@ def _pentagon_permutation_deviation(mu: MultiplicativeUnitary) -> float:
 def _coefficient_pentagon_deviation(mu: MultiplicativeUnitary, basis: np.ndarray,
                                     coeffs: np.ndarray, residual: float) -> float:
     """Entrywise bound on (delta (x) id)(W) - W13 W23 for a dense W, from its
-    orthonormal M basis, D = comult_coeff_tensor and rho_delta = comult_residual.
+    orthonormal M basis and (D, rho_delta) = comult_coeff_tensor.
 
     With B[k, (a x)] = x_k[a, x] and T[(a x), (c z)] = W[(a c), (x z)],
     Z = conj(B) @ T writes W = sum_i x_i (x) z_i up to rho_W = max|T - B^T Z|.
@@ -304,23 +310,23 @@ def _pentagon_blocks(mu: MultiplicativeUnitary):
 
 
 def _pentagon(mu: MultiplicativeUnitary, tol: float) -> tuple[CheckReport, tuple]:
-    """`check_pentagon`, with what a dense W's route builds on the way: its M
-    basis, then D and rho_delta if the span holds at most n elements; () for
-    a permutation W."""
+    """`check_pentagon`, with what a dense W's route builds on the way: the M
+    and Mhat bases (`slice_spans`), then (D, rho_delta) if the M span holds
+    at most n elements; () for a permutation W."""
     if mu.is_permutation:
         return CheckReport("pentagon", _pentagon_permutation_deviation(mu), 0.0, note="exact"), ()
-    basis = slice_span_m(mu, tol)
+    spans = slice_spans(mu, tol)
+    basis = spans[0]
     if basis.shape[0] > mu.n:
         dev = 0.0
         for dev in itertools.accumulate(_pentagon_blocks(mu), max):
             if dev > DENSE_W_TOL:
                 break
         note = f"M spans {basis.shape[0]} > n = {mu.n}: read in exact blocks"
-        return CheckReport("pentagon", dev, DENSE_W_TOL, note=note), (basis,)
-    coeffs = comult_coeff_tensor(mu, basis)
-    residual = comult_residual(mu, basis, coeffs)
-    dev = _coefficient_pentagon_deviation(mu, basis, coeffs, residual)
-    return CheckReport("pentagon", dev, DENSE_W_TOL), (basis, coeffs, residual)
+        return CheckReport("pentagon", dev, DENSE_W_TOL, note=note), (spans,)
+    comult = comult_coeff_tensor(mu, basis)
+    dev = _coefficient_pentagon_deviation(mu, basis, *comult)
+    return CheckReport("pentagon", dev, DENSE_W_TOL), (spans, comult)
 
 
 def check_pentagon(mu: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -356,28 +362,54 @@ def algebra_closure_deviation(basis: np.ndarray) -> float:
     return max(span.project(basis[:, None] @ basis[None, :])[1], span.project(adjoints)[1])
 
 
+def slice_spans(mu: MultiplicativeUnitary,
+                tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of M and Mhat from one SVD.
+
+    A = slice_family(W, n, 2), laid out as an n^2 x n^2 matrix, holds the
+    leg-2 slices as rows: A[(a b), (i j)] = W[(i b), (j a)].  Its column
+    (i j), read as an n x n matrix [a, b] and transposed, is the leg-1 slice
+    (E_ji (x) id)(W).  So with A = U S V^H, M is spanned by V^H[:r] and Mhat
+    by the columns U[:, :r], each transposed, for the one rank
+    r = rank(S, tol): rank A = rank A^T."""
+    n = mu.n
+    family = slice_family(mu.dense, n, 2).reshape(n * n, n * n)
+    u, svals, vh = np.linalg.svd(family, full_matrices=False)
+    r = rank(svals, tol)
+    mhat = np.ascontiguousarray(u[:, :r].T.reshape(r, n, n).transpose(0, 2, 1))
+    return vh[:r].reshape(r, n, n), mhat
+
+
 def slice_span_m(mu: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> np.ndarray:
-    return span_basis(slice_family(mu.dense, mu.n, 2), tol)
+    return slice_spans(mu, tol)[0]
 
 
 def slice_span_mhat(mu: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> np.ndarray:
-    return span_basis(slice_family(mu.dense, mu.n, 1), tol)
+    return slice_spans(mu, tol)[1]
+
+
+def _comultiplier(mu: MultiplicativeUnitary):
+    """The map x -> delta(x) = W^* (1 (x) x) W on C-contiguous n x n complex
+    x, with W laid out once for every x it is applied to.  For a permutation
+    W it is an O(n^4) gather; for a dense W, 1 (x) x is applied as a leg-2
+    contraction (n^5) and W^* as an n^2 x n^2 product (n^6)."""
+    n = mu.n
+    if mu.is_permutation:
+        dst, src = mu.comult_gather
+
+        def gathered(x: np.ndarray) -> np.ndarray:
+            out = np.zeros(n ** 4, dtype=complex)
+            out[dst] = x.ravel()[src]
+            return out.reshape(n * n, n * n)
+        return gathered
+    w = mu.dense
+    w_adj, w3 = w.conj().T, w.reshape(n, n, n * n)
+    return lambda x: w_adj @ (x @ w3).reshape(n * n, n * n)
 
 
 def comultiply(mu: MultiplicativeUnitary, x: np.ndarray) -> np.ndarray:
-    """delta(x) = W^* (1 (x) x) W.  For a permutation W it is an O(n^4)
-    gather; for a dense W, 1 (x) x is applied as a leg-2 contraction (n^5)
-    and W^* as an n^2 x n^2 product (n^6)."""
-    n = mu.n
-    x = as_complex_matrix(x, n, n)
-    if mu.is_permutation:
-        dst, src = mu.comult_gather
-        out = np.zeros(n ** 4, dtype=complex)
-        out[dst] = x.ravel()[src]
-        return out.reshape(n * n, n * n)
-    w = mu.dense
-    x_on_leg2 = (x @ w.reshape(n, n, n * n)).reshape(n * n, n * n)
-    return w.conj().T @ x_on_leg2
+    """delta(x) = W^* (1 (x) x) W, by `_comultiplier`."""
+    return _comultiplier(mu)(as_complex_matrix(x, mu.n, mu.n))
 
 
 def leg1_contraction(mu: MultiplicativeUnitary, v: np.ndarray) -> np.ndarray:
@@ -405,53 +437,38 @@ def _swap_legs(x: np.ndarray, n: int) -> np.ndarray:
     return x.reshape(n, n, n, n).transpose(1, 0, 3, 2).reshape(n * n, n * n)
 
 
-def comult_coeff_tensor(mu: MultiplicativeUnitary, basis: np.ndarray) -> np.ndarray:
-    """Coefficient tensor D of delta = comultiply(mu, .) over an orthonormal
-    basis: delta(x_i) = sum_{k,l} D[k, l, i] x_k (x) x_l up to the part of
-    delta(x_i) outside span (x) span, which `comult_residual` measures.
+def comult_coeff_tensor(mu: MultiplicativeUnitary,
+                        basis: np.ndarray) -> tuple[np.ndarray, float]:
+    """(D, rho_delta) of delta = comultiply(mu, .) on an orthonormal basis:
+    delta(x_i) = sum_{k,l} D[k, l, i] x_k (x) x_l up to a part outside
+    span (x) span, whose largest entry over every delta(x_i) is rho_delta.
 
-    With the flat basis B[k, (a c)] = x_k[a, c] and T[(a c), (b d)] =
-    delta(x_i)[(a b), (c d)], D[:, :, i] = (conj(B) @ T) @ conj(B)^T.  A
-    permutation W reads D from its index maps in O(m^2 n^3)
-    (`_gathered_coeff_tensor`); a dense W forms T and takes two products per
-    element."""
+    A permutation W on an indicator basis (`SpanKernel`'s index layout)
+    counts index pairs, O(n^3) (`_indexed_coeff_tensor`).  Every other basis
+    forms each T = delta(x_i) once, in [(a c), (b d)] order: on the flat basis
+    B[k, (a c)] = x_k[a, c], D[:, :, i] = (conj(B) @ T) @ conj(B)^T, and T is
+    compared with B^T @ (D[:, :, i] @ B) n rows at a time."""
     m = basis.shape[0]
     if m == 0:
-        return np.zeros((0, 0, 0), dtype=complex)
+        return np.zeros((0, 0, 0), dtype=complex), 0.0
     _require_leg_dimension(mu, basis)
+    basis = np.ascontiguousarray(basis, dtype=complex)
     if mu.is_permutation:
-        return _gathered_coeff_tensor(mu, np.ascontiguousarray(basis, dtype=complex))
-    flat_conj = basis.reshape(m, -1).conj()
+        span = SpanKernel(basis)
+        if span.layout == "index":
+            return _indexed_coeff_tensor(mu, span)
+    n, flat = mu.n, basis.reshape(m, -1)
+    flat_conj = flat.conj()
     coeffs = np.empty((m, m, m), dtype=complex)
+    recon, mag = np.empty((n, n * n), dtype=complex), np.empty((n, n * n))
+    worst = np.zeros((n, n * n))
     for i, t in enumerate(_comult_blocks(mu, basis)):
         coeffs[:, :, i] = (flat_conj @ t) @ flat_conj.T
-    return coeffs
-
-
-def comult_residual(mu: MultiplicativeUnitary, basis: np.ndarray, coeffs: np.ndarray) -> float:
-    """Largest entry of delta(x_i) - sum_{k,l} D[k, l, i] x_k (x) x_l over every
-    one of the n^4 entries of every delta(x_i), for D = coeffs: the membership
-    residual of delta(span) in span (x) span when D is `comult_coeff_tensor`.
-
-    It compares T with B^T @ (D[:, :, i] @ B), in the notation of
-    `comult_coeff_tensor`.  A permutation W builds the reconstruction in blocks
-    of rows and subtracts the n^3 nonzeros of delta(x_i) by index
-    (`_gathered_residual`); a dense W forms T again, n rows at a time."""
-    m = basis.shape[0]
-    if m == 0:
-        return 0.0
-    _require_leg_dimension(mu, basis)
-    if mu.is_permutation:
-        return _gathered_residual(mu, np.ascontiguousarray(basis, dtype=complex), coeffs)
-    n, flat = mu.n, basis.reshape(m, -1)
-    recon, mag = np.empty((n, n * n), dtype=complex), np.empty((n, n * n))
-    residual = 0.0
-    for i, t in enumerate(_comult_blocks(mu, basis)):
         cb = coeffs[:, :, i] @ flat
         for r in range(0, n * n, n):
             np.subtract(np.matmul(flat.T[r:r + n], cb, out=recon), t[r:r + n], out=recon)
-            residual = max(residual, float(np.abs(recon, out=mag).max()))
-    return residual
+            np.maximum(worst, np.abs(recon, out=mag), out=worst)
+    return coeffs, float(worst.max())
 
 
 def _require_leg_dimension(mu: MultiplicativeUnitary, basis: np.ndarray) -> None:
@@ -460,65 +477,43 @@ def _require_leg_dimension(mu: MultiplicativeUnitary, basis: np.ndarray) -> None
 
 
 def _comult_blocks(mu: MultiplicativeUnitary, basis: np.ndarray):
-    """T = delta(x_i) in [(a c), (b d)] order for each basis element x_i of a
-    dense W, each written into one reused n^4 buffer."""
-    n = mu.n
+    """T = delta(x_i) in [(a c), (b d)] order for each element x_i of a
+    C-contiguous basis, each written into one reused n^4 buffer."""
+    n, comult = mu.n, _comultiplier(mu)
     t4 = np.empty((n, n, n, n), dtype=complex)
     for x in basis:
-        np.copyto(t4, comultiply(mu, x).reshape(n, n, n, n).transpose(0, 2, 1, 3))
+        np.copyto(t4, comult(x).reshape(n, n, n, n).transpose(0, 2, 1, 3))
         yield t4.reshape(n * n, n * n)
 
 
-def _gathered_coeff_tensor(mu: MultiplicativeUnitary, basis: np.ndarray) -> np.ndarray:
-    """comult_coeff_tensor of a permutation W, with no operator on the tensor square.
-
-    With (s, t) = (s_of, t_of)[sig, tau] the pair that W sends to (sig, tau),
-    delta(x)[(s t)(sig, tau), (s t)(sig, tau')] = x[tau, tau'] and every other
-    entry is 0, so
-      D[k, l, i] = sum_{tau, tau'} Z[k, l, tau, tau'] x_i[tau, tau'],
-      Z[k, l, tau, tau'] = sum_sig conj(x_k[s(sig, tau), s(sig, tau')] x_l[t(sig, tau), t(sig, tau')]):
-    for each tau, one batch of n (m x n)(n x m) products over tau' and one
-    (m^2 x n)(n x m) product, O(m^2 n^3) in all."""
-    m, n = basis.shape[:2]
-    s_of, t_of = mu.inverse_perm
-    conj_cols = np.ascontiguousarray(basis.conj().transpose(1, 2, 0))           # [a, c, k]
-    d = np.zeros((m * m, m), dtype=complex)                                     # [(k l), i]
-    for tau in range(n):
-        xs = conj_cols[s_of[:, tau][None, :], s_of.T]                           # [tau', sig, k]
-        xt = conj_cols[t_of[:, tau][None, :], t_of.T]                           # [tau', sig, l]
-        z = np.matmul(xs.transpose(0, 2, 1), xt).reshape(n, m * m)              # [tau', (k l)]
-        d += z.T @ basis[:, tau, :].T
-    return d.reshape(m, m, m)
-
-
-def _gathered_residual(mu: MultiplicativeUnitary, basis: np.ndarray, coeffs: np.ndarray) -> float:
-    """comult_residual of a permutation W: B^T @ (D[:, :, i] @ B) in blocks of
-    rows of T, minus the n^3 nonzeros of delta(x_i), placed by
-    `mu.comult_gather`, in place."""
-    m, n = basis.shape[:2]
-    n2 = n * n
+def _indexed_coeff_tensor(mu: MultiplicativeUnitary, span: SpanKernel) -> tuple[np.ndarray, float]:
+    """comult_coeff_tensor of a permutation W on an indicator basis: x_k = c_k
+    on a support S_k of s entries.  Every nonzero of delta(x_i) is c_i at a
+    `comult_gather` entry with source in S_i, and x_k (x) x_l is c_k c_l on
+    the block S_k x S_l of entries [(a b), (c d)] with (a c) in S_k and (b d)
+    in S_l.  With count[k, l, i] the entries of delta(x_i) in that block,
+    D[k, l, i] = conj(c_k c_l) c_i count.  The projection onto a block is its
+    mean c_i count / s^2, so rho_delta is the largest of |c_i| off every
+    block, |c_i| (1 - count / s^2) on a block with count > 0 and
+    |c_i| count / s^2 on one with count < s^2."""
+    n = mu.n
+    m, s = span.support.shape
+    label = np.full(n * n, -1)
+    label[span.support] = np.arange(m)[:, None]
     dst, src = mu.comult_gather
-    a, b, c, e = np.unravel_index(dst, (n, n, n, n))
-    t_dst = (a * n + c) * n2 + b * n + e                                        # into T[(a c), (b e)]
-    order = np.argsort(t_dst)
-    t_dst, src = t_dst[order], src[order]
-    rows = max(1, min(n2, _RESIDUAL_BLOCK_ENTRIES // n2))
-    starts = range(0, n2, rows)
-    bounds = np.searchsorted(t_dst, [r * n2 for r in starts] + [n2 * n2])
-    flat = basis.reshape(m, n2)
-    flat_t = np.ascontiguousarray(flat.T)
-    recon, mag = np.empty((rows, n2), dtype=complex), np.empty((rows, n2))
-    residual = 0.0
-    for i in range(m):
-        cb = coeffs[:, :, i] @ flat
-        x = basis[i].reshape(n2)
-        for j, r in enumerate(starts):
-            block = recon[:min(rows, n2 - r)]
-            np.matmul(flat_t[r:r + rows], cb, out=block)
-            lo, hi = bounds[j], bounds[j + 1]
-            block.reshape(-1)[t_dst[lo:hi] - r * n2] -= x[src[lo:hi]]
-            residual = max(residual, float(np.abs(block, out=mag[:len(block)]).max()))
-    return residual
+    i = label[src]
+    dst, i = dst[i >= 0], i[i >= 0]
+    a, b, c, d = np.unravel_index(dst, (n, n, n, n))
+    k, l = label[a * n + c], label[b * n + d]
+    on = (k >= 0) & (l >= 0)
+    count = np.bincount(((k * m + l) * m + i)[on], minlength=m ** 3).reshape(m, m, m)
+    c_k = span.values
+    coeffs = (c_k[:, None] * c_k[None, :]).conj()[:, :, None] * c_k * count
+    size, fill = np.abs(c_k), count / (s * s)
+    residual = max(max_abs(size[i[~on]]),
+                   max_abs(np.where(count > 0, size * (1 - fill), 0.0)),
+                   max_abs(np.where(count < s * s, size * fill, 0.0)))
+    return coeffs, residual
 
 
 def check_coassociativity(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -704,12 +699,13 @@ class QuantumGroupPair:
     carrier space; the object all Fourier and pairing operations consume.
 
     Instances are immutable after construction; cached derived data
-    (the comultiplication coefficient tensor, the dual pair, and the tables of
-    the Fourier transform, convolution and pairing on the bases) is computed
-    once on first use, or handed on by `derive_pair`.  The membership residual
-    of that tensor, `delta_residual`, is cached apart, and only the
-    coassociativity and invariance checks read it; the transforms read
-    `delta_coeffs` alone.  No
+    (the comultiplication data, the dual pair, and the tables of the Fourier
+    transform, convolution and pairing on the bases) is computed once on
+    first use, or handed on by `derive_pair`.  The comultiplication data is
+    `comult` = (D, rho_delta), one `comult_coeff_tensor` pass, read as
+    `delta_coeffs` (which the transforms and the checks read) and
+    `delta_residual` (which the coassociativity and invariance checks add to
+    their deviations).  No
     dense W is cached here: `w` and `w4` read `mu.dense`, and the Fourier and
     pairing tables read W through `leg1_contraction`, so on a permutation W
     they build no dense W.  `dual` is the pair of What with M and Mhat
@@ -746,12 +742,17 @@ class QuantumGroupPair:
                                 self.phihat, self.phi, self.shat_mat, self.s_mat)
 
     @cached_property
-    def delta_coeffs(self) -> np.ndarray:
+    def comult(self) -> tuple[np.ndarray, float]:
+        """(D, rho_delta) on the M basis, from one `comult_coeff_tensor` pass."""
         return comult_coeff_tensor(self.mu, self.m_basis)
 
-    @cached_property
+    @property
+    def delta_coeffs(self) -> np.ndarray:
+        return self.comult[0]
+
+    @property
     def delta_residual(self) -> float:
-        return comult_residual(self.mu, self.m_basis, self.delta_coeffs)
+        return self.comult[1]
 
     @property
     def delta_hat_coeffs(self) -> np.ndarray:
@@ -835,12 +836,13 @@ def derive_pair(mu: MultiplicativeUnitary, run, tol: float = DEFAULT_TOL) -> Qua
     """The pair of a unitary W, derived in four stages, each run as run(stage,
     fn): fn() returns the stage's CheckReport, and run returns whether it
     passed.  pentagon checks W (`check_pentagon`), algebra-generation spans M
-    and Mhat and bounds their closure, haar-weights recovers both implementing
-    vectors, antipode-assembly fits both antipodes.  A dense W's pentagon
-    hands on the M span, D and rho_delta it builds (the span alone when it
-    has more than n elements): algebra-generation reuses the span, and the
-    pair starts with `delta_coeffs` and `delta_residual` cached.  None after
-    the first stage that fails."""
+    and Mhat (`slice_spans`, one SVD) and bounds their closure, haar-weights
+    recovers both implementing vectors, antipode-assembly fits both
+    antipodes.  A dense W's pentagon hands on the two spans and the
+    (D, rho_delta) it builds (the spans alone when M has more than n
+    elements): algebra-generation reuses the spans and runs no SVD, and the
+    pair starts with `comult` cached.  None after the first stage that
+    fails."""
     built, spans, weights, fits = [], [], [], []
 
     def pentagon() -> CheckReport:
@@ -848,7 +850,7 @@ def derive_pair(mu: MultiplicativeUnitary, run, tol: float = DEFAULT_TOL) -> Qua
         return report
 
     def generation() -> CheckReport:
-        spans[:] = (built[0] if built else slice_span_m(mu, tol)), slice_span_mhat(mu, tol)
+        spans[:] = built[0] if built else slice_spans(mu, tol)
         return CheckReport("algebra-generation", max(map(algebra_closure_deviation, spans)), tol)
 
     def haar_weights() -> CheckReport:
@@ -867,7 +869,7 @@ def derive_pair(mu: MultiplicativeUnitary, run, tol: float = DEFAULT_TOL) -> Qua
     (s_mat, _), (shat_mat, _) = fits
     qg = QuantumGroupPair(mu, *spans, *weights, s_mat, shat_mat)
     if built[1:]:
-        qg.delta_coeffs, qg.delta_residual = built[1:]
+        qg.comult = built[1]
     return qg
 
 
@@ -882,8 +884,8 @@ def _require(stage: str, fn) -> bool:
 
 def pair_from_unitary(w, tol: float = DEFAULT_TOL) -> QuantumGroupPair:
     """The pair of W, through the suite's structural stages at their bounds:
-    unitarity, then `derive_pair`, whose first stage is the pentagon.  Each
-    span, D and rho_delta is built at most once.  ValueError names the first
+    unitarity, then `derive_pair`, whose first stage is the pentagon.  The
+    spans come from one SVD, and (D, rho_delta) from at most one pass.  ValueError names the first
     stage that fails and its deviation; WeightDerivationError and
     InconsistentSlices propagate from haar-weights and antipode-assembly."""
     mu = w if isinstance(w, MultiplicativeUnitary) else MultiplicativeUnitary.from_dense(w)

@@ -4,6 +4,7 @@ exercised on group models (exact) and on generic dense unitaries (derived)."""
 
 import gc
 import importlib.util
+import tempfile
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -36,7 +37,6 @@ from qgft.engine import (
     check_slice_product_laws,
     check_w_membership,
     comult_coeff_tensor,
-    comult_residual,
     comultiply,
     derive_haar_vectors,
     derive_pair,
@@ -50,11 +50,13 @@ from qgft.engine import (
     sharp,
     slice_span_m,
     slice_span_mhat,
+    slice_spans,
 )
 from qgft.fourier import check_inversion, check_pairing_axioms, inverse_fourier
 from qgft.linalg import (
     Functional,
     deviation,
+    flat_rows,
     flip,
     kron,
     leg_embed,
@@ -317,7 +319,6 @@ def test_failing_dense_pentagon_stops_at_its_first_failing_block(label, monkeypa
         raise AssertionError("built D or rho_delta")
 
     monkeypatch.setattr(engine, "comult_coeff_tensor", refuse)
-    monkeypatch.setattr(engine, "comult_residual", refuse)
     blocks, kernel = [], engine._pentagon_blocks
     monkeypatch.setattr(engine, "_pentagon_blocks",
                         lambda mu: (blocks.append(dev) or dev for dev in kernel(mu)))
@@ -381,6 +382,31 @@ def test_generate_z2_spans():
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     group_algebra = span_basis([np.eye(2), swap])
     assert subspace_equal(mhat, group_algebra) <= 1e-10
+
+
+def snapshot_unitaries():
+    """(label, W) for every `tools/suite_snapshot.py` source and its dual."""
+    with tempfile.TemporaryDirectory() as tmp:
+        seen = set()
+        for name, _, source in suite_snapshot.sources(Path(tmp)):
+            mu = source.qg.mu if isinstance(source, models.GroupModel) else \
+                source.mu if isinstance(source, QuantumGroupPair) else \
+                MultiplicativeUnitary.from_dense(np.asarray(source))
+            if name not in seen:
+                seen.add(name)
+                yield from ((name, mu), (f"{name}/dual", mu.dual))
+
+
+def test_one_svd_spans_mhat_on_every_snapshot_source():
+    # Mhat from U of the leg-2 family's SVD is an orthonormal basis of the
+    # leg-1 family's span, with the rank of M
+    for label, mu in snapshot_unitaries():
+        m, mhat = slice_spans(mu)
+        leg1 = span_basis(slice_family(mu.dense, mu.n, 1))
+        assert subspace_equal(mhat, leg1) <= 1e-14, label
+        gram = flat_rows(mhat) @ flat_rows(mhat).conj().T
+        assert deviation(gram, np.eye(len(mhat))) <= 1e-14, label
+        assert len(mhat) == len(m) == len(leg1), label
 
 
 def test_generate_identity_w_gives_scalars():
@@ -551,12 +577,50 @@ def test_coeff_tensor_matches_einsum_formulas(label, side):
         else model(parse_group_spec(label)).qg
     qg = qg.dual if side == "dual" else qg
     basis = qg.m_basis[:-1] if side == "dropped" else qg.m_basis
-    coeffs = comult_coeff_tensor(qg.mu, basis)
-    residual = comult_residual(qg.mu, basis, coeffs)
+    coeffs, residual = comult_coeff_tensor(qg.mu, basis)
     want_coeffs, want_residual = einsum_coeff_tensor(qg.mu, basis)
     assert np.max(np.abs(coeffs - want_coeffs)) <= 1e-13
     assert residual == pytest.approx(want_residual, abs=1e-13)
     assert (residual > 0.1) == (side == "dropped")
+
+
+def two_pass_coeff_tensor(mu, basis):
+    """The dense route as two passes, each forming every delta(x_i) through
+    `comultiply`: D by (conj(B) @ T) @ conj(B)^T, then rho_delta by
+    B^T @ (D[:, :, i] @ B) - T, n rows at a time."""
+    m, n = basis.shape[0], mu.n
+    flat = basis.reshape(m, -1)
+
+    def blocks():
+        for x in basis:
+            yield np.ascontiguousarray(
+                comultiply(mu, x).reshape(n, n, n, n).transpose(0, 2, 1, 3)).reshape(n * n, n * n)
+
+    coeffs = np.empty((m, m, m), dtype=complex)
+    for i, t in enumerate(blocks()):
+        coeffs[:, :, i] = (flat.conj() @ t) @ flat.conj().T
+    residual = 0.0
+    for i, t in enumerate(blocks()):
+        cb = coeffs[:, :, i] @ flat
+        for r in range(0, n * n, n):
+            residual = max(residual, float(np.abs(flat.T[r:r + n] @ cb - t[r:r + n]).max()))
+    return coeffs, residual
+
+
+@pytest.mark.parametrize("label", ["transported-dihedral3", "transported-dihedral6",
+                                   "dual-cyclic12"])
+def test_dense_coefficient_pass_equals_the_two_pass_route(label):
+    # one pass forms each delta(x_i) once and reads D and rho_delta from it,
+    # with the arithmetic of the two passes it replaces, so both are equal
+    # bit for bit and the dense pentagon deviations do not move
+    w = transported_dihedral3() if label == "transported-dihedral3" else \
+        dict(suite_snapshot.dense_unitaries(11))[label]
+    qg = pair_from_unitary(w)
+    for pair in (qg, qg.dual):
+        coeffs, residual = comult_coeff_tensor(pair.mu, pair.m_basis)
+        want_coeffs, want_residual = two_pass_coeff_tensor(pair.mu, pair.m_basis)
+        assert np.array_equal(coeffs, want_coeffs) and residual == want_residual
+        assert np.array_equal(pair.delta_coeffs, coeffs) and pair.delta_residual == residual
 
 
 def rotated(basis, seed):
@@ -567,25 +631,106 @@ def rotated(basis, seed):
     return (u @ basis.reshape(m, -1)).reshape(basis.shape)
 
 
+def spy_index_route(monkeypatch) -> list:
+    """The bases that `comult_coeff_tensor` sends to the index route."""
+    calls, kernel = [], engine._indexed_coeff_tensor
+    monkeypatch.setattr(engine, "_indexed_coeff_tensor",
+                        lambda mu, span: calls.append(span) or kernel(mu, span))
+    return calls
+
+
+def assert_matches_the_dense_route(mu, basis, got):
+    """got = (D, rho_delta) of the permutation W mu agrees with the dense
+    route on mu's dense W within 1e-13."""
+    want_coeffs, want_residual = comult_coeff_tensor(MultiplicativeUnitary.from_dense(mu.dense),
+                                                     basis)
+    assert np.max(np.abs(got[0] - want_coeffs), initial=0.0) <= 1e-13
+    assert abs(got[1] - want_residual) <= 1e-13
+
+
 @pytest.mark.parametrize("kind", ["exact", "rotated", "dropped", "rotated-dropped"])
 @pytest.mark.parametrize("side", ["pair", "dual"])
 @pytest.mark.parametrize("spec", ["dihedral:6", "s4"])
-def test_permutation_coeff_tensor_matches_the_dense_route(spec, side, kind):
+def test_permutation_coeff_tensor_matches_the_dense_route(spec, side, kind, monkeypatch):
+    # an indicator basis takes the index route and agrees with the dense
+    # route on the dense W; a rotated basis takes the dense route itself, on
+    # delta(x) gathered from the index maps, and its D is the exact basis's D
+    # carried over by the rotation u: x'_k = sum_j u[k, j] x_j
     qg = model(parse_group_spec(spec)).qg
     qg = qg.dual if side == "dual" else qg
     basis = rotated(qg.m_basis, 3) if kind.startswith("rotated") else qg.m_basis
     basis = basis[:-1] if kind.endswith("dropped") else basis
-    coeffs = comult_coeff_tensor(qg.mu, basis)
-    residual = comult_residual(qg.mu, basis, coeffs)
-    dense_mu = MultiplicativeUnitary.from_dense(qg.mu.dense)
-    want_coeffs = comult_coeff_tensor(dense_mu, basis)
-    want_residual = comult_residual(dense_mu, basis, want_coeffs)
-    assert np.max(np.abs(coeffs - want_coeffs)) <= 1e-13
-    assert abs(residual - want_residual) <= 1e-13
+    routes = spy_index_route(monkeypatch)
+    coeffs, residual = comult_coeff_tensor(qg.mu, basis)
+    assert len(routes) == (0 if kind.startswith("rotated") else 1)
+    if kind.startswith("rotated"):
+        m = qg.m_basis.shape[0]
+        u = basis.reshape(len(basis), -1) @ qg.m_basis.reshape(m, -1).conj().T
+        exact = qg.delta_coeffs
+        carried = np.einsum("ia,kb,lc,bca->kli", u, u.conj(), u.conj(), exact, optimize=True)
+        assert np.max(np.abs(coeffs - carried)) <= 1e-13
+        assert qg.mu._dense is None
+    else:
+        assert_matches_the_dense_route(qg.mu, basis, (coeffs, residual))
     # delta(L_g) = L_g (x) L_g on the dual's exact basis, so dropping one of
     # its elements leaves the others inside span (x) span
     leaves_span = kind == "rotated-dropped" or (kind == "dropped" and side == "pair")
     assert (residual > 0.01) == leaves_span
+    assert (residual == 0.0) == (kind == "exact" or (kind == "dropped" and side == "dual"))
+
+
+def coarsened(basis, seed):
+    """Consecutive pairs of basis elements, summed, normalised and each
+    turned by a seeded phase: an indicator basis with complex constants whose
+    span delta leaves, so blocks S_k x S_l are partly filled."""
+    m = basis.shape[0] // 2 * 2
+    pairs = (basis[0:m:2] + basis[1:m:2]) / np.sqrt(2)
+    return pairs * np.exp(2j * np.pi * np.random.default_rng(seed).random(len(pairs)))[:, None, None]
+
+
+@pytest.mark.parametrize("spec", [spec for spec in suite_snapshot.GROUP_SPECS
+                                  if spec not in ("dihedral:6", "s4")])
+def test_index_route_matches_the_dense_route_on_every_group_model(spec, monkeypatch):
+    # dihedral:6 and s4 are the exact and dropped rows of the test above
+    qg = model(parse_group_spec(spec)).qg
+    routes = spy_index_route(monkeypatch)
+    for pair in (qg, qg.dual):
+        exact = comult_coeff_tensor(pair.mu, pair.m_basis)
+        assert_matches_the_dense_route(pair.mu, pair.m_basis, exact)
+        assert exact[1] == 0.0
+        for basis in (pair.m_basis[:-1], coarsened(pair.m_basis, 5)):
+            assert_matches_the_dense_route(pair.mu, basis, comult_coeff_tensor(pair.mu, basis))
+    assert len(routes) == (6 if qg.n > 1 else 2)    # an empty basis returns first
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_index_route_matches_the_dense_route_on_random_permutations(seed, monkeypatch):
+    # any bijection of basis pairs, not only a group's, and random indicator
+    # bases with complex constants, covering the n^2 entries in full or in
+    # part, so blocks are empty, partly or fully filled
+    rng = np.random.default_rng(seed)
+    n = 4
+    sig, tau = np.divmod(rng.permutation(n * n).reshape(n, n), n)
+    mu = MultiplicativeUnitary.from_permutation(sig, tau)
+    routes = spy_index_route(monkeypatch)
+    for m, s in ((16, 1), (8, 2), (4, 4), (5, 3), (3, 2)):
+        support = rng.permutation(n * n)[:m * s].reshape(m, s)
+        basis = np.zeros((m, n * n), dtype=complex)
+        phases = np.exp(2j * np.pi * rng.random(m)) / np.sqrt(s)
+        basis[np.arange(m)[:, None], support] = phases[:, None]
+        basis = basis.reshape(m, n, n)
+        assert_matches_the_dense_route(mu, basis, comult_coeff_tensor(mu, basis))
+    assert len(routes) == 5
+
+
+def test_index_route_reads_the_empty_entry_of_a_block_more_than_half_full():
+    # on this non-bijective map delta(x) fills 3 of the 4 entries of its one
+    # block, so the largest residual is the block mean at the empty entry
+    mu = MultiplicativeUnitary.from_permutation([[0, 1], [0, 0]], [[0, 1], [1, 1]])
+    basis = np.array([[[1.0, 1.0], [0.0, 0.0]]]) / np.sqrt(2)
+    got = comult_coeff_tensor(mu, basis)
+    assert got[1] == pytest.approx(0.75 / np.sqrt(2), abs=1e-15)
+    assert_matches_the_dense_route(mu, basis, got)
 
 
 def permutation_and_dense(spec):
@@ -597,8 +742,7 @@ def permutation_and_dense(spec):
 def test_coeff_tensor_of_an_empty_basis(route):
     mu = permutation_and_dense("s3")[route]
     for basis in (np.zeros((0, 6, 6), dtype=complex), np.zeros((0, 0, 0), dtype=complex)):
-        coeffs = comult_coeff_tensor(mu, basis)
-        residual = comult_residual(mu, basis, coeffs)
+        coeffs, residual = comult_coeff_tensor(mu, basis)
         assert coeffs.shape == (0, 0, 0) and residual == 0.0
 
 
@@ -611,7 +755,8 @@ def test_coeff_tensor_rejects_a_basis_of_another_leg_dimension(route):
 
 @pytest.mark.parametrize("side", ["pair", "dual"])
 def test_permutation_coeff_tensor_memory_peak_on_s4(side):
-    # the dense route holds two n^4 operators per element, 11.3 MiB at n = 24
+    # s4's indicator bases take the index route; the dense route holds two
+    # n^4 operators per element, 11.3 MiB at n = 24
     qg = model(groups.symmetric(4)).qg
     pair = qg.dual if side == "dual" else qg
 
@@ -625,8 +770,7 @@ def test_permutation_coeff_tensor_memory_peak_on_s4(side):
         assert peak <= 10 * 2 ** 20
         return result
 
-    coeffs = traced(lambda: comult_coeff_tensor(pair.mu, pair.m_basis))
-    traced(lambda: comult_residual(pair.mu, pair.m_basis, coeffs))
+    traced(lambda: comult_coeff_tensor(pair.mu, pair.m_basis))
 
 
 def test_coeff_tensors_of_a_permutation_w_build_no_dense_w():
@@ -672,26 +816,31 @@ def test_tables_of_a_permutation_w_equal_those_of_its_dense_w():
         assert np.array_equal(qg.pairing_table, dense.pairing_table), label
 
 
-def test_only_the_checks_build_the_coeff_residual(monkeypatch):
+def test_one_coefficient_pass_per_side_per_pair(monkeypatch):
+    # D and rho_delta come from one comult_coeff_tensor call per side, cached
+    # as the pair's `comult`: the dense W's pentagon hands its M side on, and
+    # the transforms, the residual and the checks all read that one call
     calls = []
-    residual = engine.comult_residual
-    monkeypatch.setattr(engine, "comult_residual",
-                        lambda *args: calls.append(args) or residual(*args))
+    kernel = engine.comult_coeff_tensor
+    monkeypatch.setattr(engine, "comult_coeff_tensor",
+                        lambda mu, basis: calls.append(mu) or kernel(mu, basis))
     rng = np.random.default_rng(9)
     pairs = model(groups.symmetric(4)).qg, pair_from_unitary(transported_dihedral3())
-    assert len(calls) == 1                                  # the dense W's pentagon
-    calls.clear()
+    assert calls == [pairs[1].mu]                           # the dense W's pentagon
     for qg in pairs:
         a, c = (linalg.random_element(rng, qg.span) for _ in range(2))
         b, d = (linalg.random_element(rng, qg.dual.span) for _ in range(2))
         ft.fourier(qg, a), ft.inverse_fourier(qg, b), ft.pairing(qg, b, a)
         ft.convolve(qg, a, c), ft.convolve_direct(qg, a, c)
         ft.convolve_dual(qg, b, d), ft.convolve_dual_direct(qg, b, d)
-    assert calls == []
+        qg.delta_residual, qg.dual.delta_residual
+    sides = [mu for qg in pairs for mu in (qg.mu, qg.mu.dual)]
+    assert sorted(map(id, calls)) == sorted(map(id, sides))
 
+    calls.clear()
     mdl = model(groups.symmetric(4))
     assert run_suite(mdl).passed
-    assert len(calls) == 2                                  # once per side
+    assert sorted(map(id, calls)) == sorted(map(id, [mdl.qg.mu, mdl.qg.mu.dual]))
     mdl.qg.delta_residual, mdl.qg.dual.delta_residual
     assert len(calls) == 2
 
@@ -1202,6 +1351,29 @@ def test_dual_of_a_non_bijective_permutation_raises():
     mu = MultiplicativeUnitary.from_permutation([[0, 0], [1, 1]], [[0, 0], [1, 1]])
     with pytest.raises(ValueError, match="bijection"):
         mu.dual
+
+
+@pytest.mark.parametrize("label", ["s4", "non-bijective", "random-map"])
+def test_comult_gather_pairs_every_entry_of_equal_sig(label):
+    # grouping the flat indices by sig gives the pairs of the n^2 x n^2 mask
+    # sig_p == sig_q in its order, and delta(x) = W^* (1 (x) x) W holds for any
+    # index map, a bijection or not
+    if label == "s4":
+        mu = model(groups.symmetric(4)).qg.mu
+    elif label == "non-bijective":
+        mu = MultiplicativeUnitary.from_permutation([[0, 0], [1, 1]], [[0, 0], [1, 1]])
+    else:
+        rng = np.random.default_rng(13)
+        mu = MultiplicativeUnitary.from_permutation(*rng.integers(0, 5, (2, 5, 5)))
+    n = mu.n
+    sig, tau = (a.ravel() for a in mu.perm)
+    p, q = np.nonzero(sig[:, None] == sig[None, :])
+    dst, src = mu.comult_gather
+    np.testing.assert_array_equal(dst, p * n * n + q)
+    np.testing.assert_array_equal(src, tau[p] * n + tau[q])
+    x = linalg.random_complex(np.random.default_rng(14), (n, n))
+    np.testing.assert_allclose(comultiply(mu, x),
+                               mu.dense.conj().T @ kron(np.eye(n), x) @ mu.dense, atol=1e-13)
 
 
 def test_dual_pair_holds_no_reference_back():

@@ -19,13 +19,14 @@ def test_kernel_times_on_s3(monkeypatch, capsys):
     dense = []
     for label in ("transported-dihedral6", "dual-cyclic12"):
         dense += [(kernel, label, "") for kernel in (
-            "write_json", "load_unitary", "check_pentagon", "slice_span_m", "slice_span_mhat",
-            "pair_from_unitary", "check_antipode")]
-        dense += [(kernel, label, side) for side in ("M", "Mhat") for kernel in projections]
+            "write_json", "load_unitary", "check_pentagon", "slice_spans", "slice_span_m",
+            "slice_span_mhat", "pair_from_unitary", "check_antipode")]
+        dense += [(kernel, label, side) for side in ("M", "Mhat")
+                  for kernel in ("comult_coeff_tensor", *projections)]
         dense += [("pontryagin_check", label, ""), ("run_suite", label, "")]
     sides = [(kernel, "s3", side) for side in ("M", "Mhat")
-             for kernel in ("comult_coeff_tensor", "comult_residual", "fourier_table",
-                            "pairing_table", *projections)]
+             for kernel in ("comult_coeff_tensor", "fourier_table", "pairing_table",
+                            *projections)]
     assert names == [*sides,
                      ("check_pairing_axioms", "s3", ""), ("pontryagin_check", "s3", ""),
                      *dense, ("run_suite", "s3", "")]

@@ -84,35 +84,57 @@ def test_suite_fits_each_antipode_once(source, monkeypatch):
     assert len(calls) == 2
 
 
-KERNELS = ("slice_span_m", "slice_span_mhat", "comult_coeff_tensor", "comult_residual")
+KERNELS = ("slice_spans", "slice_span_m", "slice_span_mhat", "comult_coeff_tensor")
 
 
 def count_builds(monkeypatch) -> dict:
-    """Calls of each span and comultiplication kernel, with the unitary each took."""
-    calls = {name: [] for name in KERNELS}
+    """Calls of each span and comultiplication kernel, with the unitary each
+    took, and under "svd" the shape of every SVD of an n^2 x n^2 matrix: a
+    slice family."""
+    calls = {name: [] for name in (*KERNELS, "svd")}
     for name in KERNELS:
         def counted(mu, *args, name=name, built=getattr(engine, name)):
             calls[name].append(mu)
             return built(mu, *args)
         monkeypatch.setattr(engine, name, counted)
+    svd = np.linalg.svd
+
+    def counted_svd(a, *args, **kwargs):
+        side = round(a.shape[0] ** 0.5)
+        if a.shape == (side * side, side * side):
+            calls["svd"].append(a.shape)
+        return svd(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
     return calls
 
 
 def test_nothing_is_built_twice_on_a_dense_w(monkeypatch):
-    # the pentagon builds the M span, D and rho_delta; algebra-generation and
-    # the derived pair reuse them, and the dual side builds its own once
+    # one slice-family SVD per derivation gives both spans, which the pentagon
+    # hands on with (D, rho_delta); the dual side builds its own once
     w = np.asarray(models.build(groups.dihedral(3)).qg.w)
     calls = count_builds(monkeypatch)
     report = run_suite(w)
     assert report.passed
-    assert [len(calls["slice_span_m"]), len(calls["slice_span_mhat"])] == [1, 1]
-    for name in ("comult_coeff_tensor", "comult_residual"):
-        mu = calls[name][0]
-        assert calls[name] == [mu, mu.dual], name
+    assert calls["svd"] == [(36, 36)]
+    assert [len(calls[name]) for name in KERNELS[:3]] == [1, 0, 0]
+    mu = calls["comult_coeff_tensor"][0]
+    assert calls["comult_coeff_tensor"] == [mu, mu.dual]
 
     calls = count_builds(monkeypatch)
     engine.pair_from_unitary(w)
-    assert all(len(calls[name]) <= 1 for name in KERNELS), calls
+    assert calls["svd"] == [(36, 36)] and len(calls["slice_spans"]) == 1
+    assert len(calls["comult_coeff_tensor"]) == 1, calls
+
+
+def test_a_group_model_derivation_runs_one_slice_family_svd(monkeypatch):
+    # the exact pentagon builds no span, so algebra-generation runs the one
+    # SVD; the model's pair builds (D, rho_delta) once per side
+    mdl = models.build(groups.dihedral(3))
+    calls = count_builds(monkeypatch)
+    assert run_suite(mdl).passed
+    assert calls["svd"] == [(36, 36)]
+    assert [len(calls[name]) for name in KERNELS[:3]] == [1, 0, 0]
+    assert calls["comult_coeff_tensor"] == [mdl.qg.mu, mdl.qg.mu.dual]
 
 
 def test_suite_on_transported_unitary():
@@ -160,7 +182,7 @@ def test_suite_reports_an_engine_error_as_a_failed_stage(monkeypatch):
     def refuse(*args):
         raise ValueError("no span today")
 
-    monkeypatch.setattr(engine, "slice_span_m", refuse)
+    monkeypatch.setattr(engine, "slice_spans", refuse)
     report = run_suite(np.asarray(models.build(groups.cyclic(3)).qg.w))
     assert report.first_failed == "pentagon"
     assert [c.name for c in report.checks] == ["unitarity", "pentagon"]

@@ -7,9 +7,9 @@ Prints JSON with one record per kernel and source: the best of 5 timed calls
 from the repository root; it imports the package from `src/`, so running the
 same file from a copy of another commit measures that commit.  The kernels are
 
-* `comult_coeff_tensor` on each group SPEC, on its M basis (side M) and on
-  the dual's (side Mhat), each followed by `comult_residual` of that side's
-  tensor, then the `fourier_table` and `pairing_table` of that side, each
+* `comult_coeff_tensor` (D and rho_delta in one pass) on each group SPEC,
+  on its M basis (side M) and on the dual's (side Mhat), then the
+  `fourier_table` and `pairing_table` of that side, each
   built on a fresh `QuantumGroupPair` of the side's fields, so no call finds
   the table cached, then one `require_in_m` and one `fourier` call of the
   side (the span kernel and the table built before timing) on a seeded
@@ -20,8 +20,9 @@ same file from a copy of another commit measures that commit.  The kernels are
 * on the two n = 12 dense unitaries of the verify-dense benchmark workload
   (workload seed 11): `cli.write_json` of each one's `matrix_to_json` to a
   temporary file and `cli.load_unitary` of that file, then `check_pentagon`,
-  `slice_span_m`, `slice_span_mhat` and `pair_from_unitary`, then
-  `check_antipode` on the pair derived from each, `require_in_m` and
+  `slice_spans` (both spans from one SVD), the one-side `slice_span_m` and
+  `slice_span_mhat` and `pair_from_unitary`, then `check_antipode` on the
+  pair derived from each, `comult_coeff_tensor`, `require_in_m` and
   `fourier` on its M and Mhat sides as above, `pontryagin_check` on W, and
   `run_suite` on W at suite seed 11;
 * `run_suite` on each group SPEC at suite seed 11, on a freshly built model
@@ -78,6 +79,12 @@ def fresh(qg: engine.QuantumGroupPair) -> engine.QuantumGroupPair:
                                    qg.s_mat, qg.shat_mat)
 
 
+def coeff_tensor(pair: engine.QuantumGroupPair, source: str, side: str):
+    """(kernel, source, side, call) for `comult_coeff_tensor` on pair's M basis."""
+    return ("comult_coeff_tensor", source, side,
+            lambda: engine.comult_coeff_tensor(pair.mu, pair.m_basis))
+
+
 def projections(pair: engine.QuantumGroupPair, source: str, side: str):
     """(kernel, source, side, call) for one `require_in_m` and one `fourier`
     call on pair, the pair of one side, with its caches filled first."""
@@ -93,11 +100,7 @@ def kernels(groups: list):
     for spec, group in groups:
         qg = models.build(group).qg
         for side, pair in (("M", qg), ("Mhat", qg.dual)):
-            yield ("comult_coeff_tensor", spec, side,
-                   lambda pair=pair: engine.comult_coeff_tensor(pair.mu, pair.m_basis))
-            yield ("comult_residual", spec, side,
-                   lambda pair=pair, d=pair.delta_coeffs:
-                   engine.comult_residual(pair.mu, pair.m_basis, d))
+            yield coeff_tensor(pair, spec, side)
             for table in ("fourier_table", "pairing_table"):
                 yield table, spec, side, lambda pair=pair, table=table: getattr(fresh(pair), table)
             yield from projections(pair, spec, side)
@@ -111,12 +114,14 @@ def kernels(groups: list):
             yield "load_unitary", label, "", lambda path=path: cli.load_unitary(path)
             mu = engine.MultiplicativeUnitary.from_dense(w)
             yield "check_pentagon", label, "", lambda mu=mu: engine.check_pentagon(mu)
+            yield "slice_spans", label, "", lambda mu=mu: engine.slice_spans(mu)
             yield "slice_span_m", label, "", lambda mu=mu: engine.slice_span_m(mu)
             yield "slice_span_mhat", label, "", lambda mu=mu: engine.slice_span_mhat(mu)
             yield "pair_from_unitary", label, "", lambda w=w: engine.pair_from_unitary(w)
             qg = engine.pair_from_unitary(w)
             yield "check_antipode", label, "", lambda qg=qg: engine.check_antipode(qg)
             for side, pair in (("M", qg), ("Mhat", qg.dual)):
+                yield coeff_tensor(pair, label, side)
                 yield from projections(pair, label, side)
             yield "pontryagin_check", label, "", lambda mu=mu: engine.pontryagin_check(mu)
             yield "run_suite", label, "", lambda w=w: run_suite(w, seed=SUITE_SEED)
