@@ -30,8 +30,11 @@ caches the two together as `qg.comult`.  On a permutation W with an
 indicator basis (every group model) it counts index pairs in O(n^3), with no
 product; every other basis forms each delta(x_i) once.  The residual covers
 every entry of every delta(x_i) on both routes.
-A check of a built pair is `check_*(qg, tol)`, or `check_*(qg, rng, tol)` on
-its *_SAMPLES random draws; `tol` is one float absolute bound.
+A check of a built pair is `check_*(qg, tol)`; `tol` is one float absolute
+bound.  `check_sharp_involution` takes all n^2 matrix-unit functionals at
+once, as one slice layout and one stacked sharp; only
+`check_slice_product_laws(qg, rng, tol)` still draws, PRODUCT_LAW_SAMPLES
+random pairs of functionals.
 `check_unitarity(mu)` and `check_pentagon(mu, tol)` bound by 0, or by
 DENSE_W_TOL for a dense W.  The pentagon of a dense W is the identity
 (delta (x) id)(W) = W13 W23 on the M basis, bounded entrywise from D and
@@ -82,8 +85,7 @@ DENSE_W_TOL = 1e-12
 # The antipode matrix is singular when its smallest singular value is at most
 # this fraction of its largest.
 ANTIPODE_SINGULAR_RTOL = 1e-10
-# Random draws of each sampled check.
-SHARP_SAMPLES = 20
+# Random draws of the sampled check.
 PRODUCT_LAW_SAMPLES = 5
 
 
@@ -447,7 +449,7 @@ def comult_coeff_tensor(mu: MultiplicativeUnitary,
     counts index pairs, O(n^3) (`_indexed_coeff_tensor`).  Every other basis
     forms each T = delta(x_i) once, in [(a c), (b d)] order: on the flat basis
     B[k, (a c)] = x_k[a, c], D[:, :, i] = (conj(B) @ T) @ conj(B)^T, and T is
-    compared with B^T @ (D[:, :, i] @ B) n rows at a time."""
+    compared with B^T @ (D[:, :, i] @ B) in one n^4 buffer per call."""
     m = basis.shape[0]
     if m == 0:
         return np.zeros((0, 0, 0), dtype=complex), 0.0
@@ -457,18 +459,16 @@ def comult_coeff_tensor(mu: MultiplicativeUnitary,
         span = SpanKernel(basis)
         if span.layout == "index":
             return _indexed_coeff_tensor(mu, span)
-    n, flat = mu.n, basis.reshape(m, -1)
+    n2, flat = mu.n ** 2, basis.reshape(m, -1)
     flat_conj = flat.conj()
     coeffs = np.empty((m, m, m), dtype=complex)
-    recon, mag = np.empty((n, n * n), dtype=complex), np.empty((n, n * n))
-    worst = np.zeros((n, n * n))
+    recon, mag = np.empty((n2, n2), dtype=complex), np.empty((n2, n2))
+    residual = 0.0
     for i, t in enumerate(_comult_blocks(mu, basis)):
         coeffs[:, :, i] = (flat_conj @ t) @ flat_conj.T
-        cb = coeffs[:, :, i] @ flat
-        for r in range(0, n * n, n):
-            np.subtract(np.matmul(flat.T[r:r + n], cb, out=recon), t[r:r + n], out=recon)
-            np.maximum(worst, np.abs(recon, out=mag), out=worst)
-    return coeffs, float(worst.max())
+        np.subtract(np.matmul(flat.T, coeffs[:, :, i] @ flat, out=recon), t, out=recon)
+        residual = max(residual, float(np.abs(recon, out=mag).max()))
+    return coeffs, residual
 
 
 def _require_leg_dimension(mu: MultiplicativeUnitary, basis: np.ndarray) -> None:
@@ -639,8 +639,14 @@ def lam_hat(mu: MultiplicativeUnitary, theta: Functional) -> np.ndarray:
 def sharp(omega: Functional, s_mat: np.ndarray, span: SpanKernel) -> Functional:
     """The sharp of a functional, omega_sharp(x) = conj(omega(S(x)^*)),
     re-encoded as a density supported on the span (a pair's cached `span`)."""
-    f = s_mat.T @ span.coords(omega.density).conj()
-    return Functional(span.reconstruct(f.conj()).conj().T)
+    return Functional(span.reconstruct(_sharp(omega.density, s_mat, span).conj()).conj().T)
+
+
+def _sharp(densities: np.ndarray, s_mat: np.ndarray, span: SpanKernel) -> np.ndarray:
+    """`sharp` of a density, or of each density of a stack, as coordinates c
+    on the adjoints of the span's basis: omega_sharp has density
+    sum_k c[k] x_k^*."""
+    return span.coords(densities).conj() @ s_mat
 
 
 def fixed_leg_vectors(mu: MultiplicativeUnitary) -> np.ndarray:
@@ -712,8 +718,7 @@ class QuantumGroupPair:
     exchanged; it holds no reference back.  `span` is the projection onto M
     (`linalg.SpanKernel`), laid out once and read by `require_in_m`,
     `coords_m`, `apply_s`/`apply_s_inv` and every reconstruction on M, and
-    handed to `sharp` and `linalg.random_element`; `dual.span` projects onto
-    Mhat.
+    handed to `sharp`; `dual.span` projects onto Mhat.
     """
 
     def __init__(self, mu: MultiplicativeUnitary, m_basis: np.ndarray,
@@ -905,13 +910,20 @@ def pair_deviation(a: QuantumGroupPair, b: QuantumGroupPair) -> float:
     return dev
 
 
+def w_coefficients(qg: QuantumGroupPair) -> tuple[np.ndarray, np.ndarray]:
+    """W laid out as T[(a c), (b d)] = W[(a b), (c d)], and its coefficients
+    C on M (x) Mhat: W = sum C[k, l] x_k (x) y_l, up to the part of T off
+    the span."""
+    n2 = qg.n * qg.n
+    t = np.ascontiguousarray(qg.w4.transpose(0, 2, 1, 3)).reshape(n2, n2)
+    return t, (flat_rows(qg.m_basis).conj() @ t) @ flat_rows(qg.mhat_basis).conj().T
+
+
 def check_w_membership(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckReport:
     """Residual of W against span(M (x) Mhat)."""
-    n2 = qg.n * qg.n
-    ma, mb = flat_rows(qg.m_basis), flat_rows(qg.mhat_basis)
-    t = np.ascontiguousarray(qg.w4.transpose(0, 2, 1, 3)).reshape(n2, n2)         # [(a c), (b d)]
-    coeffs = (ma.conj() @ t) @ mb.conj().T
-    return CheckReport("w-membership", max_abs(t - ma.T @ (coeffs @ mb)), tol)
+    t, coeffs = w_coefficients(qg)
+    recon = flat_rows(qg.m_basis).T @ (coeffs @ flat_rows(qg.mhat_basis))
+    return CheckReport("w-membership", max_abs(t - recon), tol)
 
 
 def _gns_duality(name: str, qg: QuantumGroupPair, tol: float) -> CheckReport:
@@ -946,17 +958,20 @@ def check_antipode(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckRepor
                        note=f"S^2 deviation from id: {s2dev:.3e}")
 
 
-def check_sharp_involution(qg: QuantumGroupPair, rng: np.random.Generator,
-                           tol: float = DEFAULT_TOL) -> CheckReport:
-    """((omega (x) id)(W))^* = (omega_sharp (x) id)(W) for SHARP_SAMPLES random
-    omega, and involutivity of sharp on the algebra."""
-    lam_w, dev = left_slicer(qg.w, qg.n), 0.0                 # lam(mu, .), W laid out once
-    for _ in range(SHARP_SAMPLES):
-        omega = Functional(random_complex(rng, (qg.n, qg.n)))
-        omega_sharp = sharp(omega, qg.s_mat, qg.span)
-        dev = max(dev, deviation(lam_w(omega).conj().T, lam_w(omega_sharp)))
-        twice = sharp(omega_sharp, qg.s_mat, qg.span)
-        dev = max(dev, deviation(omega.values_on(qg.m_basis), twice.values_on(qg.m_basis)))
+def check_sharp_involution(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckReport:
+    """((omega (x) id)(W))^* = (omega_sharp (x) id)(W), and omega_sharp_sharp =
+    omega on M, for all n^2 matrix-unit functionals omega = E_ab at once: their
+    slices are the rows of W's leg-1 slice family, laid out once, and one
+    `_sharp` of the stack writes each omega_sharp on the adjoints x_k^*, whose
+    slices give its slice (m n^4 work, not n^6)."""
+    n, adjoints = qg.n, flat_rows(qg.m_basis.conj().swapaxes(1, 2))            # x_k^*
+    once = _sharp(np.eye(n * n, dtype=complex).reshape(n * n, n, n), qg.s_mat, qg.span)
+    twice = _sharp((once @ adjoints).reshape(n * n, n, n), qg.s_mat, qg.span)
+    values = flat_rows(qg.m_basis.swapaxes(1, 2)).T                            # rho -> trace(rho x_k)
+    family = slice_family(qg.w, n, 1)
+    dev = max(deviation(twice @ (adjoints @ values), values),
+              deviation(flat_rows(family.conj().swapaxes(1, 2)),
+                        once @ (adjoints @ flat_rows(family))))
     return CheckReport("sharp-involution", dev, tol)
 
 

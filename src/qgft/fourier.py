@@ -21,8 +21,14 @@ rejects a non-finite entry, and the kernel lays it out C-contiguous.
 F^{-1} is the transform of the dual pair (What = Sigma W^* Sigma), and every
 Mhat-side function here is its M-side twin applied to `qg.dual`.
 
-Each result is one check: `check_plancherel(qg, tol)` on the full bases, and
-the sampled `check_*(qg, rng, tol)`, each on its *_SAMPLES random draws.
+Each result is one check, `check_*(qg, tol)`, which draws nothing: each
+identity is linear, antilinear or bilinear in its operands, so the full
+algebra bases decide it, and each is evaluated once as a few stacked products
+on the bases' coordinates.  F~[k, l] holds the coordinates of F(x_k) on the
+Mhat basis, the projection of the stack `_images(qg)` by `qg.dual.span`, and
+F~^{-1} is the dual pair's; the product constants of a basis are its stack of
+products projected back onto it.  A residual of a basis image off the span it
+must lie in (`require_in_m` for one operand) is part of the deviation.
 """
 
 from __future__ import annotations
@@ -31,23 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import CheckReport, Functional, QuantumGroupPair, sharp
-from .linalg import (
-    DEFAULT_TOL,
-    deviation,
-    inner,
-    left_slicer,
-    random_complex,
-    random_element,
-    right_slicer,
-)
-
-# Random draws of each sampled check.
-INVERSION_SAMPLES = 10
-CONVOLUTION_SAMPLES = 20
-PAIRING_SAMPLES = 50
-PAIRING_AXIOM_SAMPLES = 20
-FT_PAIRING_SAMPLES = 10
+from .engine import CheckReport, QuantumGroupPair, w_coefficients
+from .linalg import DEFAULT_TOL, deviation, flat_rows
 
 
 def _from_table(qg: QuantumGroupPair, coords: np.ndarray) -> np.ndarray:
@@ -78,29 +69,27 @@ def inverse_fourier(qg: QuantumGroupPair, b) -> np.ndarray:
     return _transform(qg.dual, b)
 
 
-def check_inversion(qg: QuantumGroupPair, rng: np.random.Generator,
-                    tol: float = DEFAULT_TOL) -> CheckReport:
-    """Both composites of F and F^{-1} deviate from the identity by at most
-    tol, on the full algebra bases and on INVERSION_SAMPLES random elements of
-    each algebra."""
-    samples = [(random_element(rng, qg.span), random_element(rng, qg.dual.span))
-               for _ in range(INVERSION_SAMPLES)]
-    dev = 0.0
-    for a in [*qg.m_basis, *(a for a, _ in samples)]:
-        dev = max(dev, deviation(inverse_fourier(qg, fourier(qg, a)), a))
-    for b in [*qg.mhat_basis, *(b for _, b in samples)]:
-        dev = max(dev, deviation(fourier(qg, inverse_fourier(qg, b)), b))
+def _images(side: QuantumGroupPair) -> np.ndarray:
+    """F(x_k) for every element of side's M basis, as an (m, n, n) stack."""
+    return side.fourier_table.reshape(-1, side.n, side.n)
+
+
+def check_inversion(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckReport:
+    """Both composites of F and F^{-1} are the identity on the full bases:
+    F~ F~^{-1} = 1 and F~^{-1} F~ = 1, and every F(x_k) lies in Mhat and every
+    F^{-1}(y_l) in M, each within tol."""
+    f, f_off = qg.dual.span.project(_images(qg))                               # F~
+    g, g_off = qg.span.project(_images(qg.dual))                               # F~^{-1}
+    dev = max(deviation(f @ g, np.eye(len(f))), deviation(g @ f, np.eye(len(g))), f_off, g_off)
     return CheckReport("fourier-inversion", dev, tol)
 
 
 def check_plancherel(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckReport:
     """Plancherel: the transform is isometric on GNS vectors,
     Lambda_hat(F(a)) = Lambda(a) and Lambda(F^{-1}(b)) = Lambda_hat(b), on the
-    full bases."""
-    dev = 0.0
-    for side in (qg, qg.dual):
-        for a in side.m_basis:
-            dev = max(dev, deviation(side.phihat.gns(fourier(side, a)), side.phi.gns(a)))
+    full bases, one product per side."""
+    dev = max(deviation(_images(side) @ side.phihat.xi, side.m_basis @ side.phi.xi)
+              for side in (qg, qg.dual))
     return CheckReport("plancherel", dev, tol)
 
 
@@ -133,16 +122,25 @@ def convolve_dual_direct(qg: QuantumGroupPair, b, d) -> np.ndarray:
     return convolve_direct(qg.dual, b, d)
 
 
-def check_convolution(qg: QuantumGroupPair, rng: np.random.Generator,
-                      tol: float = DEFAULT_TOL) -> CheckReport:
-    """Both convolution routes agree, on both sides, for CONVOLUTION_SAMPLES
-    random pairs."""
-    dev = 0.0
-    for _ in range(CONVOLUTION_SAMPLES):
-        a, c = random_element(rng, qg.span), random_element(rng, qg.span)
-        dev = max(dev, deviation(convolve(qg, a, c), convolve_direct(qg, a, c)))
-        b, e = random_element(rng, qg.dual.span), random_element(rng, qg.dual.span)
-        dev = max(dev, deviation(convolve_dual(qg, b, e), convolve_dual_direct(qg, b, e)))
+def _convolution_deviation(side: QuantumGroupPair, other: QuantumGroupPair) -> float:
+    """How far side's two convolution routes are apart on its full basis, as
+    coefficient tensors [i, j, k] of x_i * x_j.  Through F (other =
+    side.dual): sum F~[i, a] F~[j, b] Phat[a, b, c] F~^{-1}[c, k], with Phat
+    the product constants of other's basis; direct: sum_p G[p, i] D[p, k, j].
+    The residuals of F(x_i), y_a y_b and F^{-1}(y_c) off their spans count."""
+    f, f_off = other.span.project(_images(side))
+    g, g_off = side.span.project(_images(other))
+    y = other.m_basis
+    p_hat, p_off = other.span.project(y[:, None] @ y[None, :])                   # [a, b, c]
+    m, mh = f.shape
+    via_f = np.matmul(f, (f @ p_hat.reshape(mh, mh * mh)).reshape(m, mh, mh)) @ g
+    gd = side.convolution_table.T @ side.delta_coeffs.reshape(m, m * m)          # [i, (k j)]
+    return max(deviation(via_f, gd.reshape(m, m, m).transpose(0, 2, 1)), f_off, g_off, p_off)
+
+
+def check_convolution(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckReport:
+    """Both convolution routes agree on the full bases of both sides."""
+    dev = max(_convolution_deviation(qg, qg.dual), _convolution_deviation(qg.dual, qg))
     return CheckReport("convolution-agreement", dev, tol)
 
 
@@ -174,78 +172,67 @@ def pairing(qg: QuantumGroupPair, b, a) -> PairingValue:
     return PairingValue(via_inverse, via_forward, via_w)
 
 
-def check_pairing(qg: QuantumGroupPair, rng: np.random.Generator,
-                  tol: float = DEFAULT_TOL) -> CheckReport:
-    """The three Haar-weight routes of <b|a> agree (`PairingValue.spread`) for
-    PAIRING_SAMPLES random b in Mhat and a in M."""
-    dev = 0.0
-    for _ in range(PAIRING_SAMPLES):
-        a = random_element(rng, qg.span)
-        b = random_element(rng, qg.dual.span)
-        dev = max(dev, pairing(qg, b, a).spread)
-    return CheckReport("pairing", dev, tol)
+def _inverse_route(qg: QuantumGroupPair) -> tuple[np.ndarray, np.ndarray]:
+    """u[k] = xi_phi-bar x_k = conj(Lambda(x_k^*)), and <y_l | x_k> =
+    phi(x_k F^{-1}(y_l)) = u[k] . Lambda(F^{-1}(y_l)) as an m x mhat matrix."""
+    u = qg.phi.xi.conj() @ qg.m_basis
+    return u, u @ (_images(qg.dual) @ qg.phi.xi).T
 
 
-def check_pairing_axioms(qg: QuantumGroupPair, rng: np.random.Generator,
-                         tol: float = DEFAULT_TOL) -> CheckReport:
-    """The defining properties of the dual pairing, for elements presented as
-    explicit slices b = (omega (x) id)(W), a = (id (x) theta)(W) so that
-    <b|a> = omega(a) = theta(b), over PAIRING_AXIOM_SAMPLES random draws of
-    four functionals:
+def check_pairing(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckReport:
+    """The three Haar-weight routes of <y_l | x_k> agree on the full bases
+    (the largest `PairingValue.spread`), each as an m x mhat matrix: via_w is
+    `pairing_table`, and via_forward is phihat(F(x_k^*)^* y_l) =
+    <y_l xi_phihat, F(x_k^*) xi_phihat>."""
+    xihat = qg.phihat.xi
+    forward = qg.coords_m(qg.m_basis.conj().swapaxes(1, 2)) @ (_images(qg) @ xihat)
+    routes = (_inverse_route(qg)[1], forward.conj() @ (qg.mhat_basis @ xihat).T,
+              qg.pairing_table)
+    return CheckReport("pairing", max(deviation(x, y) for x in routes for y in routes), tol)
 
-      (1) <b1 b2 | a> = (omega1 (x) omega2)(delta a)
-      (2) <b | a1 a2> = (theta1 (x) theta2)(delta_hat_cop b)
-      (3) <b | S(a)>  = <Shat^{-1}(b) | a>, with omega built from a sharp.
 
-    Every functional is drawn first; then every left slice is taken and W's
-    leg-1 layout dropped before the leg-2 layout is made, so one n^4 layout
-    of W is held at a time.
+def _product_constants(basis: np.ndarray) -> np.ndarray:
+    """P[i, j, k] = <x_i x_j, x_k> on an orthonormal basis: one stack of
+    products and one product with the conjugate rows, so an indicator basis
+    gathers no second stack, as its span kernel would."""
+    return flat_rows(basis[:, None] @ basis[None, :]) @ flat_rows(basis).conj().T
+
+
+def check_pairing_axioms(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckReport:
+    """The defining properties of the dual pairing on the full bases.
+
+    Pi[k, l] = <y_l | x_k> is read from W's slices, independently of the
+    pairing routes: (omega (x) id)(W) = sum C[k, l] omega(x_k) y_l with C
+    W's coefficients on M (x) Mhat (`engine.w_coefficients`), and
+    <(omega (x) id)(W) | a> = omega(a) for every omega makes C Pi^T = 1,
+    solved by least squares; its residual counts.  With P, Phat the product
+    constants of the M and Mhat bases and D, Dhat the comultiplication
+    tensors:
+
+      (1) <y_a y_b | x_k> = (omega_a (x) omega_b)(delta x_k), omega_a = <y_a | .>:
+          sum_c Phat[a, b, c] Pi[k, c] = sum_ij D[i, j, k] Pi[i, a] Pi[j, b];
+      (2) <y_l | x_i x_j> = (theta_i (x) theta_j)(delta_hat_cop y_l):
+          sum_k P[i, j, k] Pi[k, l] = sum_pq Dhat[p, q, l] Pi[j, p] Pi[i, q];
+      (3) <y_l | S(x_k)> = <Shat^{-1}(y_l) | x_k>: s_mat^T Pi = Pi shat_inv_mat.
+
+    W's one n^4 layout is dropped before the product stacks are formed.
     """
-    n = qg.n
-    d, dh = qg.delta_coeffs, qg.dual.delta_coeffs
-    m, mhat = d.shape[0], dh.shape[0]
-    draws = [[Functional(random_complex(rng, (n, n))) for _ in range(4)]
-             for _ in range(PAIRING_AXIOM_SAMPLES)]
-    # (3) takes omega = (omega2)^sharp to exercise the sharp construction.
-    sharps = [sharp(w2, qg.s_mat, qg.span) for _, w2, _, _ in draws]
-    w_left = left_slicer(qg.w, n)
-    lefts = [(w_left(w1), w_left(w2), w_left(omega))
-             for (w1, w2, _, _), omega in zip(draws, sharps)]
-    del w_left
-    w_right = right_slicer(qg.w, n)
-    rights = [(w_right(t1), w_right(t2)) for _, _, t1, t2 in draws]
-
-    dev = 0.0
-    for (w1, w2, t1, t2), omega, (b1, b2, b_omega), (a1, a2) in zip(draws, sharps, lefts, rights):
-        # (1): theta-presentation of a = a1 evaluates the left side.
-        lhs = t1(b1 @ b2)
-        delta_a = (d.reshape(m * m, m) @ qg.coords_m(a1)).reshape(m, m)
-        rhs = complex(w1.values_on(qg.m_basis) @ delta_a @ w2.values_on(qg.m_basis))
-        dev = max(dev, abs(lhs - rhs))
-
-        # (2): omega-presentation of b = b1 evaluates the left side.
-        lhs = w1(a1 @ a2)
-        delta_hat_b = (dh.reshape(mhat * mhat, mhat) @ qg.dual.coords_m(b1)).reshape(mhat, mhat)
-        rhs = complex(t2.values_on(qg.mhat_basis) @ delta_hat_b @ t1.values_on(qg.mhat_basis))
-        dev = max(dev, abs(lhs - rhs))
-
-        # (3): b = (omega (x) id)(W) for the sharp omega, and a = a2.
-        lhs = omega(qg.apply_s(a2))
-        rhs = t2(qg.dual.apply_s_inv(b_omega))
-        dev = max(dev, abs(lhs - rhs))
-
+    c = w_coefficients(qg)[1]
+    m, mh = c.shape
+    pi = np.linalg.lstsq(c, np.eye(m), rcond=None)[0].T
+    d, dh = qg.delta_coeffs.reshape(m, m * m), qg.dual.delta_coeffs.reshape(mh, mh * mh)
+    dev = max(deviation(c @ pi.T, np.eye(m)),
+              deviation(_product_constants(qg.mhat_basis) @ pi.T,                 # (1) [a, b, k]
+                        np.matmul(pi.T, (pi.T @ d).reshape(mh, m, m))),
+              deviation(_product_constants(qg.m_basis) @ pi,                      # (2) [i, j, l]
+                        np.matmul(pi, (pi @ dh).reshape(m, mh, mh)).swapaxes(0, 1)),
+              deviation(qg.s_mat.T @ pi, pi @ qg.shat_inv_mat))                   # (3) [k, l]
     return CheckReport("pairing-axioms", dev, tol)
 
 
-def check_ft_pairing(qg: QuantumGroupPair, rng: np.random.Generator,
-                     tol: float = DEFAULT_TOL) -> CheckReport:
-    """Inner-product description of the pairing,
-    <b|a> = <Lambda_hat(b), Lambda(a^*)>, for FT_PAIRING_SAMPLES random b in
-    Mhat and a in M."""
-    dev = 0.0
-    for _ in range(FT_PAIRING_SAMPLES):
-        a = random_element(rng, qg.span)
-        b = random_element(rng, qg.dual.span)
-        lhs = pairing(qg, b, a).via_inverse
-        dev = max(dev, abs(lhs - inner(qg.phihat.gns(b), qg.phi.gns(a.conj().T))))
-    return CheckReport("ft-pairing", dev, tol)
+def check_ft_pairing(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckReport:
+    """Inner-product description of the pairing on the full bases,
+    <y_l | x_k> = <Lambda_hat(y_l), Lambda(x_k^*)>, as an m x mhat matrix."""
+    u, via_inverse = _inverse_route(qg)
+    return CheckReport("ft-pairing", deviation(via_inverse, u @ (qg.mhat_basis @ qg.phihat.xi).T),
+                       tol)

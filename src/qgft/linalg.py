@@ -1,8 +1,8 @@
 """Dense complex tensor kernel: Kronecker products, leg embeddings, the flip,
 the one slice kernel (one layout per leg, `slice_family`, which left_slicer/
 right_slicer apply to many functionals and slice_left/slice_right to one),
-seeded complex Gaussian draws, and numerically robust span/membership tests
-(`SpanKernel`, one projection onto an orthonormal basis).
+seeded complex Gaussian draws (`random_complex`), and numerically robust
+span/membership tests (`SpanKernel`, one projection onto an orthonormal basis).
 
 Index convention (normative for the whole package): an operator ``X`` on the
 two-fold tensor square of an n-dimensional space is an n^2 x n^2 matrix whose
@@ -10,7 +10,7 @@ row index pairs as ``(i, k) -> i*n + k`` (first leg major).  The reshaped view
 ``X4 = X.reshape(n, n, n, n)`` therefore satisfies
 ``X4[i, k, j, l] == X[i*n + k, j*n + l]``.
 
-Inner products are linear in the first slot: ``inner(u, v) = sum u_i conj(v_i)``,
+Inner products are linear in the first slot: ``<u, v> = sum u_i conj(v_i)``,
 and matrices carry the trace inner product ``<X, Y> = trace(Y^* X)``.
 
 Contraction convention: every contraction is a reshape or transpose of its
@@ -58,11 +58,6 @@ def as_complex_matrix(entries, rows: int | None = None, cols: int | None = None)
     if not np.isfinite(mat).all():
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return np.ascontiguousarray(mat)
-
-
-def inner(u: np.ndarray, v: np.ndarray) -> complex:
-    """Hilbert space inner product, linear in the first slot."""
-    return complex(np.vdot(v, u))
 
 
 def max_abs(x) -> float:
@@ -187,12 +182,6 @@ def random_complex(rng: np.random.Generator, shape) -> np.ndarray:
     """Complex standard Gaussian array: the real part is drawn first, then the
     imaginary part, so reports seeded with rng reproduce bit for bit."""
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def random_element(rng: np.random.Generator, span: SpanKernel) -> np.ndarray:
-    """Random element of a span (a pair's cached `span`) with complex Gaussian
-    coefficients."""
-    return span.reconstruct(random_complex(rng, span.dim))
 
 
 def span_basis(mats, tol: float = DEFAULT_TOL) -> np.ndarray:

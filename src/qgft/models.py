@@ -20,9 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import MultiplicativeUnitary, QuantumGroupPair, Weight
-from .fourier import CONVOLUTION_SAMPLES, PAIRING_SAMPLES, convolve, convolve_dual, pairing
+from .fourier import convolve, convolve_dual, pairing
 from .groups import FiniteGroup, NonAbelianInput, characters, is_abelian
 from .linalg import deviation, max_abs, random_complex
+
+# Random draws of each classical oracle.
+CONVOLUTION_SAMPLES = 20
+PAIRING_SAMPLES = 50
 
 
 @dataclass(frozen=True)

@@ -91,10 +91,9 @@ def test_criterion_02_transform_is_regular_representation(built):
 
 
 def test_criterion_03_inversion(built):
-    rng = np.random.default_rng(SEED)
     worst = 0.0
     for mdl in built:
-        worst = max(worst, check_inversion(mdl.qg, rng).deviation)
+        worst = max(worst, check_inversion(mdl.qg).deviation)
     report_line(3, "fourier-inversion", worst <= 1e-10, f"max dev {worst:.2e}")
     assert worst <= 1e-10
 
@@ -148,7 +147,7 @@ def test_criterion_06_pairing(built):
             value = pairing(mdl.qg, models.L(mdl, fb), models.pi(mdl, fa))
             worst = max(worst, value.spread,
                         abs(value.via_inverse - complex(np.sum(fa * fb))))
-        axioms = check_pairing_axioms(mdl.qg, rng)
+        axioms = check_pairing_axioms(mdl.qg)
         worst = max(worst, axioms.deviation)
     report_line(6, "pairing", worst <= 1e-10, f"max dev {worst:.2e}")
     assert worst <= 1e-10

@@ -104,8 +104,14 @@ def test_every_check_has_the_one_signature():
     assert {"check_pentagon", "check_unitarity", "check_inversion", "check_plancherel",
             "check_pairing", "check_ft_pairing", "check_w_membership"} <= checked
     assert {fn for fn, _, _ in CHECK_EXTRA_PARAMETERS} <= checked
-    # Plancherel is the GNS isometry on the full bases: it draws nothing
-    assert list(inspect.signature(fourier.check_plancherel).parameters) == ["qg", "tol"]
+    # the checks of one identity on the full bases draw nothing; only the
+    # slice-product laws still take a generator
+    for fn in (engine.check_sharp_involution, fourier.check_inversion, fourier.check_plancherel,
+               fourier.check_convolution, fourier.check_pairing, fourier.check_pairing_axioms,
+               fourier.check_ft_pairing):
+        assert list(inspect.signature(fn).parameters) == ["qg", "tol"], fn.__name__
+    assert [name for name, fn in public_checks()
+            if "rng" in inspect.signature(fn).parameters] == ["check_slice_product_laws"]
 
 
 # The Fourier and pairing tables contract W's first leg with a Haar vector

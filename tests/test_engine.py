@@ -612,7 +612,9 @@ def two_pass_coeff_tensor(mu, basis):
 def test_dense_coefficient_pass_equals_the_two_pass_route(label):
     # one pass forms each delta(x_i) once and reads D and rho_delta from it,
     # with the arithmetic of the two passes it replaces, so both are equal
-    # bit for bit and the dense pentagon deviations do not move
+    # bit for bit and the dense pentagon deviations do not move; the residual
+    # is read in one n^4 block per element, and the reference's blocks of n
+    # rows give the same entries
     w = transported_dihedral3() if label == "transported-dihedral3" else \
         dict(suite_snapshot.dense_unitaries(11))[label]
     qg = pair_from_unitary(w)
@@ -784,8 +786,10 @@ def test_transform_ops_of_a_permutation_w_build_no_dense_w():
     for group in (groups.symmetric(4), groups.dihedral(3)):
         qg = model(group).qg
         for _ in range(2):
-            a, c = (linalg.random_element(rng, qg.span) for _ in range(2))
-            b, d = (linalg.random_element(rng, qg.dual.span) for _ in range(2))
+            a, c = (qg.span.reconstruct(linalg.random_complex(rng, qg.span.dim))
+                    for _ in range(2))
+            b, d = (qg.dual.span.reconstruct(linalg.random_complex(rng, qg.dual.span.dim))
+                    for _ in range(2))
             ft.fourier(qg, a), ft.inverse_fourier(qg, b), ft.pairing(qg, b, a)
             ft.convolve(qg, a, c), ft.convolve_direct(qg, a, c)
             ft.convolve_dual(qg, b, d), ft.convolve_dual_direct(qg, b, d)
@@ -828,8 +832,10 @@ def test_one_coefficient_pass_per_side_per_pair(monkeypatch):
     pairs = model(groups.symmetric(4)).qg, pair_from_unitary(transported_dihedral3())
     assert calls == [pairs[1].mu]                           # the dense W's pentagon
     for qg in pairs:
-        a, c = (linalg.random_element(rng, qg.span) for _ in range(2))
-        b, d = (linalg.random_element(rng, qg.dual.span) for _ in range(2))
+        a, c = (qg.span.reconstruct(linalg.random_complex(rng, qg.span.dim))
+                for _ in range(2))
+        b, d = (qg.dual.span.reconstruct(linalg.random_complex(rng, qg.dual.span.dim))
+                for _ in range(2))
         ft.fourier(qg, a), ft.inverse_fourier(qg, b), ft.pairing(qg, b, a)
         ft.convolve(qg, a, c), ft.convolve_direct(qg, a, c)
         ft.convolve_dual(qg, b, d), ft.convolve_dual_direct(qg, b, d)
@@ -916,12 +922,12 @@ TWISTED_S = np.eye(S3.n)[[1, 2, 0, 3, 4, 5]] @ S3.s_mat
     (check_right_invariance, dict(s_mat=zero_column(S3.s_mat, 0)), 1.0),
     (pair_agreement, dict(mhat_basis=S3.m_basis), 1.0),
     (check_antipode, dict(s_mat=TWISTED_S), 1.0),
-    (seeded(check_sharp_involution), dict(s_mat=TWISTED_S), 4.36),
+    (check_sharp_involution, dict(s_mat=TWISTED_S), 1.0),
     (seeded(check_slice_product_laws),
      dict(mu=MultiplicativeUnitary.from_dense(column_phased(S3.mu.dense, 0, 1e-4))), 9.4e-4),
-    (seeded(check_pairing_axioms), dict(s_mat=TWISTED_S), 14.82),
+    (check_pairing_axioms, dict(s_mat=TWISTED_S), 0.408),
     (check_gns_duality_phihat, dict(phi=Weight(S3.phi.xi * 1e-12)), 1.0),
-    (seeded(check_inversion), dict(phi=Weight(S3.phi.xi * (np.arange(S3.n) != 0))), 2.215),
+    (check_inversion, dict(phi=Weight(S3.phi.xi * (np.arange(S3.n) != 0))), 1.0),
 ], ids=["coassociativity-dropped-basis-element", "right-invariance-zeroed-s-column",
         "pair-agreement-mhat-replaced-by-m", "antipode-slices-s-twisted-by-a-3-cycle",
         "sharp-involution-s-twisted-by-a-3-cycle", "slice-product-laws-w-column-phased",
@@ -1084,9 +1090,7 @@ def test_sharp_delta_evaluation_moves_to_inverse():
 
 def test_sharp_involution_check():
     for g in [groups.cyclic(4), groups.symmetric(3)]:
-        qg = model(g).qg
-        rng = np.random.default_rng(3)
-        assert check_sharp_involution(qg, rng).passed
+        assert check_sharp_involution(model(g).qg).passed
 
 
 def test_sharp_functional_bundle():
@@ -1150,25 +1154,24 @@ def test_slice_product_laws_do_not_depend_on_the_layout_of_w():
 
 def test_slicing_checks_lay_each_operand_out_once(monkeypatch):
     # three operands for the slice-product laws (W on each leg, W^* on leg 2),
-    # two for the pairing axioms (W on each leg) and one for the sharp
-    # involution (W on leg 1), whatever the sample count
+    # whatever the sample count; one for the sharp involution, W on leg 1,
+    # whose n^2 matrix-unit slices are that layout's rows; none for the pairing
+    # axioms, which read W's slices through its coefficients on M (x) Mhat
     layouts = []
     lay_out = linalg._legs
     monkeypatch.setattr(linalg, "_legs", lambda *args: layouts.append(args[2]) or lay_out(*args))
     qg = model(groups.symmetric(3)).qg
     for samples in (1, 4):
         monkeypatch.setattr(engine, "PRODUCT_LAW_SAMPLES", samples)
-        monkeypatch.setattr(ft, "PAIRING_AXIOM_SAMPLES", samples)
-        monkeypatch.setattr(engine, "SHARP_SAMPLES", samples)
         layouts.clear()
         check_slice_product_laws(qg, np.random.default_rng(1))
         assert len(layouts) == 3
-        layouts.clear()
-        check_pairing_axioms(qg, np.random.default_rng(1))
-        assert len(layouts) == 2
-        layouts.clear()
-        check_sharp_involution(qg, np.random.default_rng(1))
-        assert len(layouts) == 1
+    layouts.clear()
+    check_sharp_involution(qg)
+    assert layouts == [(2, 0, 1, 3)]
+    layouts.clear()
+    check_pairing_axioms(qg)
+    assert layouts == []
 
 
 def test_slice_product_law_functionals_match_einsum_formulas():

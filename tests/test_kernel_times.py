@@ -23,6 +23,9 @@ def test_kernel_times_on_s3(monkeypatch, capsys):
             "slice_span_mhat", "pair_from_unitary", "check_antipode")]
         dense += [(kernel, label, side) for side in ("M", "Mhat")
                   for kernel in ("comult_coeff_tensor", *projections)]
+        dense += [(check, label, "") for check in (
+            "check_sharp_involution", "check_inversion", "check_plancherel", "check_convolution",
+            "check_pairing", "check_pairing_axioms", "check_ft_pairing")]
         dense += [("pontryagin_check", label, ""), ("run_suite", label, "")]
     sides = [(kernel, "s3", side) for side in ("M", "Mhat")
              for kernel in ("comult_coeff_tensor", "fourier_table", "pairing_table",

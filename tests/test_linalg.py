@@ -18,7 +18,6 @@ from qgft.linalg import (
     left_slicer,
     leg_embed,
     random_complex,
-    random_element,
     rank,
     right_slicer,
     slice_family,
@@ -363,7 +362,8 @@ def test_random_draws_take_the_real_part_first():
     basis = span_basis([random_matrix(2) for _ in range(3)])
     fresh = np.random.default_rng(6)
     coeffs = fresh.standard_normal(3) + 1j * fresh.standard_normal(3)
-    np.testing.assert_array_equal(random_element(np.random.default_rng(6), SpanKernel(basis)),
+    span = SpanKernel(basis)
+    np.testing.assert_array_equal(span.reconstruct(random_complex(np.random.default_rng(6), span.dim)),
                                   (coeffs.reshape(1, 3) @ basis.reshape(3, 4)).reshape(2, 2))
 
 

@@ -347,8 +347,9 @@ def test_suite_blames_the_corrupted_stage(corrupt, stage, eps):
 
 
 def replayed_checks(mu, qg, model, seed, tol=1e-10):
-    """Every check stage of run_suite, called directly in suite order with a
-    generator seeded like the suite's; a group model also adds its oracles.
+    """Every check stage of run_suite, called directly in suite order, with a
+    generator seeded like the suite's for the stage and the oracles that draw;
+    a group model also adds its oracles.
     The pair is derived by engine.derive_pair, whose four stages, the pentagon
     first, are recorded too; a given qg is then compared with it
     (pair-agreement)."""
@@ -374,21 +375,21 @@ def replayed_checks(mu, qg, model, seed, tol=1e-10):
     stages["gns-duality-phihat"] = engine.check_gns_duality_phihat(qg, tol)
     stages["gns-duality-phihatdual"] = engine.check_gns_duality_phihatdual(qg, tol)
     stages["antipode-slices"] = engine.check_antipode(qg, tol)
-    stages["sharp-involution"] = engine.check_sharp_involution(qg, rng, tol)
+    stages["sharp-involution"] = engine.check_sharp_involution(qg, tol)
     stages["slice-product-laws"] = engine.check_slice_product_laws(qg, rng, tol)
-    stages["fourier-inversion"] = ft.check_inversion(qg, rng, tol)
+    stages["fourier-inversion"] = ft.check_inversion(qg, tol)
     stages["plancherel"] = ft.check_plancherel(qg, tol)
-    stages["convolution-agreement"] = ft.check_convolution(qg, rng, tol)
+    stages["convolution-agreement"] = ft.check_convolution(qg, tol)
     if model is not None:
         stages["convolution-agreement"].deviation = max(
             stages["convolution-agreement"].deviation,
             models.convolution_oracle_deviation(model, rng))
-    stages["pairing"] = ft.check_pairing(qg, rng, tol)
+    stages["pairing"] = ft.check_pairing(qg, tol)
     if model is not None:
         stages["pairing"].deviation = max(stages["pairing"].deviation,
                                           models.pairing_oracle_deviation(model, rng))
-    stages["pairing-axioms"] = ft.check_pairing_axioms(qg, rng, tol)
-    stages["ft-pairing"] = ft.check_ft_pairing(qg, rng, tol)
+    stages["pairing-axioms"] = ft.check_pairing_axioms(qg, tol)
+    stages["ft-pairing"] = ft.check_ft_pairing(qg, tol)
     stages["pontryagin"] = engine.pontryagin_check(mu)
     return stages
 

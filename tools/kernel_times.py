@@ -14,17 +14,17 @@ same file from a copy of another commit measures that commit.  The kernels are
   the table cached, then one `require_in_m` and one `fourier` call of the
   side (the span kernel and the table built before timing) on a seeded
   random element of its algebra;
-* `check_pairing_axioms` on each group SPEC's pair, with a generator seeded
-  at the suite seed on every call, after the first call has filled the
-  pair's caches, and `pontryagin_check` on its W;
+* `check_pairing_axioms` on each group SPEC's pair, after the first call has
+  filled the pair's caches, and `pontryagin_check` on its W;
 * on the two n = 12 dense unitaries of the verify-dense benchmark workload
   (workload seed 11): `cli.write_json` of each one's `matrix_to_json` to a
   temporary file and `cli.load_unitary` of that file, then `check_pentagon`,
   `slice_spans` (both spans from one SVD), the one-side `slice_span_m` and
   `slice_span_mhat` and `pair_from_unitary`, then `check_antipode` on the
   pair derived from each, `comult_coeff_tensor`, `require_in_m` and
-  `fourier` on its M and Mhat sides as above, `pontryagin_check` on W, and
-  `run_suite` on W at suite seed 11;
+  `fourier` on its M and Mhat sides as above, each full-basis check of
+  `FULL_BASIS_CHECKS` on the pair (caches filled by the first call),
+  `pontryagin_check` on W, and `run_suite` on W at suite seed 11;
 * `run_suite` on each group SPEC at suite seed 11, on a freshly built model
   per call, so no cached table carries over from one call to the next.
 """
@@ -47,13 +47,18 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from perfbench.workloads import dense_unitaries
 from qgft import cli, engine, models
-from qgft.fourier import check_pairing_axioms, fourier
-from qgft.linalg import random_element
+from qgft import fourier as ft
+from qgft.fourier import fourier
+from qgft.linalg import random_complex
 from qgft.verify import run_suite
 
 REPEATS = 5
 SUITE_SEED = 11
 DENSE_SEED = 11
+# The suite stages that check one identity on the full bases, as matrix products.
+FULL_BASIS_CHECKS = (engine.check_sharp_involution, ft.check_inversion, ft.check_plancherel,
+                     ft.check_convolution, ft.check_pairing, ft.check_pairing_axioms,
+                     ft.check_ft_pairing)
 
 
 def measure(call) -> dict:
@@ -88,7 +93,7 @@ def coeff_tensor(pair: engine.QuantumGroupPair, source: str, side: str):
 def projections(pair: engine.QuantumGroupPair, source: str, side: str):
     """(kernel, source, side, call) for one `require_in_m` and one `fourier`
     call on pair, the pair of one side, with its caches filled first."""
-    a = random_element(np.random.default_rng(SUITE_SEED), pair.span)
+    a = pair.span.reconstruct(random_complex(np.random.default_rng(SUITE_SEED), pair.span.dim))
     fourier(pair, a)
     yield "require_in_m", source, side, lambda: pair.require_in_m(a)
     yield "fourier", source, side, lambda: fourier(pair, a)
@@ -105,7 +110,7 @@ def kernels(groups: list):
                 yield table, spec, side, lambda pair=pair, table=table: getattr(fresh(pair), table)
             yield from projections(pair, spec, side)
         yield ("check_pairing_axioms", spec, "",
-               lambda qg=qg: check_pairing_axioms(qg, np.random.default_rng(SUITE_SEED)))
+               lambda qg=qg: ft.check_pairing_axioms(qg))
         yield "pontryagin_check", spec, "", lambda qg=qg: engine.pontryagin_check(qg.mu)
     with tempfile.TemporaryDirectory() as tmp:
         for label, w in dense_unitaries(DENSE_SEED):
@@ -123,6 +128,8 @@ def kernels(groups: list):
             for side, pair in (("M", qg), ("Mhat", qg.dual)):
                 yield coeff_tensor(pair, label, side)
                 yield from projections(pair, label, side)
+            for check in FULL_BASIS_CHECKS:
+                yield check.__name__, label, "", lambda qg=qg, check=check: check(qg)
             yield "pontryagin_check", label, "", lambda mu=mu: engine.pontryagin_check(mu)
             yield "run_suite", label, "", lambda w=w: run_suite(w, seed=SUITE_SEED)
     for spec, group in groups:
