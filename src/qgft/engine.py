@@ -639,14 +639,14 @@ def lam_hat(mu: MultiplicativeUnitary, theta: Functional) -> np.ndarray:
 def sharp(omega: Functional, s_mat: np.ndarray, span: SpanKernel) -> Functional:
     """The sharp of a functional, omega_sharp(x) = conj(omega(S(x)^*)),
     re-encoded as a density supported on the span (a pair's cached `span`)."""
-    return Functional(span.reconstruct(_sharp(omega.density, s_mat, span).conj()).conj().T)
+    return Functional(span.reconstruct(_sharp(span.coords(omega.density), s_mat).conj()).conj().T)
 
 
-def _sharp(densities: np.ndarray, s_mat: np.ndarray, span: SpanKernel) -> np.ndarray:
-    """`sharp` of a density, or of each density of a stack, as coordinates c
-    on the adjoints of the span's basis: omega_sharp has density
-    sum_k c[k] x_k^*."""
-    return span.coords(densities).conj() @ s_mat
+def _sharp(coords: np.ndarray, s_mat: np.ndarray) -> np.ndarray:
+    """`sharp` of the functional whose density has the coordinates coords on
+    the basis, or of each row of coords, as coordinates c on the adjoints of
+    the basis: omega_sharp has density sum_k c[k] x_k^*."""
+    return coords.conj() @ s_mat
 
 
 def fixed_leg_vectors(mu: MultiplicativeUnitary) -> np.ndarray:
@@ -714,8 +714,11 @@ class QuantumGroupPair:
     their deviations).  No
     dense W is cached here: `w` and `w4` read `mu.dense`, and the Fourier and
     pairing tables read W through `leg1_contraction`, so on a permutation W
-    they build no dense W.  `dual` is the pair of What with M and Mhat
-    exchanged; it holds no reference back.  `span` is the projection onto M
+    they build no dense W.  The convolution tensors through F and the
+    pairing's inverse and forward tables are built from the Fourier tables
+    of this pair and its `dual`, both sides' tensors on this pair, so no
+    table is read from `dual.dual`.  `dual` is the pair of What with M and
+    Mhat exchanged; it holds no reference back.  `span` is the projection onto M
     (`linalg.SpanKernel`), laid out once and read by `require_in_m`,
     `coords_m`, `apply_s`/`apply_s_inv` and every reconstruction on M, and
     handed to `sharp`; `dual.span` projects onto Mhat.
@@ -821,6 +824,11 @@ class QuantumGroupPair:
         half = leg1_contraction(self.mu, self.phi.xi.conj())                # [k, p, l]
         return (self.m_basis @ self.phi.xi) @ half.transpose(1, 0, 2).reshape(n, n * n)
 
+    @property
+    def fourier_images(self) -> np.ndarray:
+        """F(x_k) for every element of the M basis: the table as an (m, n, n) stack."""
+        return self.fourier_table.reshape(-1, self.n, self.n)
+
     @cached_property
     def convolution_table(self) -> np.ndarray:
         """G[k, j] = phi(S^{-1}(x_k) x_j) on the M basis."""
@@ -835,6 +843,56 @@ class QuantumGroupPair:
         xi, xihat = self.phi.xi, self.phihat.xi
         w_star_mid = (leg1_contraction(self.mu, xi.conj()) @ xihat).T.conj()
         return (xi.conj() @ self.m_basis) @ w_star_mid @ (self.mhat_basis @ xihat).T
+
+    @cached_property
+    def pairing_inverse_table(self) -> np.ndarray:
+        """Q_inv[k, l] = phi(x_k F^{-1}(y_l)) = conj(Lambda(x_k^*)) . Lambda(F^{-1}(y_l))
+        on the bases, from the dual's Fourier table."""
+        xi = self.phi.xi
+        return (xi.conj() @ self.m_basis) @ (self.dual.fourier_images @ xi).T
+
+    @cached_property
+    def pairing_forward_table(self) -> np.ndarray:
+        """Q_fwd[k, l] = <y_l xi_phihat, F(x_k) xi_phihat> on the bases, from the
+        Fourier table: phihat(F(a^*)^* b) = conj(coords(a^*)) @ Q_fwd @ coords(b)."""
+        xihat = self.phihat.xi
+        return (self.fourier_images @ xihat).conj() @ (self.mhat_basis @ xihat).T
+
+    @cached_property
+    def fourier_convolution(self) -> tuple[np.ndarray, float]:
+        """(T, rho) of the convolution through F on M (`fourier_convolution_tensor`
+        of this pair and its dual)."""
+        return fourier_convolution_tensor(self, self.dual)
+
+    @cached_property
+    def fourier_convolution_hat(self) -> tuple[np.ndarray, float]:
+        """(T, rho) of the convolution through F on Mhat, built from this pair and
+        its dual, whose caches it shares (the dual's own dual would start empty)."""
+        return fourier_convolution_tensor(self.dual, self)
+
+
+def fourier_convolution_tensor(side: QuantumGroupPair,
+                               other: QuantumGroupPair) -> tuple[np.ndarray, float]:
+    """(T, rho) for the convolution a * c = F^{-1}(F(a) F(c)) on side's M basis,
+    other being side's dual: x_i * x_j = sum_k T[i, j, k] x_k with
+
+        T[i, j, k] = sum F~[i, a] F~[j, b] Phat[a, b, c] F~^{-1}[c, k],
+
+    F~ the coordinates of F(x_i) on other's basis y, F~^{-1} those of
+    F^{-1}(y_c) on side's, and Phat[a, b] those of y_a y_b.  rho is the
+    largest residual of F(x_i), y_a y_b and F^{-1}(y_c) off their spans.
+    Phat is projected one row a at a time, so no stack of all the products
+    y_a y_b is formed."""
+    f, f_off = other.span.project(side.fourier_images)
+    g, g_off = side.span.project(other.fourier_images)
+    y = other.m_basis
+    m, mh = f.shape
+    p_hat, p_off = np.empty((mh, mh, mh), dtype=complex), 0.0
+    for a in range(mh):
+        p_hat[a], off = other.span.project(y[a] @ y)
+        p_off = max(p_off, off)
+    tensor = np.matmul(f, (f @ p_hat.reshape(mh, mh * mh)).reshape(m, mh, mh)) @ g
+    return tensor, max(f_off, g_off, p_off)
 
 
 def derive_pair(mu: MultiplicativeUnitary, run, tol: float = DEFAULT_TOL) -> QuantumGroupPair | None:
@@ -960,18 +1018,27 @@ def check_antipode(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckRepor
 
 def check_sharp_involution(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckReport:
     """((omega (x) id)(W))^* = (omega_sharp (x) id)(W), and omega_sharp_sharp =
-    omega on M, for all n^2 matrix-unit functionals omega = E_ab at once: their
-    slices are the rows of W's leg-1 slice family, laid out once, and one
-    `_sharp` of the stack writes each omega_sharp on the adjoints x_k^*, whose
-    slices give its slice (m n^4 work, not n^6)."""
-    n, adjoints = qg.n, flat_rows(qg.m_basis.conj().swapaxes(1, 2))            # x_k^*
-    once = _sharp(np.eye(n * n, dtype=complex).reshape(n * n, n, n), qg.s_mat, qg.span)
-    twice = _sharp((once @ adjoints).reshape(n * n, n, n), qg.s_mat, qg.span)
+    omega on M, for all n^2 matrix-unit functionals omega = E_ab at once.
+
+    Both sharps stay in coordinates: the coordinates of E_ab are the
+    conjugated basis entries conj(x_k[a, b]), and `_sharp` writes each
+    omega_sharp on the adjoints x_k^*, whose own coordinates give those of
+    the second sharp.  The slices of the E_ab are the rows of W's leg-1
+    slice family, laid out once, and those of each omega_sharp come from the
+    adjoints' slices (m n^4 work, not n^6), compared one row index a at a
+    time, so the only n^4 array is the family."""
+    n, rows = qg.n, flat_rows(qg.m_basis)
+    adjoint_stack = qg.m_basis.conj().swapaxes(1, 2)                           # x_k^*
+    adjoints = flat_rows(adjoint_stack)
+    once = _sharp(rows.conj().T, qg.s_mat)
+    twice = _sharp(once @ qg.span.coords(adjoint_stack), qg.s_mat)
     values = flat_rows(qg.m_basis.swapaxes(1, 2)).T                            # rho -> trace(rho x_k)
     family = slice_family(qg.w, n, 1)
-    dev = max(deviation(twice @ (adjoints @ values), values),
-              deviation(flat_rows(family.conj().swapaxes(1, 2)),
-                        once @ (adjoints @ flat_rows(family))))
+    slices = adjoints @ flat_rows(family)
+    dev = deviation(twice @ (adjoints @ values), values)
+    for start in range(0, n * n, n):
+        dev = max(dev, deviation(family[start:start + n].conj().swapaxes(1, 2),
+                                 (once[start:start + n] @ slices).reshape(n, n, n)))
     return CheckReport("sharp-involution", dev, tol)
 
 

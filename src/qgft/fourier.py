@@ -7,28 +7,43 @@ The transform and its inverse are weighted slices of W,
     F^{-1}(b) = (id (x) phihat)(W^* (1 (x) b)),
 
 with the sliced leg contracted against the weight's implementing vector.
-F, the direct convolution and the pairing are (bi)linear maps between the
-algebras, so each is tabulated once per pair on the orthonormal bases
-(`QuantumGroupPair.fourier_table`, `convolution_table`, `pairing_table`), and
-a call is a projection onto the basis by the pair's cached span kernel
-(`qg.span`: O(n^2) gathers on the indicator bases of a group model, two
-O(m n^2) products on any other basis) plus an O(m n^2) product with a table.
+The transform, the convolutions and the pairing are (bi)linear maps between
+the algebras, so each is tabulated once per pair on the orthonormal bases, on
+first use, and a call is a projection of each operand onto its basis by the
+pair's cached span kernel (`qg.span`: O(n^2) gathers on the indicator bases
+of a group model, two O(m n^2) products on any other basis) plus a product
+with one table:
+
+    fourier, inverse_fourier   `fourier_table` of the pair or of its dual
+    convolve_direct and dual   `convolution_table` and `delta_coeffs`
+    convolve_dual              `fourier_convolution_hat`, a tensor T[i, j, k]
+    pairing                    `pairing_inverse_table`, `pairing_forward_table`
+                               and `pairing_table`, one per route
+
 This is exact because every operand must pass the span membership
 precondition (`require_in_m`, NotInAlgebra otherwise), so it equals its
 projection.  An operand is not copied or scanned beforehand: `require_in_m`
 rejects a non-finite entry, and the kernel lays it out C-contiguous.
+`convolve` is the one op that composes others: two `fourier` calls and one
+`inverse_fourier`, whose membership check of F(a) F(c) raises NotInAlgebra.
+`convolve_dual` raises it instead when its tensor's residual exceeds
+DEFAULT_TOL, since a product of inverse transforms is then off M.
 
-F^{-1} is the transform of the dual pair (What = Sigma W^* Sigma), and every
-Mhat-side function here is its M-side twin applied to `qg.dual`.
+F^{-1} is the transform of the dual pair (What = Sigma W^* Sigma), and the
+Mhat-side functions here apply their M-side twins to `qg.dual`, except
+`convolve_dual`, which reads the pair's own tensor so that `qg.dual.dual`
+(a pair with empty caches) is never built.
 
 Each result is one check, `check_*(qg, tol)`, which draws nothing: each
 identity is linear, antilinear or bilinear in its operands, so the full
 algebra bases decide it, and each is evaluated once as a few stacked products
 on the bases' coordinates.  F~[k, l] holds the coordinates of F(x_k) on the
-Mhat basis, the projection of the stack `_images(qg)` by `qg.dual.span`, and
-F~^{-1} is the dual pair's; the product constants of a basis are its stack of
-products projected back onto it.  A residual of a basis image off the span it
-must lie in (`require_in_m` for one operand) is part of the deviation.
+Mhat basis, the projection of the stack `qg.fourier_images` by
+`qg.dual.span`, and F~^{-1} is the dual pair's; the product constants of a
+basis are its products projected back onto it.  The convolution and pairing
+checks compare the very tables the ops read (`engine.fourier_convolution_tensor`
+on each side, `pairing_routes`).  A residual of a basis image off the span
+it must lie in (`require_in_m` for one operand) is part of the deviation.
 """
 
 from __future__ import annotations
@@ -37,12 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import CheckReport, QuantumGroupPair, w_coefficients
+from .engine import CheckReport, NotInAlgebra, QuantumGroupPair, w_coefficients
 from .linalg import DEFAULT_TOL, deviation, flat_rows
-
-
-def _from_table(qg: QuantumGroupPair, coords: np.ndarray) -> np.ndarray:
-    return (coords @ qg.fourier_table).reshape(qg.n, qg.n)
 
 
 def _operand(qg: QuantumGroupPair, x) -> np.ndarray:
@@ -55,7 +66,7 @@ def _operand(qg: QuantumGroupPair, x) -> np.ndarray:
 
 
 def _transform(qg: QuantumGroupPair, a) -> np.ndarray:
-    return _from_table(qg, qg.require_in_m(_operand(qg, a)))
+    return (qg.require_in_m(_operand(qg, a)) @ qg.fourier_table).reshape(qg.n, qg.n)
 
 
 def fourier(qg: QuantumGroupPair, a) -> np.ndarray:
@@ -69,17 +80,12 @@ def inverse_fourier(qg: QuantumGroupPair, b) -> np.ndarray:
     return _transform(qg.dual, b)
 
 
-def _images(side: QuantumGroupPair) -> np.ndarray:
-    """F(x_k) for every element of side's M basis, as an (m, n, n) stack."""
-    return side.fourier_table.reshape(-1, side.n, side.n)
-
-
 def check_inversion(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckReport:
     """Both composites of F and F^{-1} are the identity on the full bases:
     F~ F~^{-1} = 1 and F~^{-1} F~ = 1, and every F(x_k) lies in Mhat and every
     F^{-1}(y_l) in M, each within tol."""
-    f, f_off = qg.dual.span.project(_images(qg))                               # F~
-    g, g_off = qg.span.project(_images(qg.dual))                               # F~^{-1}
+    f, f_off = qg.dual.span.project(qg.fourier_images)                         # F~
+    g, g_off = qg.span.project(qg.dual.fourier_images)                         # F~^{-1}
     dev = max(deviation(f @ g, np.eye(len(f))), deviation(g @ f, np.eye(len(g))), f_off, g_off)
     return CheckReport("fourier-inversion", dev, tol)
 
@@ -88,13 +94,17 @@ def check_plancherel(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckRep
     """Plancherel: the transform is isometric on GNS vectors,
     Lambda_hat(F(a)) = Lambda(a) and Lambda(F^{-1}(b)) = Lambda_hat(b), on the
     full bases, one product per side."""
-    dev = max(deviation(_images(side) @ side.phihat.xi, side.m_basis @ side.phi.xi)
+    dev = max(deviation(side.fourier_images @ side.phihat.xi, side.m_basis @ side.phi.xi)
               for side in (qg, qg.dual))
     return CheckReport("plancherel", dev, tol)
 
 
 def convolve(qg: QuantumGroupPair, a, c) -> np.ndarray:
-    """Convolution on M: a * c = F^{-1}(F(a) F(c))."""
+    """Convolution on M: a * c = F^{-1}(F(a) F(c)), by two `fourier` calls and
+    one `inverse_fourier`; NotInAlgebra if an operand is off M or F(a) F(c)
+    off Mhat.  Its tensor `fourier_convolution` serves the checks only: the
+    benchmark's tracer test (perfbench/test_perfbench.py) counts these nested
+    calls, and perfbench/ changes only with the benchmark."""
     return inverse_fourier(qg, fourier(qg, a) @ fourier(qg, c))
 
 
@@ -112,8 +122,20 @@ def convolve_direct(qg: QuantumGroupPair, a, c) -> np.ndarray:
 
 
 def convolve_dual(qg: QuantumGroupPair, b, d) -> np.ndarray:
-    """Convolution on Mhat: b * d = F(F^{-1}(b) F^{-1}(d))."""
-    return fourier(qg, inverse_fourier(qg, b) @ inverse_fourier(qg, d))
+    """Convolution on Mhat: b * d = F(F^{-1}(b) F^{-1}(d)), one contraction of
+    the operands' coordinates beta, delta with the pair's tensor (T, rho) =
+    `fourier_convolution_hat` (built once, `engine.fourier_convolution_tensor`):
+    coordinates sum T[i, j, k] beta_i delta_j.  NotInAlgebra if an operand is
+    off Mhat, or if rho exceeds DEFAULT_TOL: some F^{-1}(y_a) F^{-1}(y_b) is
+    then off M, where the per-call route checked F^{-1}(b) F^{-1}(d)."""
+    side = qg.dual
+    beta = side.require_in_m(_operand(qg, b))
+    delta = side.require_in_m(_operand(qg, d))
+    tensor, residual = qg.fourier_convolution_hat
+    if not residual <= DEFAULT_TOL:
+        raise NotInAlgebra(f"the convolution tensor leaves its spans (residual {residual:.3e})")
+    m = len(beta)
+    return side.span.reconstruct(delta @ (beta @ tensor.reshape(m, m * m)).reshape(m, m))
 
 
 def convolve_dual_direct(qg: QuantumGroupPair, b, d) -> np.ndarray:
@@ -122,25 +144,22 @@ def convolve_dual_direct(qg: QuantumGroupPair, b, d) -> np.ndarray:
     return convolve_direct(qg.dual, b, d)
 
 
-def _convolution_deviation(side: QuantumGroupPair, other: QuantumGroupPair) -> float:
-    """How far side's two convolution routes are apart on its full basis, as
-    coefficient tensors [i, j, k] of x_i * x_j.  Through F (other =
-    side.dual): sum F~[i, a] F~[j, b] Phat[a, b, c] F~^{-1}[c, k], with Phat
-    the product constants of other's basis; direct: sum_p G[p, i] D[p, k, j].
-    The residuals of F(x_i), y_a y_b and F^{-1}(y_c) off their spans count."""
-    f, f_off = other.span.project(_images(side))
-    g, g_off = side.span.project(_images(other))
-    y = other.m_basis
-    p_hat, p_off = other.span.project(y[:, None] @ y[None, :])                   # [a, b, c]
-    m, mh = f.shape
-    via_f = np.matmul(f, (f @ p_hat.reshape(mh, mh * mh)).reshape(m, mh, mh)) @ g
+def _direct_convolution_tensor(side: QuantumGroupPair) -> np.ndarray:
+    """sum_p G[p, i] D[p, k, j] as [i, j, k]: the coordinates of x_i * x_j
+    along `convolve_direct`."""
+    m = len(side.convolution_table)
     gd = side.convolution_table.T @ side.delta_coeffs.reshape(m, m * m)          # [i, (k j)]
-    return max(deviation(via_f, gd.reshape(m, m, m).transpose(0, 2, 1)), f_off, g_off, p_off)
+    return gd.reshape(m, m, m).transpose(0, 2, 1)
 
 
 def check_convolution(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckReport:
-    """Both convolution routes agree on the full bases of both sides."""
-    dev = max(_convolution_deviation(qg, qg.dual), _convolution_deviation(qg.dual, qg))
+    """Both convolution routes agree on the full bases of both sides, as
+    coefficient tensors [i, j, k] of x_i * x_j: the pair's tensors through F
+    (`fourier_convolution`, `fourier_convolution_hat`, whose residuals count)
+    against the direct route's."""
+    dev = max(max(deviation(tensor, _direct_convolution_tensor(side)), residual)
+              for side, (tensor, residual) in ((qg, qg.fourier_convolution),
+                                               (qg.dual, qg.fourier_convolution_hat)))
     return CheckReport("convolution-agreement", dev, tol)
 
 
@@ -160,34 +179,34 @@ class PairingValue:
 
 def pairing(qg: QuantumGroupPair, b, a) -> PairingValue:
     """Evaluate <b|a> for b in Mhat, a in M, independently along all three
-    Haar-weight descriptions, each tabulated on the bases: via_inverse from
-    the F^{-1} table, via_forward from the F table and via_w = alpha @ P @ beta
-    from the W^* `pairing_table`.  Exact because a must lie in M and b in Mhat."""
+    Haar-weight descriptions, each a bilinear form on the coordinates alpha
+    of a and beta of b with a table of the pair: via_inverse = alpha @ Q_inv
+    @ beta (`pairing_inverse_table`), via_forward = conj(coords(a^*)) @ Q_fwd
+    @ beta (`pairing_forward_table`; a^* is projected on its own) and via_w
+    = alpha @ P @ beta (`pairing_table`).  NotInAlgebra unless a lies in M
+    and b in Mhat."""
     a, b = _operand(qg, a), _operand(qg, b)
     alpha = qg.require_in_m(a)
     beta = qg.dual.require_in_m(b)
-    via_inverse = qg.phi.value(a @ _from_table(qg.dual, beta))
-    via_forward = qg.phihat.value(_from_table(qg, qg.coords_m(a.conj().T)).conj().T @ b)
+    via_inverse = complex(alpha @ qg.pairing_inverse_table @ beta)
+    via_forward = complex(qg.coords_m(a.conj().T).conj() @ qg.pairing_forward_table @ beta)
     via_w = complex(alpha @ qg.pairing_table @ beta)
     return PairingValue(via_inverse, via_forward, via_w)
 
 
-def _inverse_route(qg: QuantumGroupPair) -> tuple[np.ndarray, np.ndarray]:
-    """u[k] = xi_phi-bar x_k = conj(Lambda(x_k^*)), and <y_l | x_k> =
-    phi(x_k F^{-1}(y_l)) = u[k] . Lambda(F^{-1}(y_l)) as an m x mhat matrix."""
-    u = qg.phi.xi.conj() @ qg.m_basis
-    return u, u @ (_images(qg.dual) @ qg.phi.xi).T
+def pairing_routes(qg: QuantumGroupPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """<y_l | x_k> along the three routes of `pairing`, as m x mhat matrices
+    read from the same tables: Q_inv, conj(coords(x_k^*)) @ Q_fwd and P."""
+    adjoints = qg.coords_m(qg.m_basis.conj().swapaxes(1, 2))                   # x_k^*
+    return (qg.pairing_inverse_table, adjoints.conj() @ qg.pairing_forward_table,
+            qg.pairing_table)
 
 
 def check_pairing(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckReport:
     """The three Haar-weight routes of <y_l | x_k> agree on the full bases
-    (the largest `PairingValue.spread`), each as an m x mhat matrix: via_w is
-    `pairing_table`, and via_forward is phihat(F(x_k^*)^* y_l) =
-    <y_l xi_phihat, F(x_k^*) xi_phihat>."""
-    xihat = qg.phihat.xi
-    forward = qg.coords_m(qg.m_basis.conj().swapaxes(1, 2)) @ (_images(qg) @ xihat)
-    routes = (_inverse_route(qg)[1], forward.conj() @ (qg.mhat_basis @ xihat).T,
-              qg.pairing_table)
+    (the largest `PairingValue.spread`), each as an m x mhat matrix
+    (`pairing_routes`)."""
+    routes = pairing_routes(qg)
     return CheckReport("pairing", max(deviation(x, y) for x in routes for y in routes), tol)
 
 
@@ -232,7 +251,8 @@ def check_pairing_axioms(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> Chec
 
 def check_ft_pairing(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckReport:
     """Inner-product description of the pairing on the full bases,
-    <y_l | x_k> = <Lambda_hat(y_l), Lambda(x_k^*)>, as an m x mhat matrix."""
-    u, via_inverse = _inverse_route(qg)
-    return CheckReport("ft-pairing", deviation(via_inverse, u @ (qg.mhat_basis @ qg.phihat.xi).T),
-                       tol)
+    <y_l | x_k> = <Lambda_hat(y_l), Lambda(x_k^*)>, against the pair's
+    `pairing_inverse_table` as an m x mhat matrix."""
+    u = qg.phi.xi.conj() @ qg.m_basis                                          # conj Lambda(x_k^*)
+    return CheckReport("ft-pairing", deviation(qg.pairing_inverse_table,
+                                               u @ (qg.mhat_basis @ qg.phihat.xi).T), tol)

@@ -20,13 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import MultiplicativeUnitary, QuantumGroupPair, Weight
-from .fourier import convolve, convolve_dual, pairing
+from .fourier import pairing_routes
 from .groups import FiniteGroup, NonAbelianInput, characters, is_abelian
-from .linalg import deviation, max_abs, random_complex
-
-# Random draws of each classical oracle.
-CONVOLUTION_SAMPLES = 20
-PAIRING_SAMPLES = 50
+from .linalg import deviation, max_abs
 
 
 @dataclass(frozen=True)
@@ -109,30 +105,30 @@ def classical_convolution(group: FiniteGroup, a, c) -> np.ndarray:
     return a @ c[group.mult[group.inv, :]]
 
 
-def convolution_oracle_deviation(model: GroupModel, rng: np.random.Generator) -> float:
-    """pi(a) * pi(c) = pi(a * c) with the group convolution, and L(b) * L(d) =
-    L(b d), for CONVOLUTION_SAMPLES random functions a, c, b and d."""
-    n, qg, dev = model.n, model.qg, 0.0
-    for _ in range(CONVOLUTION_SAMPLES):
-        fa, fc = random_complex(rng, n), random_complex(rng, n)
-        out = convolve(qg, pi(model, fa), pi(model, fc))
-        dev = max(dev, deviation(pi_function(model, out),
-                                 classical_convolution(model.group, fa, fc)))
-        fb, fd = random_complex(rng, n), random_complex(rng, n)
-        out = convolve_dual(qg, L(model, fb), L(model, fd))
-        dev = max(dev, deviation(L_function(model, out), fb * fd))
-    return dev
+def convolution_oracle_deviation(model: GroupModel) -> float:
+    """The pair's convolution tensors through F on every basis pair
+    (`QuantumGroupPair.fourier_convolution` and `fourier_convolution_hat`),
+    against the group: with a_g the function of x_g (pi(a_g) = x_g) and b_g
+    that of y_g (L(b_g) = y_g), x_g * x_h = pi(a_g * a_h) with the group
+    convolution and y_g * y_h = L(b_g b_h), compared as functions."""
+    qg, group = model.qg, model.group
+    a = np.diagonal(qg.m_basis, axis1=1, axis2=2)                               # pi_function
+    b = qg.mhat_basis[:, :, group.identity]                                     # L_function
+    tensor, tensor_hat = qg.fourier_convolution[0], qg.fourier_convolution_hat[0]
+    # (a_g * a_h)(y) = sum_x a_g(x) a_h(x^{-1} y), as [h, g, y]
+    classical = a @ a[:, group.mult[group.inv, :]]
+    return max(deviation(tensor @ a, classical.swapaxes(0, 1)),
+               deviation(tensor_hat @ b, b[:, None] * b[None, :]))
 
 
-def pairing_oracle_deviation(model: GroupModel, rng: np.random.Generator) -> float:
-    """<L(b) | pi(a)> = sum_x a(x) b(x) along every route, for PAIRING_SAMPLES
-    random pairs of functions."""
-    dev = 0.0
-    for _ in range(PAIRING_SAMPLES):
-        fa, fb = random_complex(rng, model.n), random_complex(rng, model.n)
-        value = pairing(model.qg, L(model, fb), pi(model, fa))
-        dev = max(dev, value.spread, abs(value.via_inverse - complex(np.sum(fa * fb))))
-    return dev
+def pairing_oracle_deviation(model: GroupModel) -> float:
+    """<L(b) | pi(a)> = sum_x a(x) b(x) on every basis pair, along each of the
+    three routes (`fourier.pairing_routes`): <y_h | x_g> = sum_x a_g(x) b_h(x)
+    with a_g, b_h the functions of x_g and y_h."""
+    qg = model.qg
+    a = np.diagonal(qg.m_basis, axis1=1, axis2=2)
+    b = qg.mhat_basis[:, :, model.group.identity]
+    return max(deviation(route, a @ b.T) for route in pairing_routes(qg))
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,13 @@ inner-product pairing description, and Pontryagin duality.
 (pair-agreement), and the checks then run on the given pair.  Otherwise it only
 calls the `check_*` functions of `engine` and `fourier` in this order.  For a
 group model, `convolution-agreement` and `pairing` also take the model's
-classical oracle (`models.*_oracle_deviation`), drawn after `slice-product-laws`.
+classical oracle (`models.*_oracle_deviation`) on every basis pair.
 
 Stages are bounded by `tol_value`, except unitarity, the pentagon and
 pontryagin, which keep their own bounds.  No stage draws except
-`slice-product-laws` and a group model's two oracles, which draw from a
-generator seeded with the recorded seed, so a report is reproducible bit for
-bit apart from the elapsed-time fields.
+`slice-product-laws`, which draws from a generator seeded with the recorded
+seed, so a report is reproducible bit for bit apart from the elapsed-time
+fields.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ def run_suite(source, tol_value: float = DEFAULT_TOL, seed: int = DEFAULT_SEED,
 
     def with_oracle(check: CheckReport, oracle) -> CheckReport:
         if model is not None:
-            check.deviation = max(check.deviation, oracle(model, rng))
+            check.deviation = max(check.deviation, oracle(model))
         return check
 
     run("w-membership", lambda: engine.check_w_membership(qg, tol))

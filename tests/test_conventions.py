@@ -4,7 +4,7 @@ import ast
 import inspect
 from pathlib import Path
 
-from qgft import engine, fourier
+from qgft import engine, fourier, models
 from qgft.linalg import DEFAULT_TOL
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qgft"
@@ -112,6 +112,15 @@ def test_every_check_has_the_one_signature():
         assert list(inspect.signature(fn).parameters) == ["qg", "tol"], fn.__name__
     assert [name for name, fn in public_checks()
             if "rng" in inspect.signature(fn).parameters] == ["check_slice_product_laws"]
+
+
+def test_group_model_oracles_take_the_model_alone():
+    # the oracles compare the pair's tables on every basis pair, so they draw
+    # nothing, and the sample counts of the draws are gone
+    for fn in (models.convolution_oracle_deviation, models.pairing_oracle_deviation):
+        assert list(inspect.signature(fn).parameters) == ["model"], fn.__name__
+    assert not hasattr(models, "CONVOLUTION_SAMPLES")
+    assert not hasattr(models, "PAIRING_SAMPLES")
 
 
 # The Fourier and pairing tables contract W's first leg with a Haar vector

@@ -1093,6 +1093,23 @@ def test_sharp_involution_check():
         assert check_sharp_involution(model(g).qg).passed
 
 
+def test_sharp_involution_holds_one_n4_array_on_s4():
+    # an n^4 array of s4 is 5.1 MiB; the stage held several at once (the unit
+    # densities, the sharps' densities, the family, its adjoint and their
+    # slices: a 23.6 MiB peak).  The sharps stay in coordinates and the
+    # slices are compared one row index at a time, beside the one family.
+    qg = model(groups.symmetric(4)).qg
+    check_sharp_involution(qg)                     # W itself is built once, before
+    tracemalloc.start()
+    try:
+        report = check_sharp_involution(qg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak <= 23.6 / 2 * 2 ** 20
+
+
 def test_sharp_functional_bundle():
     qg = model(groups.cyclic(4)).qg
     density = RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4))

@@ -3,6 +3,7 @@ pairing, checked against the classical finite-group formulas computed by
 independent brute-force oracles."""
 
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from qgft import fourier as ft
 from qgft import groups, models
 from qgft.engine import NotInAlgebra, QuantumGroupPair, pair_from_unitary
 from qgft.fourier import (
+    check_convolution,
     check_ft_pairing,
     check_inversion,
     check_pairing,
@@ -25,6 +27,7 @@ from qgft.fourier import (
     pairing,
 )
 from qgft.linalg import deviation, kron, random_complex
+from qgft.verify import run_suite
 
 RNG = np.random.default_rng(23)
 
@@ -652,3 +655,86 @@ def test_ops_reject_operands_of_the_wrong_shape(contract_pair, op):
             args[slot] = np.zeros(shape, dtype=complex)
             with pytest.raises(ValueError):
                 fn(contract_pair, *args)
+
+
+# ------------------------------------------- the convolution and pairing tables
+#
+# convolve_dual and pairing read per-pair tables built once on first use, and
+# check_convolution, check_pairing and check_ft_pairing compare the same
+# tables: the tensors through F of both sides (each with its residual), and
+# the inverse and forward routes of the pairing.
+
+PAIR_TABLES = ("fourier_convolution", "fourier_convolution_hat", "pairing_inverse_table",
+               "pairing_forward_table")
+
+
+def spy_on_tables(monkeypatch) -> list:
+    """Record (table, pair id) at every build of a PAIR_TABLES entry."""
+    builds = []
+    for name in PAIR_TABLES:
+        build = QuantumGroupPair.__dict__[name].func
+        spy = cached_property(lambda qg, name=name, build=build:
+                              builds.append((name, id(qg))) or build(qg))
+        spy.__set_name__(QuantumGroupPair, name)
+        monkeypatch.setattr(QuantumGroupPair, name, spy)
+    return builds
+
+
+@pytest.mark.parametrize("label", ["s3", "transported-dihedral3"])
+def test_each_table_is_built_once_per_pair(label, monkeypatch):
+    builds = spy_on_tables(monkeypatch)
+    source = model(groups.symmetric(3)) if label == "s3" else transported_dihedral3_pair()
+    qg = source.qg if label == "s3" else source
+    assert run_suite(source).passed
+    rng = np.random.default_rng(43)
+    for _ in range(100):
+        a, c = (qg.span.reconstruct(random_complex(rng, qg.span.dim)) for _ in range(2))
+        b, d = (qg.dual.span.reconstruct(random_complex(rng, qg.dual.span.dim))
+                for _ in range(2))
+        convolve(qg, a, c), convolve_dual(qg, b, d), pairing(qg, b, a)
+    check_convolution(qg), check_pairing(qg), check_ft_pairing(qg)
+    assert sorted(builds) == sorted((name, id(qg)) for name in PAIR_TABLES)
+    # both sides' tensors come from qg and qg.dual: the dual's dual, a pair
+    # with empty caches, is never built
+    assert "dual" not in vars(qg.dual)
+
+
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_first_table_builds_on_s4_form_no_stack_of_basis_products():
+    # the m^2 products y_a y_b of the s4 Mhat basis, as one (576, 24, 24)
+    # stack, take 5.1 MiB; the tensors project them one row a at a time
+    mdl = model(groups.symmetric(4))
+    qg, rng = mdl.qg, np.random.default_rng(47)
+    a, c = (models.pi(mdl, rng.standard_normal(24)) for _ in range(2))
+    b, d = (models.L(mdl, rng.standard_normal(24)) for _ in range(2))
+    assert traced_peak(lambda: (convolve(qg, a, c), convolve_dual(qg, b, d),
+                                pairing(qg, b, a))) < 2 * 2 ** 20
+    fresh = model(groups.symmetric(4)).qg
+    fresh.delta_coeffs, fresh.dual.delta_coeffs, fresh.s_inv_mat, fresh.shat_inv_mat
+    assert traced_peak(lambda: check_convolution(fresh)) < 2 * 2 ** 20
+
+
+def test_both_convolutions_raise_on_a_truncated_mhat_basis():
+    # with one Mhat basis element dropped, F(x_i) leaves the Mhat span: the
+    # route through F has no inverse transform on either side
+    qg = model(groups.symmetric(3)).qg
+    cut = QuantumGroupPair(qg.mu, qg.m_basis, qg.mhat_basis[:-1], qg.phi, qg.phihat,
+                           qg.s_mat, qg.shat_mat[:-1, :-1])
+    rng = np.random.default_rng(53)
+    a, c = (cut.span.reconstruct(random_complex(rng, cut.span.dim)) for _ in range(2))
+    b, d = (cut.dual.span.reconstruct(random_complex(rng, cut.dual.span.dim))
+            for _ in range(2))
+    assert cut.fourier_convolution_hat[1] > 1e-3
+    with pytest.raises(NotInAlgebra):
+        convolve(cut, a, c)
+    with pytest.raises(NotInAlgebra):
+        convolve_dual(cut, b, d)
+    assert not check_convolution(cut).passed

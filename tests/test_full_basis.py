@@ -161,7 +161,7 @@ MUTATIONS = {
         engine.QuantumGroupPair, "convolution_table",
         property(lambda qg: (qg.phi.xi.conj() @ qg.m_basis) @ (qg.m_basis @ qg.phi.xi).T))),
     "sharp-with-s-mat-for-its-transpose": ("sharp-involution", lambda mp: mp.setattr(
-        engine, "_sharp", lambda d, s_mat, span, sharp=engine._sharp: sharp(d, s_mat.T, span))),
+        engine, "_sharp", lambda c, s_mat, sharp=engine._sharp: sharp(c, s_mat.T))),
     "antipode-twisted-by-a-3-cycle": ("pairing-axioms", lambda mp: mp.setattr(
         engine.QuantumGroupPair, "shat_inv_mat",
         property(lambda qg: cycled(qg.mhat_basis.shape[0]) @ qg.dual.s_inv_mat))),

@@ -348,8 +348,8 @@ def test_suite_blames_the_corrupted_stage(corrupt, stage, eps):
 
 def replayed_checks(mu, qg, model, seed, tol=1e-10):
     """Every check stage of run_suite, called directly in suite order, with a
-    generator seeded like the suite's for the stage and the oracles that draw;
-    a group model also adds its oracles.
+    generator seeded like the suite's for the stage that draws; a group model
+    also adds its oracles.
     The pair is derived by engine.derive_pair, whose four stages, the pentagon
     first, are recorded too; a given qg is then compared with it
     (pair-agreement)."""
@@ -383,11 +383,11 @@ def replayed_checks(mu, qg, model, seed, tol=1e-10):
     if model is not None:
         stages["convolution-agreement"].deviation = max(
             stages["convolution-agreement"].deviation,
-            models.convolution_oracle_deviation(model, rng))
+            models.convolution_oracle_deviation(model))
     stages["pairing"] = ft.check_pairing(qg, tol)
     if model is not None:
         stages["pairing"].deviation = max(stages["pairing"].deviation,
-                                          models.pairing_oracle_deviation(model, rng))
+                                          models.pairing_oracle_deviation(model))
     stages["pairing-axioms"] = ft.check_pairing_axioms(qg, tol)
     stages["ft-pairing"] = ft.check_ft_pairing(qg, tol)
     stages["pontryagin"] = engine.pontryagin_check(mu)

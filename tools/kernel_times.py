@@ -11,9 +11,13 @@ same file from a copy of another commit measures that commit.  The kernels are
   on its M basis (side M) and on the dual's (side Mhat), then the
   `fourier_table` and `pairing_table` of that side, each
   built on a fresh `QuantumGroupPair` of the side's fields, so no call finds
-  the table cached, then one `require_in_m` and one `fourier` call of the
-  side (the span kernel and the table built before timing) on a seeded
-  random element of its algebra;
+  the table cached, then the side's convolution tensor through F
+  (`engine.fourier_convolution_tensor` of the side and the other side, their
+  Fourier tables and spans built before timing), its `pairing_inverse_table`
+  and `pairing_forward_table` (each on a fresh pair whose Fourier tables and
+  spans, and its dual's, are the side's), then one `require_in_m` and one
+  `fourier` call of the side (the span kernel and the table built before
+  timing) on a seeded random element of its algebra;
 * `check_pairing_axioms` on each group SPEC's pair, after the first call has
   filled the pair's caches, and `pontryagin_check` on its W;
 * on the two n = 12 dense unitaries of the verify-dense benchmark workload
@@ -84,6 +88,17 @@ def fresh(qg: engine.QuantumGroupPair) -> engine.QuantumGroupPair:
                                    qg.s_mat, qg.shat_mat)
 
 
+def with_transforms(pair: engine.QuantumGroupPair,
+                    other: engine.QuantumGroupPair) -> engine.QuantumGroupPair:
+    """A fresh pair of pair's fields, with other as its dual, whose Fourier
+    tables and spans are pair's and other's; every other cache empty."""
+    out = fresh(pair)
+    out.dual = fresh(other)
+    for new, old in ((out, pair), (out.dual, other)):
+        new.fourier_table, new.span = old.fourier_table, old.span
+    return out
+
+
 def coeff_tensor(pair: engine.QuantumGroupPair, source: str, side: str):
     """(kernel, source, side, call) for `comult_coeff_tensor` on pair's M basis."""
     return ("comult_coeff_tensor", source, side,
@@ -104,10 +119,16 @@ def kernels(groups: list):
     (spec, FiniteGroup) pairs."""
     for spec, group in groups:
         qg = models.build(group).qg
-        for side, pair in (("M", qg), ("Mhat", qg.dual)):
+        for side, pair, other in (("M", qg, qg.dual), ("Mhat", qg.dual, qg)):
             yield coeff_tensor(pair, spec, side)
             for table in ("fourier_table", "pairing_table"):
                 yield table, spec, side, lambda pair=pair, table=table: getattr(fresh(pair), table)
+            pair.fourier_table, other.fourier_table, pair.span, other.span
+            yield ("fourier_convolution_tensor", spec, side,
+                   lambda pair=pair, other=other: engine.fourier_convolution_tensor(pair, other))
+            for table in ("pairing_inverse_table", "pairing_forward_table"):
+                yield (table, spec, side, lambda pair=pair, other=other, table=table:
+                       getattr(with_transforms(pair, other), table))
             yield from projections(pair, spec, side)
         yield ("check_pairing_axioms", spec, "",
                lambda qg=qg: ft.check_pairing_axioms(qg))
