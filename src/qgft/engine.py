@@ -716,12 +716,13 @@ class QuantumGroupPair:
     pairing tables read W through `leg1_contraction`, so on a permutation W
     they build no dense W.  The convolution tensors through F and the
     pairing's inverse and forward tables are built from the Fourier tables
-    of this pair and its `dual`, both sides' tensors on this pair, so no
-    table is read from `dual.dual`.  `dual` is the pair of What with M and
-    Mhat exchanged; it holds no reference back.  `span` is the projection onto M
-    (`linalg.SpanKernel`), laid out once and read by `require_in_m`,
-    `coords_m`, `apply_s`/`apply_s_inv` and every reconstruction on M, and
-    handed to `sharp`; `dual.span` projects onto Mhat.
+    and `product_constants` of this pair and its `dual`, both sides' tensors
+    on this pair, so no table is read from `dual.dual`.  `dual` is the pair
+    of What with M and Mhat exchanged; it holds no reference back.  `span`
+    is the projection onto M (`linalg.SpanKernel`), laid out once and read
+    by `require_in_m`, `coords_m`, `apply_s`/`apply_s_inv` and every
+    reconstruction on M, and handed to `sharp`; `dual.span` projects onto
+    Mhat.
     """
 
     def __init__(self, mu: MultiplicativeUnitary, m_basis: np.ndarray,
@@ -781,16 +782,21 @@ class QuantumGroupPair:
     def require_in_m(self, x: np.ndarray) -> np.ndarray:
         """Coordinates of x in the M basis; ValueError if an entry of x is NaN or
         infinite, NotInAlgebra if x is off the span by more than
-        DEFAULT_TOL * (1 + max|x|).  A non-finite entry leaves a non-finite
-        residual, so max|x| is read only for a residual above DEFAULT_TOL."""
-        with np.errstate(invalid="ignore"):
-            coords, res = self.span.project(x)
-        if not res <= DEFAULT_TOL:
-            bound = max_abs(x)
-            if not math.isfinite(bound):
-                raise ValueError("operand entries must be finite (no NaN/Inf)")
-            if res > DEFAULT_TOL * (1.0 + bound):
-                raise NotInAlgebra(f"operand lies outside the algebra (residual {res:.3e})")
+        DEFAULT_TOL * (1 + max|x|).  Two sums of squares decide the common
+        cases: a finite ||x||^2 rules out a non-finite entry before any
+        arithmetic on x (which would warn), and a squared residual norm below
+        DEFAULT_TOL^2 / 4 bounds every residual entry below DEFAULT_TOL, so
+        max|x| and the largest residual entry are read only when one of them
+        fails."""
+        flat = x.ravel(order="K")                        # a view of a C- or F-ordered x
+        if not math.isfinite(np.vdot(flat, flat).real) and not math.isfinite(max_abs(x)):
+            raise ValueError("operand entries must be finite (no NaN/Inf)")
+        coords, off = self.span.split(x)
+        if np.vdot(off, off).real <= 0.25 * DEFAULT_TOL ** 2:
+            return coords
+        res = max_abs(off)
+        if res > DEFAULT_TOL * (1.0 + max_abs(x)):
+            raise NotInAlgebra(f"operand lies outside the algebra (residual {res:.3e})")
         return coords
 
     @cached_property
@@ -859,6 +865,18 @@ class QuantumGroupPair:
         return (self.fourier_images @ xihat).conj() @ (self.mhat_basis @ xihat).T
 
     @cached_property
+    def product_constants(self) -> tuple[np.ndarray, float]:
+        """(P, rho): P[a, b] the coordinates of x_a x_b on the M basis and rho
+        the largest residual of a product off the span, projected one row a
+        at a time, so no stack of all m^2 products is formed."""
+        x, m = self.m_basis, len(self.m_basis)
+        p, rho = np.empty((m, m, m), dtype=complex), 0.0
+        for a in range(m):
+            p[a], off = self.span.project(x[a] @ x)
+            rho = max(rho, off)
+        return p, rho
+
+    @cached_property
     def fourier_convolution(self) -> tuple[np.ndarray, float]:
         """(T, rho) of the convolution through F on M (`fourier_convolution_tensor`
         of this pair and its dual)."""
@@ -879,18 +897,12 @@ def fourier_convolution_tensor(side: QuantumGroupPair,
         T[i, j, k] = sum F~[i, a] F~[j, b] Phat[a, b, c] F~^{-1}[c, k],
 
     F~ the coordinates of F(x_i) on other's basis y, F~^{-1} those of
-    F^{-1}(y_c) on side's, and Phat[a, b] those of y_a y_b.  rho is the
-    largest residual of F(x_i), y_a y_b and F^{-1}(y_c) off their spans.
-    Phat is projected one row a at a time, so no stack of all the products
-    y_a y_b is formed."""
+    F^{-1}(y_c) on side's, and Phat other's `product_constants`.  rho is the
+    largest residual of F(x_i), y_a y_b and F^{-1}(y_c) off their spans."""
     f, f_off = other.span.project(side.fourier_images)
     g, g_off = side.span.project(other.fourier_images)
-    y = other.m_basis
+    p_hat, p_off = other.product_constants
     m, mh = f.shape
-    p_hat, p_off = np.empty((mh, mh, mh), dtype=complex), 0.0
-    for a in range(mh):
-        p_hat[a], off = other.span.project(y[a] @ y)
-        p_off = max(p_off, off)
     tensor = np.matmul(f, (f @ p_hat.reshape(mh, mh * mh)).reshape(m, mh, mh)) @ g
     return tensor, max(f_off, g_off, p_off)
 

@@ -22,8 +22,9 @@ with one table:
 
 This is exact because every operand must pass the span membership
 precondition (`require_in_m`, NotInAlgebra otherwise), so it equals its
-projection.  An operand is not copied or scanned beforehand: `require_in_m`
-rejects a non-finite entry, and the kernel lays it out C-contiguous.
+projection.  `require_in_m` reads two sums of squares, the operand's (a
+non-finite one rejects it, ValueError) and its residual's, and the kernel
+lays the operand out C-contiguous.
 `convolve` is the one op that composes others: two `fourier` calls and one
 `inverse_fourier`, whose membership check of F(a) F(c) raises NotInAlgebra.
 `convolve_dual` raises it instead when its tensor's residual exceeds
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import CheckReport, NotInAlgebra, QuantumGroupPair, w_coefficients
-from .linalg import DEFAULT_TOL, deviation, flat_rows
+from .linalg import DEFAULT_TOL, deviation
 
 
 def _operand(qg: QuantumGroupPair, x) -> np.ndarray:
@@ -210,13 +211,6 @@ def check_pairing(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckReport
     return CheckReport("pairing", max(deviation(x, y) for x in routes for y in routes), tol)
 
 
-def _product_constants(basis: np.ndarray) -> np.ndarray:
-    """P[i, j, k] = <x_i x_j, x_k> on an orthonormal basis: one stack of
-    products and one product with the conjugate rows, so an indicator basis
-    gathers no second stack, as its span kernel would."""
-    return flat_rows(basis[:, None] @ basis[None, :]) @ flat_rows(basis).conj().T
-
-
 def check_pairing_axioms(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> CheckReport:
     """The defining properties of the dual pairing on the full bases.
 
@@ -225,8 +219,9 @@ def check_pairing_axioms(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> Chec
     W's coefficients on M (x) Mhat (`engine.w_coefficients`), and
     <(omega (x) id)(W) | a> = omega(a) for every omega makes C Pi^T = 1,
     solved by least squares; its residual counts.  With P, Phat the product
-    constants of the M and Mhat bases and D, Dhat the comultiplication
-    tensors:
+    constants of the M and Mhat bases (`product_constants` of the pair and
+    its dual, which the convolution tensors read too) and D, Dhat the
+    comultiplication tensors:
 
       (1) <y_a y_b | x_k> = (omega_a (x) omega_b)(delta x_k), omega_a = <y_a | .>:
           sum_c Phat[a, b, c] Pi[k, c] = sum_ij D[i, j, k] Pi[i, a] Pi[j, b];
@@ -234,16 +229,16 @@ def check_pairing_axioms(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> Chec
           sum_k P[i, j, k] Pi[k, l] = sum_pq Dhat[p, q, l] Pi[j, p] Pi[i, q];
       (3) <y_l | S(x_k)> = <Shat^{-1}(y_l) | x_k>: s_mat^T Pi = Pi shat_inv_mat.
 
-    W's one n^4 layout is dropped before the product stacks are formed.
+    W's one n^4 layout is dropped before the product constants are read.
     """
     c = w_coefficients(qg)[1]
     m, mh = c.shape
     pi = np.linalg.lstsq(c, np.eye(m), rcond=None)[0].T
     d, dh = qg.delta_coeffs.reshape(m, m * m), qg.dual.delta_coeffs.reshape(mh, mh * mh)
     dev = max(deviation(c @ pi.T, np.eye(m)),
-              deviation(_product_constants(qg.mhat_basis) @ pi.T,                 # (1) [a, b, k]
+              deviation(qg.dual.product_constants[0] @ pi.T,                      # (1) [a, b, k]
                         np.matmul(pi.T, (pi.T @ d).reshape(mh, m, m))),
-              deviation(_product_constants(qg.m_basis) @ pi,                      # (2) [i, j, l]
+              deviation(qg.product_constants[0] @ pi,                             # (2) [i, j, l]
                         np.matmul(pi, (pi @ dh).reshape(m, mh, mh)).swapaxes(0, 1)),
               deviation(qg.s_mat.T @ pi, pi @ qg.shat_inv_mat))                   # (3) [k, l]
     return CheckReport("pairing-axioms", dev, tol)

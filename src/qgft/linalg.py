@@ -270,20 +270,26 @@ class SpanKernel:
             coeffs = np.add.reduce(rows.take(self.support, axis=1), axis=-1) * self.conj_values
         return coeffs.reshape(stack + (self.dim,))
 
-    def project(self, x) -> tuple[np.ndarray, float]:
-        """Coordinates of x, or of each operator of a stack x, and the largest
-        entry of x minus its orthogonal projection."""
+    def split(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinates of x, or of each operator of a stack x, and the entries
+        of x minus its orthogonal projection, one flat row per operator (in
+        the index layout, in support order)."""
         rows, stack = self._flat(x)
         if self.support is None:
             coeffs = rows @ self.conj_rows.T
-            residual = max_abs(rows - coeffs @ self.rows)
+            off = rows - coeffs @ self.rows
         else:
-            gathered = rows.take(self.order, axis=1)
-            on = gathered[:, :self.support.size].reshape((-1,) + self.support.shape)
+            off = rows.take(self.order, axis=1)
+            on = off[:, :self.support.size].reshape((-1,) + self.support.shape)
             coeffs = np.add.reduce(on, axis=-1) * self.conj_values
             on -= (coeffs * self.values)[..., None]
-            residual = max_abs(gathered)
-        return coeffs.reshape(stack + (self.dim,)), residual
+        return coeffs.reshape(stack + (self.dim,)), off
+
+    def project(self, x) -> tuple[np.ndarray, float]:
+        """Coordinates of x, or of each operator of a stack x, and the largest
+        entry of x minus its orthogonal projection."""
+        coeffs, off = self.split(x)
+        return coeffs, max_abs(off)
 
     def reconstruct(self, coeffs) -> np.ndarray:
         """The operator, or stack of operators, with the given coordinates."""

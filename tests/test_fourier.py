@@ -26,7 +26,7 @@ from qgft.fourier import (
     inverse_fourier,
     pairing,
 )
-from qgft.linalg import deviation, kron, random_complex
+from qgft.linalg import DEFAULT_TOL, deviation, kron, random_complex
 from qgft.verify import run_suite
 
 RNG = np.random.default_rng(23)
@@ -619,8 +619,8 @@ def test_ops_match_the_einsum_oracle(contract_pair, op):
 
 @pytest.mark.parametrize("op", sorted(SLOTS))
 def test_ops_reject_non_finite_operands(contract_pair, op):
-    # no op scans its operands beforehand, so require_in_m must catch a
-    # non-finite entry through its residual, in either memory layout
+    # require_in_m must catch a non-finite entry, in either memory layout,
+    # from the operand's sum of squares, before any arithmetic that would warn
     rng = np.random.default_rng(31)
     fn = getattr(ft, op)
     for slot in range(len(SLOTS[op])):
@@ -645,6 +645,22 @@ def test_ops_reject_operands_off_their_span(contract_pair, op):
             fn(contract_pair, *args)
 
 
+def test_membership_is_decided_by_the_largest_residual_entry(contract_pair):
+    # require_in_m accepts at once on a small residual norm and otherwise
+    # reads the largest residual entry: an off-span part whose norm exceeds
+    # DEFAULT_TOL passes while every entry stays below it, and fails when one
+    # entry exceeds it
+    rng = np.random.default_rng(59)
+    for side in (contract_pair, contract_pair.dual):
+        r = random_complex(rng, (side.n, side.n))
+        off = r - side.span.reconstruct(side.span.coords(r))
+        off /= np.abs(off).max()
+        assert np.linalg.norm(off) > 2
+        side.require_in_m(0.9 * DEFAULT_TOL * off)
+        with pytest.raises(NotInAlgebra):
+            side.require_in_m(1.1 * DEFAULT_TOL * off)
+
+
 @pytest.mark.parametrize("op", sorted(SLOTS))
 def test_ops_reject_operands_of_the_wrong_shape(contract_pair, op):
     rng = np.random.default_rng(41)
@@ -662,16 +678,18 @@ def test_ops_reject_operands_of_the_wrong_shape(contract_pair, op):
 # convolve_dual and pairing read per-pair tables built once on first use, and
 # check_convolution, check_pairing and check_ft_pairing compare the same
 # tables: the tensors through F of both sides (each with its residual), and
-# the inverse and forward routes of the pairing.
+# the inverse and forward routes of the pairing.  The tensors read the product
+# constants of each side's basis, which check_pairing_axioms reads too.
 
 PAIR_TABLES = ("fourier_convolution", "fourier_convolution_hat", "pairing_inverse_table",
                "pairing_forward_table")
 
 
 def spy_on_tables(monkeypatch) -> list:
-    """Record (table, pair id) at every build of a PAIR_TABLES entry."""
+    """Record (table, pair id) at every build of a PAIR_TABLES entry or of
+    the product constants."""
     builds = []
-    for name in PAIR_TABLES:
+    for name in (*PAIR_TABLES, "product_constants"):
         build = QuantumGroupPair.__dict__[name].func
         spy = cached_property(lambda qg, name=name, build=build:
                               builds.append((name, id(qg))) or build(qg))
@@ -692,8 +710,9 @@ def test_each_table_is_built_once_per_pair(label, monkeypatch):
         b, d = (qg.dual.span.reconstruct(random_complex(rng, qg.dual.span.dim))
                 for _ in range(2))
         convolve(qg, a, c), convolve_dual(qg, b, d), pairing(qg, b, a)
-    check_convolution(qg), check_pairing(qg), check_ft_pairing(qg)
-    assert sorted(builds) == sorted((name, id(qg)) for name in PAIR_TABLES)
+    check_convolution(qg), check_pairing(qg), check_ft_pairing(qg), check_pairing_axioms(qg)
+    assert sorted(builds) == sorted([(name, id(qg)) for name in PAIR_TABLES]
+                                    + [("product_constants", id(side)) for side in (qg, qg.dual)])
     # both sides' tensors come from qg and qg.dual: the dual's dual, a pair
     # with empty caches, is never built
     assert "dual" not in vars(qg.dual)

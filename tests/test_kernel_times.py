@@ -29,8 +29,8 @@ def test_kernel_times_on_s3(monkeypatch, capsys):
         dense += [("pontryagin_check", label, ""), ("run_suite", label, "")]
     sides = [(kernel, "s3", side) for side in ("M", "Mhat")
              for kernel in ("comult_coeff_tensor", "fourier_table", "pairing_table",
-                            "fourier_convolution_tensor", "pairing_inverse_table",
-                            "pairing_forward_table", *projections)]
+                            "product_constants", "fourier_convolution_tensor",
+                            "pairing_inverse_table", "pairing_forward_table", *projections)]
     assert names == [*sides,
                      ("check_pairing_axioms", "s3", ""), ("pontryagin_check", "s3", ""),
                      *dense, ("run_suite", "s3", "")]

@@ -11,9 +11,11 @@ same file from a copy of another commit measures that commit.  The kernels are
   on its M basis (side M) and on the dual's (side Mhat), then the
   `fourier_table` and `pairing_table` of that side, each
   built on a fresh `QuantumGroupPair` of the side's fields, so no call finds
-  the table cached, then the side's convolution tensor through F
+  the table cached, then the side's `product_constants` (on a fresh pair
+  whose span is the side's), its convolution tensor through F
   (`engine.fourier_convolution_tensor` of the side and the other side, their
-  Fourier tables and spans built before timing), its `pairing_inverse_table`
+  Fourier tables, spans and the other side's product constants built before
+  timing), its `pairing_inverse_table`
   and `pairing_forward_table` (each on a fresh pair whose Fourier tables and
   spans, and its dual's, are the side's), then one `require_in_m` and one
   `fourier` call of the side (the span kernel and the table built before
@@ -124,6 +126,9 @@ def kernels(groups: list):
             for table in ("fourier_table", "pairing_table"):
                 yield table, spec, side, lambda pair=pair, table=table: getattr(fresh(pair), table)
             pair.fourier_table, other.fourier_table, pair.span, other.span
+            yield ("product_constants", spec, side,
+                   lambda pair=pair, other=other: with_transforms(pair, other).product_constants)
+            other.product_constants
             yield ("fourier_convolution_tensor", spec, side,
                    lambda pair=pair, other=other: engine.fourier_convolution_tensor(pair, other))
             for table in ("pairing_inverse_table", "pairing_forward_table"):
