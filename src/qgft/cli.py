@@ -1,6 +1,12 @@
 """Command-line surface: build models, run the verification suite, and apply
 transforms, convolutions and pairings to user data.
 
+`verify --unitary` reads the file with `load_unitary` and hands the matrix
+to `MultiplicativeUnitary.from_matrix`: an exact permutation matrix (entries
+exactly 0 or 1, one 1 in every row and every column) is verified as a
+permutation W, so unitarity and the pentagon are exact and report bound 0;
+every other matrix is verified as a dense W.
+
 Exit codes: 0 success, 1 a check failed (the first failing check is named on
 stderr), 2 the source failed to load or validate.
 
@@ -20,6 +26,7 @@ import numpy as np
 
 from . import fourier as ft
 from . import models
+from .engine import MultiplicativeUnitary
 from .groups import FiniteGroup, cyclic, dihedral, direct_product, load_group, symmetric
 from .linalg import DEFAULT_TOL, as_complex_matrix
 from .verify import DEFAULT_SEED, run_suite
@@ -124,7 +131,7 @@ def cmd_verify(args) -> int:
         source = models.build(parse_group_spec(args.group))
         name = source.group.name
     else:
-        source = load_unitary(args.unitary)
+        source = MultiplicativeUnitary.from_matrix(load_unitary(args.unitary))
         name = args.unitary
     report = run_suite(source, tol_value=args.tol, seed=args.seed, model_name=name)
     write_json(report.to_json_dict(), args.out)
@@ -217,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--group", help="group spec (cyclic:<n>, dihedral:<m>, s3, s4, "
                                      "product:<spec>x<spec>, or a Cayley-table file)")
-    src.add_argument("--unitary", help="dense multiplicative unitary JSON file")
+    src.add_argument("--unitary", help="multiplicative unitary JSON file (an exact "
+                                       "permutation matrix is verified as a permutation W)")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", help="report file (default: stdout)")

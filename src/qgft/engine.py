@@ -16,9 +16,12 @@ The Mhat side is the M side of the dual unitary What = Sigma W^* Sigma
 (`MultiplicativeUnitary.dual`, `QuantumGroupPair.dual`), so each hat-side
 function here is the M-side function applied to the dual.
 
-Both slice algebras come from one SVD of W's leg-2 slice family
-(`slice_spans`): its right singular vectors span M, its left ones, read as
-transposed matrices, Mhat.
+Both slice algebras come from one SVD of W's leg-2 slice family unless W is
+a permutation (`slice_spans`): its right singular vectors span M, its left
+ones, read as transposed matrices, Mhat.  A permutation W whose distinct
+slices have disjoint supports (every group model and its dual) spans both
+exactly, as normalised 0/1 slices read from its index maps, with no SVD and
+no dense W.
 Heavy identities on the generated algebras (the pentagon of a dense W,
 coassociativity, invariance) are checked in coefficient space, on the tensor
 D that the pair caches as `qg.delta_coeffs`:
@@ -124,9 +127,11 @@ class MultiplicativeUnitary:
     The permutation form stores index maps (s, t) -> (sig[s, t], tau[s, t]),
     W e_(s,t) = e_(sig, tau).  The kernels that use it are exact index
     computations: unitarity and the pentagon compare index tables, `dual`
-    returns the permutation form of What, `comultiply` is a gather,
-    `comult_coeff_tensor` counts the gather's entries on an indicator basis,
-    and `leg1_contraction` places W's n^2 entries.
+    returns the permutation form of What, `slice_spans` reads the 0/1
+    slices, `comultiply` is a gather, `comult_coeff_tensor` counts the
+    gather's entries on an indicator basis, and `leg1_contraction` places
+    W's n^2 entries.  `from_matrix` reads an exact permutation matrix in
+    this form.
     """
 
     def __init__(self, n: int, dense: np.ndarray | None = None,
@@ -155,6 +160,19 @@ class MultiplicativeUnitary:
         if np.any((sig < 0) | (sig >= n) | (tau < 0) | (tau >= n)):
             raise ValueError(f"permutation map entries must lie in [0, {n})")
         return cls(n, perm=(sig, tau))
+
+    @classmethod
+    def from_matrix(cls, w) -> "MultiplicativeUnitary":
+        """W in permutation form when its entries are exactly 0 or 1 with one 1
+        in every row and every column, W e_(s,t) = e_(sig, tau) at the 1 of
+        column s n + t; `from_dense` otherwise."""
+        mu = cls.from_dense(w)
+        ones = mu.dense == 1
+        if not ((ones | (mu.dense == 0)).all() and (ones.sum(axis=0) == 1).all()
+                and (ones.sum(axis=1) == 1).all()):
+            return mu
+        sig, tau = np.divmod(ones.argmax(axis=0).reshape(mu.n, mu.n), mu.n)
+        return cls.from_permutation(sig, tau)
 
     @property
     def is_permutation(self) -> bool:
@@ -366,8 +384,12 @@ def algebra_closure_deviation(basis: np.ndarray) -> float:
 
 def slice_spans(mu: MultiplicativeUnitary,
                 tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases of M and Mhat from one SVD.
+    """Orthonormal bases of M and Mhat, from one SVD unless W is a permutation.
 
+    A permutation W whose distinct nonzero slices have disjoint supports on
+    each leg (every group model and its dual) takes exact indicator bases
+    from its index maps, with no dense W (`_indicator_basis`).  Every other
+    W, a permutation with overlapping slices included, takes the SVD:
     A = slice_family(W, n, 2), laid out as an n^2 x n^2 matrix, holds the
     leg-2 slices as rows: A[(a b), (i j)] = W[(i b), (j a)].  Its column
     (i j), read as an n x n matrix [a, b] and transposed, is the leg-1 slice
@@ -375,11 +397,51 @@ def slice_spans(mu: MultiplicativeUnitary,
     by the columns U[:, :r], each transposed, for the one rank
     r = rank(S, tol): rank A = rank A^T."""
     n = mu.n
+    if mu.is_permutation:
+        sig, tau = mu.perm
+        m, mhat = _indicator_basis(tau.T, sig.T, tol), _indicator_basis(sig, tau, tol)
+        if m is not None and mhat is not None:
+            return m, mhat
     family = slice_family(mu.dense, n, 2).reshape(n * n, n * n)
     u, svals, vh = np.linalg.svd(family, full_matrices=False)
     r = rank(svals, tol)
     mhat = np.ascontiguousarray(u[:, :r].T.reshape(r, n, n).transpose(0, 2, 1))
     return vh[:r].reshape(r, n, n), mhat
+
+
+def _indicator_basis(major: np.ndarray, rows: np.ndarray, tol: float) -> np.ndarray | None:
+    """The span of one leg's slices of a permutation W as an orthonormal
+    indicator basis, from n x n index tables: entry [a, c] puts a 1 at
+    (rows[a, c], c) of slice a n + major[a, c], and nothing else is nonzero.
+    The leg-2 slice a n + tau[j, a] holds a 1 at (sig[j, a], j), so M is
+    (tau^T, sig^T); the leg-1 slice a n + sig[a, l] one at (tau[a, l], l), so
+    Mhat is (sig, tau).
+
+    Each entry's representative is the lowest slice holding it.  When the
+    entries of every slice share one representative, of the same size, the
+    distinct nonzero slices have disjoint supports, and the representatives,
+    in ascending order, normalised, are an orthonormal basis of the span.
+    The family's singular values are then sqrt(copies * size), one per
+    distinct slice, and the basis is returned only when `rank` keeps them
+    all; None otherwise."""
+    n = major.shape[0]
+    a, c = np.indices((n, n))
+    label, entry = (a * n + major).ravel(), (rows * n + c).ravel()
+    owner = np.full(n * n, n * n)
+    np.minimum.at(owner, entry, label)
+    rep = owner[entry]
+    rep_of = np.zeros(n * n, dtype=np.intp)
+    rep_of[label] = rep
+    size = np.bincount(label, minlength=n * n)
+    if (rep_of[label] != rep).any() or (size[label] != size[rep]).any():
+        return None
+    keep, held = np.unique(rep, return_counts=True)
+    if rank(np.sort(np.sqrt(held))[::-1], tol) < len(keep):      # held = copies * size
+        return None
+    own = label == rep
+    basis = np.zeros((len(keep), n * n), dtype=complex)
+    basis[np.searchsorted(keep, label[own]), entry[own]] = 1.0 / np.sqrt(size[label[own]])
+    return basis.reshape(-1, n, n)
 
 
 def slice_span_m(mu: MultiplicativeUnitary, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -705,8 +767,9 @@ class QuantumGroupPair:
     carrier space; the object all Fourier and pairing operations consume.
 
     Instances are immutable after construction; cached derived data
-    (the comultiplication data, the dual pair, and the tables of the Fourier
-    transform, convolution and pairing on the bases) is computed once on
+    (the comultiplication data, the dual pair, the coordinates of the
+    adjoints of the M basis, and the tables of the Fourier transform,
+    convolution and pairing on the bases) is computed once on
     first use, or handed on by `derive_pair`.  The comultiplication data is
     `comult` = (D, rho_delta), one `comult_coeff_tensor` pass, read as
     `delta_coeffs` (which the transforms and the checks read) and
@@ -778,6 +841,12 @@ class QuantumGroupPair:
 
     def coords_m(self, x: np.ndarray) -> np.ndarray:
         return self.span.coords(x)
+
+    @cached_property
+    def adjoint_coords(self) -> np.ndarray:
+        """A[j, k], the coordinates of x_j^* on the M basis: coords(a^*) =
+        conj(coords(a)) @ A for every a in M."""
+        return self.span.coords(self.m_basis.conj().swapaxes(1, 2))
 
     def require_in_m(self, x: np.ndarray) -> np.ndarray:
         """Coordinates of x in the M basis; ValueError if an entry of x is NaN or
@@ -911,7 +980,8 @@ def derive_pair(mu: MultiplicativeUnitary, run, tol: float = DEFAULT_TOL) -> Qua
     """The pair of a unitary W, derived in four stages, each run as run(stage,
     fn): fn() returns the stage's CheckReport, and run returns whether it
     passed.  pentagon checks W (`check_pentagon`), algebra-generation spans M
-    and Mhat (`slice_spans`, one SVD) and bounds their closure, haar-weights
+    and Mhat (`slice_spans`: one SVD unless W is a permutation with disjoint
+    slices) and bounds their closure, haar-weights
     recovers both implementing vectors, antipode-assembly fits both
     antipodes.  A dense W's pentagon hands on the two spans and the
     (D, rho_delta) it builds (the spans alone when M has more than n
@@ -960,9 +1030,10 @@ def _require(stage: str, fn) -> bool:
 def pair_from_unitary(w, tol: float = DEFAULT_TOL) -> QuantumGroupPair:
     """The pair of W, through the suite's structural stages at their bounds:
     unitarity, then `derive_pair`, whose first stage is the pentagon.  The
-    spans come from one SVD, and (D, rho_delta) from at most one pass.  ValueError names the first
-    stage that fails and its deviation; WeightDerivationError and
-    InconsistentSlices propagate from haar-weights and antipode-assembly."""
+    spans come from at most one SVD, and (D, rho_delta) from at most one
+    pass.  ValueError names the first stage that fails and its deviation;
+    WeightDerivationError and InconsistentSlices propagate from haar-weights
+    and antipode-assembly."""
     mu = w if isinstance(w, MultiplicativeUnitary) else MultiplicativeUnitary.from_dense(w)
     _require("unitarity", lambda: check_unitarity(mu))
     return derive_pair(mu, _require, tol)
@@ -1043,7 +1114,7 @@ def check_sharp_involution(qg: QuantumGroupPair, tol: float = DEFAULT_TOL) -> Ch
     adjoint_stack = qg.m_basis.conj().swapaxes(1, 2)                           # x_k^*
     adjoints = flat_rows(adjoint_stack)
     once = _sharp(rows.conj().T, qg.s_mat)
-    twice = _sharp(once @ qg.span.coords(adjoint_stack), qg.s_mat)
+    twice = _sharp(once @ qg.adjoint_coords, qg.s_mat)
     values = flat_rows(qg.m_basis.swapaxes(1, 2)).T                            # rho -> trace(rho x_k)
     family = slice_family(qg.w, n, 1)
     slices = adjoints @ flat_rows(family)

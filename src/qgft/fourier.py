@@ -18,7 +18,9 @@ with one table:
     convolve_direct and dual   `convolution_table` and `delta_coeffs`
     convolve_dual              `fourier_convolution_hat`, a tensor T[i, j, k]
     pairing                    `pairing_inverse_table`, `pairing_forward_table`
-                               and `pairing_table`, one per route
+                               and `pairing_table`, one per route; the
+                               forward route reads a^* from a's coordinates
+                               and `adjoint_coords`
 
 This is exact because every operand must pass the span membership
 precondition (`require_in_m`, NotInAlgebra otherwise), so it equals its
@@ -183,23 +185,25 @@ def pairing(qg: QuantumGroupPair, b, a) -> PairingValue:
     Haar-weight descriptions, each a bilinear form on the coordinates alpha
     of a and beta of b with a table of the pair: via_inverse = alpha @ Q_inv
     @ beta (`pairing_inverse_table`), via_forward = conj(coords(a^*)) @ Q_fwd
-    @ beta (`pairing_forward_table`; a^* is projected on its own) and via_w
-    = alpha @ P @ beta (`pairing_table`).  NotInAlgebra unless a lies in M
-    and b in Mhat."""
+    @ beta (`pairing_forward_table`) and via_w = alpha @ P @ beta
+    (`pairing_table`).  conj(coords(a^*)) = alpha @ conj(A), A the
+    coordinates of the adjoints of the basis (`adjoint_coords`): exact, as M
+    is *-closed, so the part of a^* off M, the adjoint of a's, is orthogonal
+    to M.  NotInAlgebra unless a lies in M and b in Mhat."""
     a, b = _operand(qg, a), _operand(qg, b)
     alpha = qg.require_in_m(a)
     beta = qg.dual.require_in_m(b)
     via_inverse = complex(alpha @ qg.pairing_inverse_table @ beta)
-    via_forward = complex(qg.coords_m(a.conj().T).conj() @ qg.pairing_forward_table @ beta)
+    via_forward = complex((alpha @ qg.adjoint_coords.conj()) @ qg.pairing_forward_table @ beta)
     via_w = complex(alpha @ qg.pairing_table @ beta)
     return PairingValue(via_inverse, via_forward, via_w)
 
 
 def pairing_routes(qg: QuantumGroupPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """<y_l | x_k> along the three routes of `pairing`, as m x mhat matrices
-    read from the same tables: Q_inv, conj(coords(x_k^*)) @ Q_fwd and P."""
-    adjoints = qg.coords_m(qg.m_basis.conj().swapaxes(1, 2))                   # x_k^*
-    return (qg.pairing_inverse_table, adjoints.conj() @ qg.pairing_forward_table,
+    read from the same tables: Q_inv, conj(A) @ Q_fwd and P, with A the
+    coordinates of the x_k^* (`adjoint_coords`)."""
+    return (qg.pairing_inverse_table, qg.adjoint_coords.conj() @ qg.pairing_forward_table,
             qg.pairing_table)
 
 

@@ -7,9 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qgft import groups, models
+from qgft import engine, groups, models
 from qgft.cli import _fmt_json, load_unitary, main, matrix_to_json, parse_group_spec, write_json
 from qgft.linalg import flip
+from qgft.verify import run_suite
 
 Z2 = models.build(groups.cyclic(2))
 
@@ -107,6 +108,97 @@ def test_verify_valid_dense_unitary(tmp_path):
     path = write_unitary(tmp_path, "w.json", mdl.qg.w, 3)
     out = tmp_path / "report.json"
     assert main(["verify", "--unitary", path, "--out", str(out)]) == 0
+
+
+def dual_group_w(group) -> np.ndarray:
+    """Sigma W^* Sigma of a group model's W: an exact permutation matrix."""
+    n = group.order
+    return flip(n) @ models.build(group).qg.w.conj().T @ flip(n)
+
+
+def verified(tmp_path, w, n) -> tuple[int, dict]:
+    """The exit code of `qgft verify --unitary` on w, and its checks by name."""
+    path = write_unitary(tmp_path, "w.json", w, n)
+    out = tmp_path / "report.json"
+    code = main(["verify", "--unitary", path, "--out", str(out)])
+    return code, {c["name"]: c for c in read_json(out)["checks"]}
+
+
+@pytest.mark.parametrize("group", [groups.dihedral(3), groups.cyclic(4)])
+def test_verify_reads_a_permutation_matrix_as_a_permutation_w(tmp_path, group):
+    # unitarity and the pentagon are exact, bound 0, and every stage passes
+    code, checks = verified(tmp_path, dual_group_w(group), group.order)
+    assert code == 0
+    assert all(c["pass"] for c in checks.values())
+    for name in ("unitarity", "pentagon"):
+        assert (checks[name]["deviation"], checks[name]["tolerance"]) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("entry", [1 - 2 ** -52, np.exp(0.5j)])
+def test_verify_keeps_a_near_permutation_matrix_dense(tmp_path, entry):
+    w = dual_group_w(groups.dihedral(3))
+    w[np.nonzero(w[:, 0])[0][0], 0] = entry
+    _, checks = verified(tmp_path, w, 6)
+    assert checks["unitarity"]["tolerance"] == 1e-12
+    assert checks["pentagon"]["tolerance"] == 1e-12
+
+
+def test_verify_keeps_a_0_1_matrix_that_is_no_bijection_dense(tmp_path):
+    w = dual_group_w(groups.cyclic(3))
+    w[:, 1] = w[:, 0]                             # two columns share one row's 1
+    code, checks = verified(tmp_path, w, 3)
+    assert code == 1 and list(checks) == ["unitarity"]
+    assert checks["unitarity"]["pass"] is False
+    assert checks["unitarity"]["tolerance"] == 1e-12
+
+
+def test_load_unitary_returns_a_permutation_matrix_as_an_array(tmp_path):
+    w = dual_group_w(groups.dihedral(3))
+    got = load_unitary(write_unitary(tmp_path, "w.json", w, 6))
+    assert type(got) is np.ndarray and got.dtype == complex
+    assert np.array_equal(got, w)
+
+
+def spy_dense_kernels(monkeypatch) -> dict:
+    """Every SVD of an n^2 x n^2 matrix and every dense `_comultiplier`."""
+    calls, svd, comultiplier = {"svd": [], "dense_comultiplier": 0}, np.linalg.svd, \
+        engine._comultiplier
+
+    def counted_svd(a, *args, **kwargs):
+        side = round(a.shape[0] ** 0.5)
+        if a.shape == (side * side, side * side):
+            calls["svd"].append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    def counted_comultiplier(mu):
+        calls["dense_comultiplier"] += not mu.is_permutation
+        return comultiplier(mu)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(engine, "_comultiplier", counted_comultiplier)
+    return calls
+
+
+def test_verify_runs_no_dense_kernel_on_a_permutation_matrix(tmp_path, monkeypatch):
+    # the dual of cyclic:12, a verify-dense source: both spans exact, both
+    # comultiplication tensors by index count
+    calls = spy_dense_kernels(monkeypatch)
+    code, _ = verified(tmp_path, dual_group_w(groups.cyclic(12)), 12)
+    assert code == 0
+    assert calls == {"svd": [], "dense_comultiplier": 0}
+
+
+def test_verify_reads_a_dense_unitary_as_before(tmp_path, monkeypatch):
+    # a transported W takes the dense route: one slice-family SVD, and the
+    # report of run_suite on the loaded array
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((6, 6))
+                        + 1j * np.random.default_rng(6).standard_normal((6, 6)))
+    w = np.kron(q, q) @ models.build(groups.dihedral(3)).qg.w @ np.kron(q, q).conj().T
+    calls = spy_dense_kernels(monkeypatch)
+    code, checks = verified(tmp_path, w, 6)
+    assert code == 0 and calls["svd"] == [(36, 36)] and calls["dense_comultiplier"] == 2
+    want = run_suite(load_unitary(tmp_path / "w.json"), model_name="w")
+    assert {name: (c["deviation"], c["tolerance"]) for name, c in checks.items()} == \
+        {c.name: (c.deviation, c.tolerance) for c in want.checks}
 
 
 def test_verify_non_finite_deviation_fails_the_stage(tmp_path, capsys):

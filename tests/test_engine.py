@@ -409,6 +409,61 @@ def test_one_svd_spans_mhat_on_every_snapshot_source():
         assert len(mhat) == len(m) == len(leg1), label
 
 
+def count_svds(monkeypatch) -> list:
+    """The shapes of every later np.linalg.svd call."""
+    shapes, svd = [], np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return shapes
+
+
+@pytest.mark.parametrize("spec", suite_snapshot.GROUP_SPECS)
+def test_a_permutation_w_spans_its_slices_exactly(spec, monkeypatch):
+    # every group model and its dual: an orthonormal indicator basis of each
+    # algebra, in the index layout, read from the index maps with no SVD and
+    # no dense W, spanning what the SVD of the dense family spans
+    qg = model(parse_group_spec(spec)).qg
+    for pair in (qg, qg.dual):
+        mu = MultiplicativeUnitary.from_permutation(*pair.mu.perm)
+        svds = count_svds(monkeypatch)
+        spans = slice_spans(mu)
+        assert svds == [] and mu._dense is None, spec
+        monkeypatch.undo()
+        svd_spans = slice_spans(MultiplicativeUnitary.from_dense(mu.dense))
+        for basis, svd_basis in zip(spans, svd_spans):
+            assert linalg.SpanKernel(basis).layout == "index", spec
+            gram = flat_rows(basis) @ flat_rows(basis).conj().T
+            assert deviation(gram, np.eye(len(basis))) <= 1e-15, spec
+            assert len(basis) == len(svd_basis) == qg.n, spec
+            assert subspace_equal(basis, svd_basis) <= 1e-14, spec
+        assert pair_deviation(pair, pair_from_unitary(mu)) <= 1e-14, spec
+
+
+def test_a_permutation_w_with_overlapping_slices_keeps_the_svd(monkeypatch):
+    # a random bijection of basis pairs: two distinct leg-2 slices share an
+    # entry, so no indicator basis is orthonormal and the one SVD runs
+    n = 3
+    sig, tau = np.divmod(np.random.default_rng(3).permutation(n * n).reshape(n, n), n)
+    mu = MultiplicativeUnitary.from_permutation(sig, tau)
+    assert engine._indicator_basis(tau.T, sig.T, linalg.DEFAULT_TOL) is None
+    svds = count_svds(monkeypatch)
+    spans = slice_spans(mu)
+    assert svds == [(n * n, n * n)]
+    for basis, svd_basis in zip(spans, slice_spans(MultiplicativeUnitary.from_dense(mu.dense))):
+        assert np.array_equal(basis, svd_basis)
+
+
+def test_the_exact_spans_keep_the_rank_rule():
+    # a cutoff above a singular value sqrt(copies * size) of the family sends
+    # the span to the SVD, which drops the same directions
+    mu = model(groups.cyclic(3)).qg.mu            # every slice value has sqrt(3)
+    assert [len(b) for b in slice_spans(mu, tol=1.7)] == [3, 3]
+    assert [len(b) for b in slice_spans(mu, tol=1.8)] == [0, 0]
+
+
 def test_generate_identity_w_gives_scalars():
     mu = MultiplicativeUnitary.from_dense(np.eye(9))
     for span in (slice_span_m(mu), slice_span_mhat(mu)):

@@ -539,6 +539,28 @@ def test_pairing_allocates_no_operator_on_the_tensor_square():
     assert peak_of(lambda: pairing(mdl.qg, b, a)) < 2 ** 20
 
 
+@pytest.mark.parametrize("label", ["s4", "transported-dihedral3"])
+def test_pairing_reads_the_adjoint_from_the_operand_coordinates(label, monkeypatch):
+    # conj(coords(a^*)) = alpha @ conj(A) on the *-closed M, so via_forward
+    # matches projecting a^* on its own, and no call projects it
+    qg = model(groups.symmetric(4)).qg if label == "s4" else transported_dihedral3_pair()
+    rng = np.random.default_rng(7)
+    draws = [(qg.span.reconstruct(random_complex(rng, qg.span.dim)),
+              qg.dual.span.reconstruct(random_complex(rng, qg.dual.span.dim)))
+             for _ in range(5)]
+    for a, b in draws:
+        own = qg.coords_m(a.conj().T).conj() @ qg.pairing_forward_table \
+            @ qg.dual.coords_m(b)
+        assert abs(pairing(qg, b, a).via_forward - own) <= 1e-13, label
+
+    def forbidden(self, x):
+        raise AssertionError("pairing projected an operand on its own")
+
+    monkeypatch.setattr(QuantumGroupPair, "coords_m", forbidden)
+    for a, b in draws:
+        pairing(qg, b, a)
+
+
 def test_transform_and_inverse_do_not_call_each_other(monkeypatch):
     # the benchmark's per-layer call counts of fourier and inverse_fourier
     # count only direct calls

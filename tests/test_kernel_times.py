@@ -33,6 +33,7 @@ def test_kernel_times_on_s3(monkeypatch, capsys):
                             "pairing_inverse_table", "pairing_forward_table", *projections)]
     assert names == [*sides,
                      ("check_pairing_axioms", "s3", ""), ("pontryagin_check", "s3", ""),
+                     ("slice_spans", "s3", ""),
                      *dense, ("run_suite", "s3", "")]
     for record in out["kernels"]:
         assert record["best_ms"] > 0 and record["peak_mib"] > 0

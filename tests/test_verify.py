@@ -126,13 +126,14 @@ def test_nothing_is_built_twice_on_a_dense_w(monkeypatch):
     assert len(calls["comult_coeff_tensor"]) == 1, calls
 
 
-def test_a_group_model_derivation_runs_one_slice_family_svd(monkeypatch):
-    # the exact pentagon builds no span, so algebra-generation runs the one
-    # SVD; the model's pair builds (D, rho_delta) once per side
+def test_a_group_model_derivation_runs_no_slice_family_svd(monkeypatch):
+    # the exact pentagon builds no span, so algebra-generation spans both
+    # algebras once, from W's index maps with no SVD; the model's pair
+    # builds (D, rho_delta) once per side
     mdl = models.build(groups.dihedral(3))
     calls = count_builds(monkeypatch)
     assert run_suite(mdl).passed
-    assert calls["svd"] == [(36, 36)]
+    assert calls["svd"] == []
     assert [len(calls[name]) for name in KERNELS[:3]] == [1, 0, 0]
     assert calls["comult_coeff_tensor"] == [mdl.qg.mu, mdl.qg.mu.dual]
 

@@ -21,16 +21,21 @@ same file from a copy of another commit measures that commit.  The kernels are
   `fourier` call of the side (the span kernel and the table built before
   timing) on a seeded random element of its algebra;
 * `check_pairing_axioms` on each group SPEC's pair, after the first call has
-  filled the pair's caches, and `pontryagin_check` on its W;
-* on the two n = 12 dense unitaries of the verify-dense benchmark workload
+  filled the pair's caches, `pontryagin_check` on its W and `slice_spans`
+  on its W (exact indicator bases, no SVD);
+* on the two n = 12 unitaries of the verify-dense benchmark workload
   (workload seed 11): `cli.write_json` of each one's `matrix_to_json` to a
-  temporary file and `cli.load_unitary` of that file, then `check_pentagon`,
-  `slice_spans` (both spans from one SVD), the one-side `slice_span_m` and
-  `slice_span_mhat` and `pair_from_unitary`, then `check_antipode` on the
-  pair derived from each, `comult_coeff_tensor`, `require_in_m` and
-  `fourier` on its M and Mhat sides as above, each full-basis check of
+  temporary file and `cli.load_unitary` of that file, then, on W as
+  `qgft verify --unitary` reads it (`MultiplicativeUnitary.from_matrix`:
+  transported-dihedral6 dense, dual-cyclic12 a permutation),
+  `check_pentagon`, `slice_spans` (one SVD for the dense W, none for the
+  permutation), the one-side `slice_span_m` and `slice_span_mhat` and
+  `pair_from_unitary`, then `check_antipode` on the pair derived from each,
+  `comult_coeff_tensor`, `require_in_m` and `fourier` on its M and Mhat
+  sides as above, each full-basis check of
   `FULL_BASIS_CHECKS` on the pair (caches filled by the first call),
-  `pontryagin_check` on W, and `run_suite` on W at suite seed 11;
+  `pontryagin_check` on W, and `run_suite` on W, read afresh per call, at
+  suite seed 11;
 * `run_suite` on each group SPEC at suite seed 11, on a freshly built model
   per call, so no cached table carries over from one call to the next.
 """
@@ -138,18 +143,22 @@ def kernels(groups: list):
         yield ("check_pairing_axioms", spec, "",
                lambda qg=qg: ft.check_pairing_axioms(qg))
         yield "pontryagin_check", spec, "", lambda qg=qg: engine.pontryagin_check(qg.mu)
+        yield "slice_spans", spec, "", lambda qg=qg: engine.slice_spans(qg.mu)
     with tempfile.TemporaryDirectory() as tmp:
         for label, w in dense_unitaries(DENSE_SEED):
             path, data = str(Path(tmp) / f"{label}.json"), cli.matrix_to_json(w, 12)
             yield "write_json", label, "", lambda data=data, path=path: cli.write_json(data, path)
             yield "load_unitary", label, "", lambda path=path: cli.load_unitary(path)
-            mu = engine.MultiplicativeUnitary.from_dense(w)
+            cli.write_json(data, path)
+            w = cli.load_unitary(path)
+            mu = engine.MultiplicativeUnitary.from_matrix(w)
             yield "check_pentagon", label, "", lambda mu=mu: engine.check_pentagon(mu)
             yield "slice_spans", label, "", lambda mu=mu: engine.slice_spans(mu)
             yield "slice_span_m", label, "", lambda mu=mu: engine.slice_span_m(mu)
             yield "slice_span_mhat", label, "", lambda mu=mu: engine.slice_span_mhat(mu)
-            yield "pair_from_unitary", label, "", lambda w=w: engine.pair_from_unitary(w)
-            qg = engine.pair_from_unitary(w)
+            yield ("pair_from_unitary", label, "",
+                   lambda w=w: engine.pair_from_unitary(engine.MultiplicativeUnitary.from_matrix(w)))
+            qg = engine.pair_from_unitary(mu)
             yield "check_antipode", label, "", lambda qg=qg: engine.check_antipode(qg)
             for side, pair in (("M", qg), ("Mhat", qg.dual)):
                 yield coeff_tensor(pair, label, side)
@@ -157,7 +166,8 @@ def kernels(groups: list):
             for check in FULL_BASIS_CHECKS:
                 yield check.__name__, label, "", lambda qg=qg, check=check: check(qg)
             yield "pontryagin_check", label, "", lambda mu=mu: engine.pontryagin_check(mu)
-            yield "run_suite", label, "", lambda w=w: run_suite(w, seed=SUITE_SEED)
+            yield ("run_suite", label, "", lambda w=w: run_suite(
+                engine.MultiplicativeUnitary.from_matrix(w), seed=SUITE_SEED))
     for spec, group in groups:
         yield "run_suite", spec, "", lambda group=group: run_suite(models.build(group),
                                                                    seed=SUITE_SEED)
