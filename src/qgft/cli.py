@@ -10,6 +10,10 @@ every other matrix is verified as a dense W.
 Exit codes: 0 success, 1 a check failed (the first failing check is named on
 stderr), 2 the source failed to load or validate.
 
+Input files (unitaries, functions, Cayley tables) are strict JSON (RFC 8259),
+parsed by orjson (`groups.read_json`): a NaN or Infinity token, or a number
+beyond the double range, exits 2.
+
 JSON numbers are written with 17 significant digits so doubles round-trip
 losslessly, a row of Python floats through one % template; reports are
 deterministic for a given seed apart from the elapsed-time fields.
@@ -27,7 +31,8 @@ import numpy as np
 from . import fourier as ft
 from . import models
 from .engine import MultiplicativeUnitary
-from .groups import FiniteGroup, cyclic, dihedral, direct_product, load_group, symmetric
+from .groups import (FiniteGroup, cyclic, dihedral, direct_product, load_group, read_json,
+                     symmetric)
 from .linalg import DEFAULT_TOL, as_complex_matrix
 from .verify import DEFAULT_SEED, run_suite
 
@@ -77,9 +82,10 @@ def matrix_to_json(w: np.ndarray, n: int) -> dict:
 
 def load_unitary(path) -> np.ndarray:
     """Dense W import: JSON { "n": leg dimension, "re": [[...]], "im": [[...]] }
-    for the n^2 x n^2 matrix in first-leg-major order."""
-    with open(path) as fh:
-        data = json.load(fh)
+    for the n^2 x n^2 matrix in first-leg-major order.  The file is strict
+    JSON (`read_json`): a NaN or Infinity token, or a number beyond the
+    double range, is a ValueError, which `main` reports with exit code 2."""
+    data = read_json(path)
     for key in ("n", "re", "im"):
         if not isinstance(data, dict) or key not in data:
             raise ValueError(f"{path}: missing field '{key}'")

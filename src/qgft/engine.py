@@ -401,9 +401,7 @@ def slice_spans(mu: MultiplicativeUnitary,
     V -> A^H A V S^-2 and U -> A A^H U S^-2, damps the part outside the span
     by (S[r] / S[r-1])^2 and adds only the rounding of two products; a QR
     with R's diagonal made positive re-orthonormalises each side near its
-    singular vectors, and the same residual then stays within 2e-16 to 4e-16.
-    A W whose dense entries form a permutation matrix keeps the singular
-    vectors as they are, so the dense route on a group W reads as before."""
+    singular vectors, and the same residual then stays within 2e-16 to 4e-16."""
     n = mu.n
     if mu.is_permutation:
         sig, tau = mu.perm
@@ -414,7 +412,7 @@ def slice_spans(mu: MultiplicativeUnitary,
     u, svals, vh = np.linalg.svd(family, full_matrices=False)
     r = rank(svals, tol)
     v, u = vh[:r].conj().T, u[:, :r]
-    if r and _permutation_maps(mu.dense, n) is None:
+    if r:
         scale = svals[:r] ** -2
         v = _orthonormal_columns(family.conj().T @ (family @ v) * scale)
         u = _orthonormal_columns(family @ (family.conj().T @ u) * scale)

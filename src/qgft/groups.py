@@ -13,10 +13,10 @@ involutions and antipodes of the group models carry no modular factor.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import orjson
 
 MAX_BUILTIN_ORDER = 24
 
@@ -258,10 +258,23 @@ def characters(group: FiniteGroup) -> np.ndarray:
     return np.stack(rows)
 
 
+def read_json(path):
+    """Parse a file as strict JSON (RFC 8259), the grammar of every input
+    file: a NaN or Infinity token, or a number beyond the double range, is a
+    ValueError that names the file, so every number read is an int or a
+    finite float."""
+    with open(path, "rb") as fh:
+        text = fh.read()
+    try:
+        return orjson.loads(text)
+    except orjson.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def load_group(path) -> FiniteGroup:
-    """Read a Cayley-table JSON file: { "order": n, "table": [[...]] }."""
-    with open(path) as fh:
-        data = json.load(fh)
+    """Read a Cayley-table file, strict JSON (`read_json`):
+    { "order": n, "table": [[...]] }."""
+    data = read_json(path)
     if not isinstance(data, dict) or "table" not in data:
         raise ValueError(f"{path}: expected a JSON object with a 'table' field")
     table = np.asarray(data["table"])

@@ -13,7 +13,6 @@ than least-squares fits.  The modular function is identically 1.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .engine import MultiplicativeUnitary, QuantumGroupPair, Weight
 from .fourier import pairing_routes
-from .groups import FiniteGroup, NonAbelianInput, characters, is_abelian
+from .groups import FiniteGroup, NonAbelianInput, characters, is_abelian, read_json
 from .linalg import deviation, max_abs
 
 
@@ -186,9 +185,10 @@ def _multiset_deviation(xs: np.ndarray, ys: np.ndarray) -> float:
 
 
 def load_function(path, n: int) -> np.ndarray:
-    """Read a function file: JSON { "values": [[re, im], ...] }."""
-    with open(path) as fh:
-        data = json.load(fh)
+    """Read a function file, strict JSON: { "values": [[re, im], ...] }.
+    A NaN or Infinity token, or a number beyond the double range, is a
+    ValueError (`read_json`), which the CLI reports with exit code 2."""
+    data = read_json(path)
     if not isinstance(data, dict) or "values" not in data:
         raise ValueError(f"{path}: expected a JSON object with a 'values' field")
     pairs = data["values"]

@@ -269,6 +269,18 @@ BAD_ENTRIES = {"re-object": {"re": {"a": 1}, "im": [[0]]},
                "re-ragged": {"re": [[1, 0, 0, 0], [0, 1]], "im": [[0]]},
                "im-ragged": {"re": [[1]], "im": [[0, 0, 0, 0], [0, 0]]}}
 
+# Numbers outside strict JSON's doubles: a 401-digit integer and 1e400 overflow
+# a double, and NaN and Infinity (which json.dumps writes) are no JSON tokens.
+BAD_NUMBERS = {"401-digits": "9" * 401, "1e400": "1e400", "nan": "NaN", "infinity": "Infinity"}
+
+# A unitary, a function and a Cayley-table file holding one such number, as text.
+BAD_NUMBER_FILES = {
+    "unitary": ('{{"n": 1, "re": [[{}]], "im": [[0]]}}', ["verify", "--unitary"]),
+    "function": ('{{"values": [[{}, 0], [0, 0]]}}',
+                 ["fourier", "--group", "cyclic:2", "--function"]),
+    "group": ('{{"order": 1, "table": [[{}]]}}', ["verify", "--group"]),
+}
+
 LOAD_FAILURES = [
     ["verify", "--unitary", "{missing}"],
     ["verify", "--group", "cyclic:0"],
@@ -289,6 +301,8 @@ LOAD_FAILURES = [
     pytest.param(["verify", "--unitary", "{number}"], id="verify-unitary-not-an-object"),
     *(pytest.param(["verify", "--unitary", f"{{entries_{label}}}"], id=f"verify-entries-{label}")
       for label in BAD_ENTRIES),
+    *(pytest.param([*argv, f"{{{kind}_{label}}}"], id=f"{kind}-number-{label}")
+      for kind, (_, argv) in BAD_NUMBER_FILES.items() for label in BAD_NUMBERS),
 ]
 
 
@@ -304,12 +318,17 @@ def test_load_failure_exits_2_with_empty_stdout(tmp_path, capsys, argv):
     for key, data in contents.items():
         (tmp_path / f"{key}.json").write_text(json.dumps(data))
         files[key] = str(tmp_path / f"{key}.json")
+    for kind, (template, _) in BAD_NUMBER_FILES.items():
+        for label, number in BAD_NUMBERS.items():
+            path = tmp_path / f"{kind}_{label}.json"
+            path.write_text(template.format(number))
+            files[f"{kind}_{label}"] = str(path)
     assert main([a.format(**files) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert captured.out == ""
-    for arg in argv:  # a bad matrix names its file
-        if arg.startswith("{entries_"):
+    for arg in argv:  # a bad matrix or number names its file
+        if arg.startswith(("{entries_", *(f"{{{kind}_" for kind in BAD_NUMBER_FILES))):
             assert arg.format(**files) in captured.err
 
 
@@ -510,6 +529,16 @@ def test_dense_unitary_round_trips_through_the_writer(tmp_path):
                         + 1j * np.random.default_rng(6).standard_normal((6, 6)))
     uu = np.kron(u, u)
     w = uu @ models.build(groups.dihedral(3)).qg.w @ uu.conj().T
+    # subnormals, the ends of the normal range, 0.1, 1.0 and both zeros
+    extremes = [5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                0.1, 1.0, 0.0, -0.0]
+    w.real.flat[:len(extremes)] = extremes
+    w.imag.flat[-len(extremes):] = extremes
     path = tmp_path / "w.json"
     write_json(matrix_to_json(w, 6), str(path))
-    assert np.array_equal(load_unitary(path), w)
+    loaded = load_unitary(path)
+    assert np.array_equal(loaded, w)
+    oracle = json.loads(path.read_text())  # the stdlib's correctly rounded parse
+    for part, key in ((loaded.real, "re"), (loaded.imag, "im")):
+        expected = np.array(oracle[key], dtype=float)
+        assert np.array_equal(part.view(np.uint64), expected.view(np.uint64))

@@ -2,7 +2,11 @@
 
 import ast
 import inspect
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 from qgft import engine, fourier, models
 from qgft.linalg import DEFAULT_TOL
@@ -169,3 +173,31 @@ def test_rank_rtol_is_read_only_by_linalg_rank():
              for path in sorted(PACKAGE.glob("*.py"))
              for function in rank_rtol_reads(path.read_text())]
     assert reads == [("linalg.py", "rank")]
+
+
+def third_party_imports(source: str) -> set[str]:
+    """The top-level names of the absolute imports outside the standard library."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names)
+
+
+def test_third_party_import_detector_finds_imports():
+    source = ("from __future__ import annotations\nimport json, numpy as np\n"
+              "from . import engine\nfrom .linalg import rank\nfrom orjson import loads\n"
+              "def f():\n    import scipy.linalg\n")
+    assert third_party_imports(source) == {"numpy", "orjson", "scipy"}
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    project = tomllib.loads((PACKAGE.parents[1] / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_")
+                for dep in project["dependencies"]}
+    imported = set().union(*(third_party_imports(path.read_text())
+                             for path in PACKAGE.glob("*.py")))
+    assert imported - declared == set()

@@ -482,14 +482,18 @@ def test_dense_spans_sit_at_the_rounding_floor():
             assert subspace_equal(basis, span_basis(slice_family(w, n, leg))) <= 1e-14, seed
 
 
-def test_a_dense_permutation_matrix_keeps_the_singular_vectors():
-    # the dense route on a group W reads the SVD's own vectors
+def test_a_dense_permutation_matrix_takes_the_refinement_step():
+    # the dense route on a group W refines the SVD's vectors like any other
+    # W's: orthonormal bases of the same spans, no longer the vectors' bits
     w = model(groups.symmetric(3)).qg.w
     family = slice_family(w, 6, 2).reshape(36, 36)
     u, _, vh = np.linalg.svd(family, full_matrices=False)
     m, mhat = slice_spans(MultiplicativeUnitary.from_dense(w))
-    assert np.array_equal(m, vh[:6].reshape(6, 6, 6))
-    assert np.array_equal(mhat, u[:, :6].T.reshape(6, 6, 6).transpose(0, 2, 1))
+    svd_m, svd_mhat = vh[:6].reshape(6, 6, 6), u[:, :6].T.reshape(6, 6, 6).transpose(0, 2, 1)
+    assert not np.array_equal(m, svd_m)
+    for basis, svd_basis in ((m, svd_m), (mhat, svd_mhat)):
+        assert deviation(flat_rows(basis) @ flat_rows(basis).conj().T, np.eye(6)) <= 1e-14
+        assert subspace_equal(basis, svd_basis) <= 1e-14
 
 
 def test_generate_identity_w_gives_scalars():

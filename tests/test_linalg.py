@@ -450,7 +450,9 @@ def test_index_layout_matches_the_dense_layout(spec, monkeypatch):
 
 def test_other_bases_take_the_dense_layout():
     s3 = group_pair("s3")
-    derived = pair_from_unitary(s3.w)
+    u, _ = np.linalg.qr(random_matrix(6))
+    uu = kron(u, u)
+    derived = pair_from_unitary(uu @ s3.w @ uu.conj().T)  # transported: no 0/1 slices
     assert SpanKernel(derived.m_basis).layout == "dense"
     assert SpanKernel(derived.mhat_basis).layout == "dense"
     assert derived.span.layout == derived.dual.span.layout == "dense"
